@@ -16,12 +16,11 @@ import numpy as np
 from . import io as dio
 from . import metrics as met
 from . import render as rnd
-from .distances import kk_weights, shortest_path_distances
 from .errors import DataError, NumericalError
 from .gll import laplacian
 from .graph import DynamicNetwork
-from .pipeline import (METHODS, RegularizationConfig, learn_group_sequence,
-                       parameter_sweep, run_sequence)
+from .pipeline import (MDS_METHODS, METHODS, RegularizationConfig, learn_group_sequence,
+                       mds_inputs, parameter_sweep, run_sequence)
 from .sbm import SbmConfig, sbm_sequence
 
 EXIT_OK = 0
@@ -163,13 +162,14 @@ def _cmd_metrics(args) -> int:
     if len(sequence.steps) != len(network.snapshots):
         raise DataError("layout document and snapshot file have different step counts")
     method = str(sequence.metadata.get("method", "dmds"))
-    is_mds = method in ("dmds", "mds-static", "mds-stabilized")
+    is_mds = method in MDS_METHODS
+    similarity_mode = sequence.metadata.get("similarity_mode")
     report = met.CostReport(method=method, params=dict(sequence.metadata))
     prev_ids: dict[str, np.ndarray] = {}
     for step, snap in zip(sequence.steps, network.snapshots):
         if is_mds:
-            dm = shortest_path_distances(snap.W)
-            static = met.static_cost_mds(step.X, dm.delta, kk_weights(dm))
+            delta, V = mds_inputs(snap.W, similarity_mode)
+            static = met.static_cost_mds(step.X, delta, V)
         else:
             lap = laplacian(snap.W)
             static = met.static_cost_gll(step.X, lap.L, lap.D)

@@ -95,8 +95,15 @@ def kmeans(points: np.ndarray, k: int, seed, restarts: int = 100,
         raise DataError(f"cannot form {k} clusters from {n} points")
     rng = np.random.default_rng(seed)
     best_labels, best_wcss = None, np.inf
+    tried = set()
     for _ in range(restarts):
-        centers = _furthest_first_centers(points, k, int(rng.integers(n)))
+        # a repeated first index repeats a whole restart exactly; drawing
+        # it anyway keeps the random stream of the later restarts
+        first = int(rng.integers(n))
+        if first in tried:
+            continue
+        tried.add(first)
+        centers = _furthest_first_centers(points, k, first)
         labels = np.zeros(n, dtype=int)
         for _ in range(max_iter):
             dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)

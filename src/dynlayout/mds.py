@@ -33,29 +33,62 @@ class SmacofReport:
     hit_iteration_cap: bool = False
 
 
-def _masked_products(V: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    # v_ij * delta_ij with 0 where v_ij == 0, so unreachable pairs
-    # (delta = inf, v = 0) never produce NaNs.
-    out = np.zeros_like(V)
-    mask = V > 0
-    out[mask] = V[mask] * delta[mask]
-    return out
-
-
 def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    # one coordinate at a time, so no (n, n, s) difference tensor is built
+    sq = np.zeros((X.shape[0], X.shape[0]))
+    for col in X.T:
+        diff = col[:, None] - col[None, :]
+        sq += diff * diff
+    return np.sqrt(sq, out=sq)
+
+
+class _Majorization:
+    """Modified stress and majorization matrix of one (V, delta) system.
+
+    What a solve never changes is built once: the V > 0 mask and the
+    products -v_ij delta_ij, computed only where v_ij > 0 so that
+    unreachable pairs (delta = inf) never produce NaNs. ``at`` computes an
+    iterate's pairwise distances once; ``stress`` and ``S`` both read them.
+    """
+
+    def __init__(self, V: np.ndarray, delta: np.ndarray, beta: float = 0.0,
+                 e: np.ndarray | None = None, X_prev: np.ndarray | None = None):
+        self.V, self.delta = V, delta
+        self.mask = V > 0
+        self.neg_num = np.multiply(V, delta, out=np.zeros_like(V), where=self.mask)
+        np.negative(self.neg_num, out=self.neg_num)
+        self.num_nonzero = self.neg_num != 0
+        self.beta, self.e, self.X_prev = beta, e, X_prev
+
+    def at(self, X: np.ndarray) -> "_Majorization":
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.dist = _pairwise_distances(self.X)
+        return self
+
+    def stress(self) -> float:
+        resid = np.subtract(self.delta, self.dist, out=np.zeros_like(self.V), where=self.mask)
+        resid *= resid
+        resid *= self.V
+        value = float(0.5 * np.sum(resid))
+        if self.beta != 0:
+            n = self.e.shape[0]
+            moved = self.X[:n] - self.X_prev[:n]
+            value += self.beta * float(np.sum(self.e * np.einsum("ij,ij->i", moved, moved)))
+        return value
+
+    def S(self) -> np.ndarray:
+        S = np.zeros_like(self.V)
+        np.divide(self.neg_num, self.dist, out=S, where=self.num_nonzero & (self.dist > 0))
+        np.fill_diagonal(S, 0.0)
+        np.fill_diagonal(S, -S.sum(axis=1))
+        return S
 
 
 def stress(X: np.ndarray, delta: np.ndarray, V: np.ndarray) -> float:
     """Weighted squared mismatch between layout distances and desired
     distances: (1/2) sum_ij v_ij (delta_ij - |x_i - x_j|)^2."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    dist = _pairwise_distances(X)
-    mask = V > 0
-    resid = np.zeros_like(V)
-    resid[mask] = delta[mask] - dist[mask]
-    return float(0.5 * np.sum(V * resid**2))
+    system = _Majorization(np.asarray(V, dtype=float), np.asarray(delta, dtype=float))
+    return system.at(X).stress()
 
 
 def build_R(V: np.ndarray) -> np.ndarray:
@@ -74,15 +107,8 @@ def build_S(V: np.ndarray, delta: np.ndarray, Z: np.ndarray) -> np.ndarray:
     coincident points (standard SMACOF convention); the diagonal makes
     rows sum to zero.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    dist = _pairwise_distances(Z)
-    num = _masked_products(np.asarray(V, dtype=float), np.asarray(delta, dtype=float))
-    S = np.zeros_like(num)
-    ok = (num != 0) & (dist > 0)
-    S[ok] = -num[ok] / dist[ok]
-    np.fill_diagonal(S, 0.0)
-    np.fill_diagonal(S, -S.sum(axis=1))
-    return S
+    system = _Majorization(np.asarray(V, dtype=float), np.asarray(delta, dtype=float))
+    return system.at(Z).S()
 
 
 def augment_mds(V: np.ndarray, delta: np.ndarray, C: np.ndarray, alpha: float):
@@ -129,13 +155,9 @@ def modified_stress(
     """Stress plus the grouping and temporal penalties, evaluated on the
     stacked node+representative coordinates."""
     V_aug, delta_aug = augment_mds(V, delta, C, alpha)
-    value = stress(X_aug, delta_aug, V_aug)
-    if beta != 0:
-        e = np.diagonal(E)
-        n = e.shape[0]
-        moved = X_aug[:n] - np.asarray(X_prev_aug, dtype=float)[:n]
-        value += beta * float(np.sum(e * np.einsum("ij,ij->i", moved, moved)))
-    return value
+    system = _Majorization(V_aug, delta_aug, beta, np.diagonal(E),
+                           np.asarray(X_prev_aug, dtype=float))
+    return system.at(X_aug).stress()
 
 
 def _relative_decrease(prev: float, cur: float) -> float:
@@ -192,22 +214,21 @@ def dmds_layout(
             f"anchored component): {exc}"
         ) from None
 
-    def mstress(Z: np.ndarray) -> float:
-        return modified_stress(Z, delta, V, C, alpha, beta, E, X_prev_aug)
-
-    trace = [mstress(X)]
+    system = _Majorization(V_aug, delta_aug, beta, np.diagonal(E_aug)[:n], X_prev_aug)
+    anchor = beta * (E_aug @ X_prev_aug)
+    trace = [system.at(X).stress()]
     hit_cap = False
     iterations = 0
     while True:
         iterations += 1
-        rhs = build_S(V_aug, delta_aug, X) @ X + beta * (E_aug @ X_prev_aug)
+        rhs = system.S() @ X + anchor
         if anchored:
             X_new = np.zeros_like(X)
             X_new[1:] = spd_solve(factor, rhs[1:])
         else:
             X_new = spd_solve(factor, rhs)
         X = X_new
-        trace.append(mstress(X))
+        trace.append(system.at(X).stress())
         if _relative_decrease(trace[-2], trace[-1]) < eps:
             break
         if iterations >= max_iter:
@@ -263,25 +284,21 @@ def stabilized_mds_online(
     V = np.asarray(V, dtype=float)
     X_prev = np.atleast_2d(np.asarray(X_prev, dtype=float))
     X = np.array(X_prev if X0 is None else X0, dtype=float)
-    n = X.shape[0]
     e = np.diagonal(np.asarray(E, dtype=float))
     denom = V.sum(axis=1) + beta * e
     movable = denom > 0
-    empty_C = np.zeros((n, 0))
-
-    def mstress(Z: np.ndarray) -> float:
-        return modified_stress(Z, delta, V, empty_C, 0.0, beta, E, X_prev)
-
-    trace = [mstress(X)]
+    system = _Majorization(V, delta, beta, e, X_prev)
+    anchor = beta * e[:, None] * X_prev
+    trace = [system.at(X).stress()]
     hit_cap = False
     iterations = 0
     while True:
         iterations += 1
-        numer = V @ X + build_S(V, delta, X) @ X + beta * e[:, None] * X_prev
+        numer = V @ X + system.S() @ X + anchor
         X_new = X.copy()
         X_new[movable] = numer[movable] / denom[movable, None]
         X = X_new
-        trace.append(mstress(X))
+        trace.append(system.at(X).stress())
         if _relative_decrease(trace[-2], trace[-1]) < eps:
             break
         if iterations >= max_iter:

@@ -59,11 +59,14 @@ class RegularizationConfig:
             raise DataError("dims must be >= 1")
 
     def metadata(self) -> dict:
-        return {
+        meta = {
             "method": self.method, "alpha": self.alpha, "beta": self.beta,
             "epsilon": self.epsilon, "dims": self.dims, "seed": self.seed,
             "normalized": self.normalized, "groups": self.groups, "k": self.k,
         }
+        if self.similarity_mode:
+            meta["similarity_mode"] = self.similarity_mode
+        return meta
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,15 @@ def _rng_for(seed: int, t: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, t, stream])
 
 
+def _shared_rows(active: Sequence[int], prev_active: Sequence[int]):
+    """Index map of the nodes present at both steps: their rows in the
+    current active set and, in the same order, in the previous one."""
+    prev_index = {idx: row for row, idx in enumerate(prev_active)}
+    rows = [row for row, idx in enumerate(active) if idx in prev_index]
+    return (np.array(rows, dtype=int),
+            np.array([prev_index[active[row]] for row in rows], dtype=int))
+
+
 def _known_labels(snap: Snapshot) -> Optional[tuple[Optional[int], ...]]:
     return snap.groups.labels if snap.groups is not None else None
 
@@ -133,27 +145,19 @@ class ClusterTracker:
         seed = int(_rng_for(self.seed, t, 1).integers(2**31))
         psi_prev = None
         prev_labels = None
-        if self.psi_prev is not None:
-            prev_index = {idx: row for row, idx in enumerate(self.ids_prev)}
+        if self.ids_prev is not None:
+            rows, prev_rows = _shared_rows(snap.active, self.ids_prev)
             # history entries for nodes without history default to the
             # current observation (blending them is then a no-op)
             psi_prev = snap.W.copy()
+            psi_prev[np.ix_(rows, rows)] = self.psi_prev[np.ix_(prev_rows, prev_rows)]
             prev_labels = np.ones(snap.n, dtype=int)
-            shared = [(row, prev_index[idx]) for row, idx in enumerate(snap.active)
-                      if idx in prev_index]
-            for row, prow in shared:
-                prev_labels[row] = self.labels_prev[prow]
-            for a, pa in shared:
-                for b, pb in shared:
-                    psi_prev[a, b] = self.psi_prev[pa, pb]
+            prev_labels[rows] = self.labels_prev[prev_rows]
         labels, psi, alpha = clus.affect_cluster_step(psi_prev, snap.W, prev_labels,
                                                       self.k, seed)
-        if self.labels_prev is not None:
-            prev_index = {idx: row for row, idx in enumerate(self.ids_prev)}
-            ref_pairs = [(int(self.labels_prev[prev_index[idx]]), int(labels[row]))
-                         for row, idx in enumerate(snap.active) if idx in prev_index]
-            if ref_pairs:
-                labels = _match_to_reference(labels, ref_pairs, self.k)
+        if self.ids_prev is not None and rows.size:
+            labels = _match_to_reference(
+                labels, zip(self.labels_prev[prev_rows], labels[rows]), self.k)
         self.psi_prev = psi
         self.labels_prev = labels
         self.ids_prev = snap.active
@@ -289,10 +293,11 @@ def _init_positions(snap: Snapshot, state: _SequenceState, labels, kept_cols,
     return X
 
 
-def _mds_inputs(snap: Snapshot, config: RegularizationConfig):
-    W = snap.W
-    if config.similarity_mode:
-        W = similarity_to_dissimilarity(W, config.similarity_mode)
+def mds_inputs(W: np.ndarray, similarity_mode: Optional[str]):
+    """Desired distances and Kamada-Kawai weights of one snapshot, after
+    converting similarity weights to dissimilarities when a mode is set."""
+    if similarity_mode:
+        W = similarity_to_dissimilarity(W, similarity_mode)
     dm = shortest_path_distances(W)
     return dm.delta, kk_weights(dm)
 
@@ -313,11 +318,8 @@ def _prev_snapshot_adjacency(network: DynamicNetwork, t: int, snap: Snapshot) ->
     if t == 0:
         return W_prev
     prev_snap = network.snapshots[t - 1]
-    prev_rows = {idx: row for row, idx in enumerate(prev_snap.active)}
-    shared = [(row, prev_rows[idx]) for row, idx in enumerate(snap.active) if idx in prev_rows]
-    for a, pa in shared:
-        for b, pb in shared:
-            W_prev[a, b] = prev_snap.W[pa, pb]
+    rows, prev_rows = _shared_rows(snap.active, prev_snap.active)
+    W_prev[np.ix_(rows, rows)] = prev_snap.W[np.ix_(prev_rows, prev_rows)]
     return W_prev
 
 
@@ -442,7 +444,7 @@ def run_sequence(network: DynamicNetwork,
             iterations = None
             trace = None
             if is_mds:
-                delta, V = _mds_inputs(snap, config)
+                delta, V = mds_inputs(snap.W, config.similarity_mode)
                 layout, solve_report = _solve_mds(snap, state, config, t, E,
                                                   layout_labels, C, kept, delta, V)
                 iterations = solve_report.iterations

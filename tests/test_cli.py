@@ -164,6 +164,36 @@ class TestMetricsCommand:
             assert a[:4] == b[:4]  # static/centroid/temporal agree; iterations differ
 
 
+    def test_similarity_mode_is_used_for_static_cost(self, tmp_path):
+        # weighted similarities: the recomputed stress must use the same
+        # dissimilarities as the layout run, not the raw weights
+        import numpy as np
+
+        rng = np.random.default_rng(4)
+        snaps = tmp_path / "weighted.tsv"
+        lines = []
+        for t in range(4):
+            for i in range(20):
+                for j in range(i + 1, 20):
+                    if j == i + 1 or rng.random() < 0.2:
+                        lines.append(f"{t}\tv{i:02d}\tv{j:02d}\t{int(rng.integers(1, 6))}")
+        snaps.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "srun"
+        assert run(["layout", "--input", str(snaps), "--method", "dmds",
+                    "--similarity", "inverse", "--seed", "3", "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "srun.layout.json").read_text())
+        assert doc["similarity_mode"] == "inverse"
+        costs = tmp_path / "srecomputed.csv"
+        assert run(["metrics", "--input", str(snaps),
+                    "--layout", str(tmp_path / "srun.layout.json"),
+                    "--out", str(costs)]) == 0
+        original = (tmp_path / "srun.costs.csv").read_text().splitlines()
+        recomputed = costs.read_text().splitlines()
+        assert len(original) == len(recomputed) == 5
+        for line_a, line_b in zip(original[1:], recomputed[1:]):
+            assert line_a.split(",")[:4] == line_b.split(",")[:4]
+
+
 class TestRenderCommand:
     def test_render_frames_deterministic(self, sbm_fixture, tmp_path):
         _, snaps, groups = sbm_fixture

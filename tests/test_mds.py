@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_connected_adjacency
 from dynlayout.distances import kk_weights, shortest_path_distances
 from dynlayout.errors import NotPositiveDefiniteError
-from dynlayout.mds import (augment_mds, build_R, build_S, dmds_layout, modified_stress,
-                           smacof_static, stabilized_mds_online, stress)
+from dynlayout.mds import (_pairwise_distances, augment_mds, build_R, build_S, dmds_layout,
+                           modified_stress, smacof_static, stabilized_mds_online, stress)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -76,6 +76,29 @@ def kk_problem(rng, n, weighted=False):
     W = random_connected_adjacency(rng, n, weighted=weighted)
     dm = shortest_path_distances(W)
     return dm.delta, kk_weights(dm)
+
+
+# --- pairwise distances -----------------------------------------------------
+
+def einsum_distances(X):
+    # the 3-D difference-tensor formula the per-coordinate sum replaced
+    diff = X[:, None, :] - X[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+class TestPairwiseDistances:
+    @given(st.integers(1, 3).flatmap(lambda s: arrays(
+        float, st.tuples(st.integers(1, 12), st.just(s)),
+        elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_einsum_formula(self, X):
+        ours = _pairwise_distances(X)
+        ref = einsum_distances(X)
+        if X.shape[1] <= 2:
+            assert np.array_equal(ours, ref)
+        else:
+            # einsum adds the three squares in another order
+            assert np.allclose(ours, ref, rtol=1e-15, atol=0.0)
 
 
 # --- stress -----------------------------------------------------------------
@@ -311,3 +334,36 @@ class TestStabilizedMds:
         X_prev = rng.uniform(-1, 1, size=(5, 2))
         layout, _ = stabilized_mds_online(delta, V, 1e8, np.eye(5), X_prev)
         assert np.max(np.abs(layout.X - X_prev)) <= 1e-3
+
+
+class TestTraceEndsAtReturnedLayout:
+    # the last trace entry is the modified stress of the layout returned,
+    # evaluated from scratch
+    def test_dmds(self, rng):
+        for _ in range(10):
+            delta, V = kk_problem(rng, 7, weighted=True)
+            C = np.zeros((7, 2))
+            C[:4, 0] = 1
+            C[4:, 1] = 1
+            E = np.diag([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+            X_prev = rng.uniform(-1, 1, size=(9, 2))
+            layout, report = dmds_layout(delta, V, C, 0.7, 1.3, E, X_prev)
+            assert report.stress_trace[-1] == modified_stress(
+                np.vstack([layout.X, layout.Y]), delta, V, C, 0.7, 1.3, E, X_prev)
+
+    def test_smacof_static(self, rng):
+        for s in (1, 2, 3):
+            delta, V = kk_problem(rng, 6)
+            layout, report = smacof_static(delta, V, rng.uniform(-1, 1, size=(6, s)))
+            assert report.stress_trace[-1] == modified_stress(
+                layout.X, delta, V, np.zeros((6, 0)), 0.0, 0.0, np.zeros((6, 6)),
+                np.zeros((6, s)))
+
+    def test_stabilized(self, rng):
+        for _ in range(10):
+            delta, V = kk_problem(rng, 6)
+            E = np.diag(rng.integers(0, 2, size=6).astype(float))
+            X_prev = rng.uniform(-1, 1, size=(6, 2))
+            layout, report = stabilized_mds_online(delta, V, 0.9, E, X_prev)
+            assert report.stress_trace[-1] == modified_stress(
+                layout.X, delta, V, np.zeros((6, 0)), 0.0, 0.9, E, X_prev)
