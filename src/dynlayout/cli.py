@@ -19,8 +19,9 @@ from . import render as rnd
 from .errors import DataError, NumericalError
 from .gll import laplacian
 from .graph import DynamicNetwork
-from .pipeline import (MDS_METHODS, METHODS, RegularizationConfig, learn_group_sequence,
-                       mds_inputs, parameter_sweep, run_sequence)
+from .pipeline import (MDS_METHODS, METHODS, RegularizationConfig, _shared_rows,
+                       learn_group_sequence, mds_inputs, parameter_sweep, run_sequence,
+                       score_step)
 from .sbm import SbmConfig, sbm_sequence
 
 EXIT_OK = 0
@@ -165,8 +166,10 @@ def _cmd_metrics(args) -> int:
     is_mds = method in MDS_METHODS
     similarity_mode = sequence.metadata.get("similarity_mode")
     report = met.CostReport(method=method, params=dict(sequence.metadata))
-    prev_ids: dict[str, np.ndarray] = {}
-    for step, snap in zip(sequence.steps, network.snapshots):
+    for t, (step, snap) in enumerate(zip(sequence.steps, network.snapshots)):
+        if step.ids != tuple(network.registry.id_of(idx) for idx in snap.active):
+            raise DataError(f"step t={t}: layout node ids differ from the snapshot's "
+                            "active nodes in set or order")
         if is_mds:
             delta, V = mds_inputs(snap.W, similarity_mode)
             static = met.static_cost_mds(step.X, delta, V)
@@ -174,16 +177,11 @@ def _cmd_metrics(args) -> int:
             lap = laplacian(snap.W)
             static = met.static_cost_gll(step.X, lap.L, lap.D)
         known = snap.groups.labels if snap.groups is not None else step.labels
-        centroid = met.centroid_cost(step.X, known) if known is not None else None
-        temporal = None
-        if step.t > 0:
-            e = np.diag([1.0 if node_id in prev_ids else 0.0 for node_id in step.ids])
-            X_prev = np.array([prev_ids.get(node_id, np.zeros(sequence.dims))
-                               for node_id in step.ids])
-            temporal = met.temporal_cost(step.X, X_prev, e)
-        report.steps.append(met.StepCosts(t=step.t, static_cost=static,
-                                          centroid_cost=centroid, temporal_cost=temporal))
-        prev_ids = {node_id: step.X[row] for row, node_id in enumerate(step.ids)}
+        X_prev = np.zeros_like(step.X)
+        if t > 0:
+            rows, prev_rows = _shared_rows(snap.active, network.snapshots[t - 1].active)
+            X_prev[rows] = sequence.steps[t - 1].X[prev_rows]
+        report.steps.append(score_step(t, step.X, static, known, X_prev, network.presence(t)))
     dio.write_cost_csv(report, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -148,18 +148,24 @@ def spectral_cluster(psi: np.ndarray, k: int, seed) -> np.ndarray:
     return labels
 
 
+def label_permutation(reference, labels, k: int) -> np.ndarray:
+    """The renaming of labels 1..k that maximizes their overlap with a
+    reference labeling of the same nodes: label b becomes ``perm[b - 1]``."""
+    names = np.arange(1, k + 1)
+    ref_onehot = (np.asarray(reference, dtype=int)[:, None] == names).astype(float)
+    lab_onehot = (np.asarray(labels, dtype=int)[:, None] == names).astype(float)
+    overlap = ref_onehot.T @ lab_onehot
+    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
+    perm = np.empty(k, dtype=int)
+    perm[cols] = rows + 1
+    return perm
+
+
 def match_labels(reference, labels, k: int) -> np.ndarray:
     """Permute label names to maximize overlap with a reference labeling
     (stable coloring across time steps)."""
-    reference = np.asarray(reference, dtype=int)
     labels = np.asarray(labels, dtype=int)
-    overlap = np.zeros((k, k))
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            overlap[a - 1, b - 1] = np.sum((reference == a) & (labels == b))
-    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
-    mapping = {int(b) + 1: int(a) + 1 for a, b in zip(rows, cols)}
-    return np.array([mapping[int(lab)] for lab in labels], dtype=int)
+    return label_permutation(reference, labels, k)[labels - 1]
 
 
 def affect_cluster_step(psi_prev, W, prev_labels, k: int, seed,

@@ -14,6 +14,10 @@ class DataError(DynlayoutError):
     """Invalid or malformed input data (files, matrices, labels)."""
 
 
+class DisconnectedGraphError(DataError):
+    """A layout that needs a connected graph was given several components."""
+
+
 class NumericalError(DynlayoutError):
     """A numerical routine failed (singular system, non-convergence, ...)."""
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DataError, NumericalError
+from .errors import DataError, DisconnectedGraphError, NumericalError
 from .layout import Layout, align_to_reference
 from .numerics import gen_eig_smallest, minimize_eq_constrained, sym_eig_smallest
 
@@ -43,7 +43,7 @@ def energy(X: np.ndarray, L: np.ndarray) -> float:
 def _require_connected(W: np.ndarray, what: str) -> None:
     n_comp, _ = connected_components(scipy.sparse.csr_matrix(W), directed=False)
     if n_comp > 1:
-        raise DataError(f"{what} needs a connected graph; found {n_comp} components")
+        raise DisconnectedGraphError(f"{what} needs a connected graph; found {n_comp} components")
 
 
 def _scaled_eig_layout(L: np.ndarray, D: np.ndarray, s: int, normalized: bool) -> np.ndarray:
@@ -136,15 +136,25 @@ def bfp_layout(lap_prev: LaplacianPair, lap_curr: LaplacianPair, lam: float,
 
 def bfp_lambda_select(candidates, score) -> float:
     """Pick the blend weight minimizing the supplied composite cost;
-    ties go to the smaller value."""
+    ties go to the smaller value. A weight whose blended graph is
+    disconnected (``score`` raises DisconnectedGraphError) is skipped; when
+    no weight is left, a DisconnectedGraphError says so."""
     lams = sorted(candidates)
     if not lams:
         raise DataError("empty blend-weight grid")
     best_lam, best_score = None, np.inf
+    disconnected = None
     for lam in lams:
-        value = float(score(lam))
+        try:
+            value = float(score(lam))
+        except DisconnectedGraphError as exc:
+            disconnected = exc
+            continue
         if value < best_score:
             best_lam, best_score = lam, value
+    if best_lam is None and disconnected is not None:
+        raise DisconnectedGraphError(
+            f"no blend weight in the grid gives a connected graph ({disconnected})")
     return best_lam
 
 

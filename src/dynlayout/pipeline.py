@@ -12,13 +12,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import clustering as clus
 from . import gll, mds, metrics
 from .distances import kk_weights, shortest_path_distances, similarity_to_dissimilarity
 from .errors import DataError, DynlayoutError
-from .graph import DynamicNetwork, Snapshot, build_membership_matrix, build_presence_matrix
+from .graph import DynamicNetwork, Snapshot, build_membership_matrix
 from .layout import Layout, align_to_reference
 
 MDS_METHODS = ("dmds", "mds-static", "mds-stabilized")
@@ -45,7 +44,6 @@ class RegularizationConfig:
     restarts: int = 0
     lambda_grid: tuple[float, ...] = _DEFAULT_LAMBDA_GRID
     similarity_mode: Optional[str] = None  # None | linear | inverse
-    anchor_reentry: bool = False
     max_iter: int = 1000
 
     def __post_init__(self):
@@ -156,8 +154,8 @@ class ClusterTracker:
         labels, psi, alpha = clus.affect_cluster_step(psi_prev, snap.W, prev_labels,
                                                       self.k, seed)
         if self.ids_prev is not None and rows.size:
-            labels = _match_to_reference(
-                labels, zip(self.labels_prev[prev_rows], labels[rows]), self.k)
+            labels = clus.label_permutation(self.labels_prev[prev_rows], labels[rows],
+                                            self.k)[labels - 1]
         self.psi_prev = psi
         self.labels_prev = labels
         self.ids_prev = snap.active
@@ -178,42 +176,21 @@ def learn_group_sequence(network: DynamicNetwork, k: int,
 
 
 class _SequenceState:
-    """Cross-step memory: last known node positions (by registry index),
-    previous representative positions, clustering history."""
+    """Cross-step memory: the last known position of every registry node
+    (row i is node i; ``seen`` marks the nodes laid out so far), previous
+    representative positions, clustering history."""
 
-    def __init__(self):
-        self.positions: dict[int, np.ndarray] = {}
-        self.active_prev: tuple[int, ...] = ()
+    def __init__(self, n_nodes: int, dims: int):
+        self.last_X = np.zeros((n_nodes, dims))
+        self.seen = np.zeros(n_nodes, dtype=bool)
         self.Y_prev: Optional[np.ndarray] = None
         self.tracker: Optional[ClusterTracker] = None
 
-    def prev_position(self, idx: int) -> Optional[np.ndarray]:
-        return self.positions.get(idx)
-
-    def update(self, active: Sequence[int], X: np.ndarray, Y: Optional[np.ndarray]):
-        for row, idx in enumerate(active):
-            self.positions[idx] = X[row].copy()
-        self.active_prev = tuple(active)
+    def update(self, active: np.ndarray, X: np.ndarray, Y: Optional[np.ndarray]):
+        self.last_X[active] = X
+        self.seen[active] = True
         if Y is not None:
             self.Y_prev = Y.copy()
-
-
-def _presence(snap: Snapshot, state: _SequenceState, anchor_reentry: bool) -> np.ndarray:
-    if anchor_reentry:
-        seen = [idx for idx in snap.active if idx in state.positions]
-        return build_presence_matrix(snap.active, seen)
-    return build_presence_matrix(snap.active, state.active_prev)
-
-
-def _match_to_reference(labels: np.ndarray, ref_pairs, k: int) -> np.ndarray:
-    # permute label names to maximize overlap with reference labels on the
-    # shared nodes
-    overlap = np.zeros((k, k))
-    for a, b in ref_pairs:
-        overlap[a - 1, b - 1] += 1
-    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
-    mapping = {int(b) + 1: int(a) + 1 for a, b in zip(rows, cols)}
-    return np.array([mapping[int(v)] for v in labels], dtype=int)
 
 
 def _group_info(snap: Snapshot, state: _SequenceState, config: RegularizationConfig, t: int):
@@ -249,33 +226,26 @@ def _effective_membership(labels: Optional[Sequence[Optional[int]]], k: int,
     return C_full[:, kept], kept
 
 
-def _init_positions(snap: Snapshot, state: _SequenceState, labels, kept_cols,
-                    Y_prev_kept: Optional[np.ndarray], config: RegularizationConfig,
-                    t: int) -> np.ndarray:
+def _init_positions(snap: Snapshot, known: np.ndarray, X_prev: np.ndarray, labels,
+                    kept_cols, Y_prev_kept: Optional[np.ndarray],
+                    config: RegularizationConfig, t: int) -> np.ndarray:
     """Previous-or-initial positions for every current node.
 
-    Persisting and re-entering nodes use their last known position; new
-    nodes fall back to their group representative's previous position,
-    then to the centroid of their already-placed neighbors, then to a
-    small seeded offset from the centroid of the previous layout.
+    Persisting and re-entering nodes (``known``) use their last known
+    position, the matching row of ``X_prev``; new nodes fall back to their
+    group representative's previous position, then to the centroid of
+    their already-placed neighbors, then to a small seeded offset from the
+    centroid of the previous layout.
     """
     s = config.dims
-    X = np.zeros((snap.n, s))
-    known_rows = []
-    missing = []
-    for row, idx in enumerate(snap.active):
-        prev = state.prev_position(idx)
-        if prev is not None:
-            X[row] = prev
-            known_rows.append(row)
-        else:
-            missing.append(row)
-    if not missing:
+    X = X_prev.copy()
+    missing = np.flatnonzero(~known)
+    if not missing.size:
         return X
     rng = _rng_for(config.seed, t, 2)
-    if known_rows:
-        center = X[known_rows].mean(axis=0)
-        spread = float(np.sqrt(np.mean(np.sum((X[known_rows] - center) ** 2, axis=1))))
+    if known.any():
+        center = X[known].mean(axis=0)
+        spread = float(np.sqrt(np.mean(np.sum((X[known] - center) ** 2, axis=1))))
     else:
         center = np.zeros(s)
         spread = 1.0
@@ -285,8 +255,8 @@ def _init_positions(snap: Snapshot, state: _SequenceState, labels, kept_cols,
         if lab is not None and Y_prev_kept is not None and (lab - 1) in col_of:
             X[row] = Y_prev_kept[col_of[lab - 1]]
             continue
-        neighbors = [r for r in known_rows if snap.W[row, r] > 0]
-        if neighbors:
+        neighbors = known & (snap.W[row] > 0)
+        if neighbors.any():
             X[row] = X[neighbors].mean(axis=0)
             continue
         X[row] = center + 0.01 * max(spread, 1.0) * rng.uniform(-1.0, 1.0, size=s)
@@ -302,15 +272,6 @@ def mds_inputs(W: np.ndarray, similarity_mode: Optional[str]):
     return dm.delta, kk_weights(dm)
 
 
-def _aligned_prev_matrix(snap: Snapshot, state: _SequenceState, s: int) -> np.ndarray:
-    X_prev = np.zeros((snap.n, s))
-    for row, idx in enumerate(snap.active):
-        prev = state.prev_position(idx)
-        if prev is not None:
-            X_prev[row] = prev
-    return X_prev
-
-
 def _prev_snapshot_adjacency(network: DynamicNetwork, t: int, snap: Snapshot) -> np.ndarray:
     """Previous adjacency matrix re-indexed to the current active set
     (rows of nodes absent at t-1 are zero)."""
@@ -323,7 +284,7 @@ def _prev_snapshot_adjacency(network: DynamicNetwork, t: int, snap: Snapshot) ->
     return W_prev
 
 
-def _augmented_prev(snap, state, labels, kept, C, config, t, random_t0: bool):
+def _augmented_prev(snap, state, X_prev, labels, kept, C, config, t, random_t0: bool):
     """Stacked [nodes; kept representatives] previous/initial positions."""
     s = config.dims
     k_eff = C.shape[1]
@@ -335,7 +296,8 @@ def _augmented_prev(snap, state, labels, kept, C, config, t, random_t0: bool):
     elif t == 0:
         X_nodes = np.zeros((snap.n, s))
     else:
-        X_nodes = _init_positions(snap, state, labels, kept, Y_prev_kept, config, t)
+        known = state.seen[np.asarray(snap.active)]
+        X_nodes = _init_positions(snap, known, X_prev, labels, kept, Y_prev_kept, config, t)
     if not k_eff:
         return X_nodes, X_nodes
     if Y_prev_kept is not None:
@@ -351,8 +313,8 @@ def _augmented_prev(snap, state, labels, kept, C, config, t, random_t0: bool):
 # ---------------------------------------------------------------------------
 # the per-method solvers
 
-def _solve_mds(snap, state, config, t, E, labels, C, kept, delta, V):
-    X_nodes, X_aug_prev = _augmented_prev(snap, state, labels, kept, C, config, t,
+def _solve_mds(snap, state, config, t, E, X_prev, labels, C, kept, delta, V):
+    X_nodes, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t,
                                           random_t0=True)
     if config.method == "dmds":
         layout, report = mds.dmds_layout(delta, V, C, config.alpha, config.beta, E,
@@ -368,12 +330,11 @@ def _solve_mds(snap, state, config, t, E, labels, C, kept, delta, V):
     return layout, report
 
 
-def _solve_gll(network, snap, state, config, t, E, labels, C, kept, eval_labels):
+def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
+               eval_labels):
     s = config.dims
     n = snap.n
     k_eff = C.shape[1]
-    lap = gll.laplacian(snap.W)
-    X_prev = _aligned_prev_matrix(snap, state, s)
     persist_mask = np.diagonal(E) > 0
 
     if config.method == "spectral":
@@ -411,7 +372,7 @@ def _solve_gll(network, snap, state, config, t, E, labels, C, kept, eval_labels)
         return candidates[lam_star]
 
     # dgll
-    _, X_aug_prev = _augmented_prev(snap, state, labels, kept, C, config, t,
+    _, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t,
                                     random_t0=False)
     rng = _rng_for(config.seed, t, 3)
     solution = gll.dgll_layout(snap.W, C, config.alpha, config.beta, E, X_aug_prev, s,
@@ -422,61 +383,70 @@ def _solve_gll(network, snap, state, config, t, E, labels, C, kept, eval_labels)
 
 # ---------------------------------------------------------------------------
 
+def score_step(t: int, X: np.ndarray, static: float,
+               eval_labels: Optional[Sequence[Optional[int]]], X_prev: np.ndarray,
+               E: np.ndarray, iterations: Optional[int] = None,
+               stress_trace: Optional[tuple[float, ...]] = None) -> metrics.StepCosts:
+    """Cost record of one laid-out step: its static cost, the centroid cost
+    against ``eval_labels`` and, after the first step, the temporal cost
+    against ``X_prev`` (rows in the node order of X) over the nodes that E
+    marks present at both steps."""
+    centroid = metrics.centroid_cost(X, eval_labels) if eval_labels is not None else None
+    temporal = None if t == 0 else metrics.temporal_cost(X, X_prev, E)
+    return metrics.StepCosts(t=t, static_cost=static, centroid_cost=centroid,
+                             temporal_cost=temporal, iterations=iterations,
+                             stress_trace=stress_trace)
+
+
 def run_sequence(network: DynamicNetwork,
                  config: RegularizationConfig) -> tuple[LayoutSequence, metrics.CostReport]:
     """Lay out every snapshot with the configured method and score each
     step. Engine failures are re-raised with the failing step attached."""
-    state = _SequenceState()
+    state = _SequenceState(len(network.registry), config.dims)
     sequence = LayoutSequence(metadata=config.metadata())
     report = metrics.CostReport(method=config.method, params=config.metadata())
     is_mds = config.method in MDS_METHODS
 
     for t, snap in enumerate(network.snapshots):
         try:
-            E = _presence(snap, state, config.anchor_reentry)
+            E = network.presence(t)
+            active = np.asarray(snap.active)
+            X_prev = state.last_X[active]
             layout_labels, eval_labels, k = _group_info(snap, state, config, t)
             if config.method in GROUPING_METHODS:
                 C, kept = _effective_membership(layout_labels, k, snap.n)
             else:
                 C, kept = np.zeros((snap.n, 0)), []
-            X_prev_mat = _aligned_prev_matrix(snap, state, config.dims)
 
             iterations = None
             trace = None
             if is_mds:
                 delta, V = mds_inputs(snap.W, config.similarity_mode)
-                layout, solve_report = _solve_mds(snap, state, config, t, E,
+                layout, solve_report = _solve_mds(snap, state, config, t, E, X_prev,
                                                   layout_labels, C, kept, delta, V)
                 iterations = solve_report.iterations
                 trace = solve_report.stress_trace
                 static = metrics.static_cost_mds(layout.X, delta, V)
             else:
-                layout = _solve_gll(network, snap, state, config, t, E, layout_labels,
-                                    C, kept, eval_labels)
                 lap = gll.laplacian(snap.W)
+                layout = _solve_gll(network, snap, state, config, t, E, X_prev, lap,
+                                    layout_labels, C, kept, eval_labels)
                 static = metrics.static_cost_gll(layout.X, lap.L, lap.D)
-
-            centroid = metrics.centroid_cost(layout.X, eval_labels) \
-                if eval_labels is not None else None
-            temporal = None if t == 0 else metrics.temporal_cost(layout.X, X_prev_mat, E)
-            report.steps.append(metrics.StepCosts(
-                t=t, static_cost=static, centroid_cost=centroid,
-                temporal_cost=temporal, iterations=iterations, stress_trace=trace,
-            ))
+            report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, E,
+                                           iterations, trace))
 
             Y_full = None
             if kept:
                 Y_full = np.zeros((k, config.dims))
                 if state.Y_prev is not None and state.Y_prev.shape == Y_full.shape:
                     Y_full[:] = state.Y_prev
-                for j, col in enumerate(kept):
-                    Y_full[col] = layout.Y[j]
+                Y_full[kept] = layout.Y
             display = layout_labels if layout_labels is not None else eval_labels
             sequence.steps.append(LayoutStep(
                 t=t, ids=tuple(network.registry.id_of(i) for i in snap.active),
                 X=layout.X, labels=display, Y=Y_full,
             ))
-            state.update(snap.active, layout.X, Y_full)
+            state.update(active, layout.X, Y_full)
         except DynlayoutError as exc:
             raise type(exc)(f"step t={t}: {exc}") from exc
     return sequence, report

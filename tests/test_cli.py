@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynlayout.cli import cli_main
+from dynlayout.pipeline import METHODS
 
 
 def run(args):
@@ -19,6 +21,27 @@ def sbm_fixture(tmp_path_factory):
                 "--seed", "7", "--out", str(prefix)])
     assert code == 0
     return base, prefix.with_name("net.snapshots.tsv"), prefix.with_name("net.groups.tsv")
+
+
+@pytest.fixture(scope="module")
+def churn_fixture(tmp_path_factory):
+    """Snapshot TSV whose active sets change: v00 and v01 leave at t=1 and
+    re-enter at t=2, v12 and v13 enter at t=1, v10-v13 leave at t=2 and
+    v10-v12 re-enter at t=3, v14 enters at t=2. Each snapshot is a ring over
+    its active nodes plus a few chords, so every snapshot is connected."""
+    rng = np.random.default_rng(5)
+    active_sets = [range(0, 12), range(2, 14), [*range(0, 10), 14], [*range(0, 13), 14]]
+    lines = []
+    for t, active in enumerate(active_sets):
+        ids = [f"v{i:02d}" for i in active]
+        edges = {tuple(sorted(pair)) for pair in zip(ids, ids[1:] + ids[:1])}
+        for _ in range(4):
+            a, b = sorted(rng.choice(len(ids), size=2, replace=False))
+            edges.add((ids[a], ids[b]))
+        lines += [f"{t}\t{u}\t{v}\t1" for u, v in sorted(edges)]
+    path = tmp_path_factory.mktemp("churn") / "churn.snapshots.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 class TestExitCodes:
@@ -145,30 +168,53 @@ class TestSweepCommand:
 
 
 class TestMetricsCommand:
-    def test_recomputed_costs_match_run(self, sbm_fixture, tmp_path):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_recomputed_costs_match_run(self, method, sbm_fixture, churn_fixture, tmp_path):
         _, snaps, groups = sbm_fixture
-        out = tmp_path / "mrun"
-        assert run(["layout", "--input", str(snaps), "--groups", str(groups),
-                    "--k", "2", "--method", "dmds", "--seed", "3",
+        # known groups on the block model; learned groups (scored against
+        # the labels stored in the layout) on the churned sequence
+        inputs = {"sbm": (snaps, ["--groups", str(groups), "--k", "2"],
+                          ["--groups", str(groups), "--k", "2"]),
+                  "churn": (churn_fixture, ["--groups", "learn", "--k", "2"], [])}
+        for name, (path, layout_groups, metrics_groups) in inputs.items():
+            out = tmp_path / name
+            assert run(["layout", "--input", str(path), *layout_groups,
+                        "--method", method, "--seed", "3", "--out", str(out)]) == 0
+            costs = tmp_path / f"{name}.recomputed.csv"
+            code = run(["metrics", "--input", str(path), *metrics_groups,
+                        "--layout", str(tmp_path / f"{name}.layout.json"),
+                        "--out", str(costs)])
+            assert code == 0
+            original = (tmp_path / f"{name}.costs.csv").read_text().splitlines()
+            recomputed = costs.read_text().splitlines()
+            assert len(original) == len(recomputed) > 1
+            for line_a, line_b in zip(original[1:], recomputed[1:]):
+                # static/centroid/temporal agree; iterations are not recomputed
+                assert line_a.split(",")[:4] == line_b.split(",")[:4], name
+
+    @pytest.mark.parametrize("edit", ["swapped", "dropped"])
+    def test_layout_ids_must_match_snapshot(self, edit, sbm_fixture, tmp_path, capsys):
+        _, snaps, _ = sbm_fixture
+        out = tmp_path / "idrun"
+        assert run(["layout", "--input", str(snaps), "--method", "dmds", "--seed", "3",
                     "--out", str(out)]) == 0
-        costs = tmp_path / "recomputed.csv"
-        code = run(["metrics", "--input", str(snaps), "--groups", str(groups),
-                    "--k", "2", "--layout", str(tmp_path / "mrun.layout.json"),
-                    "--out", str(costs)])
-        assert code == 0
-        original = (tmp_path / "mrun.costs.csv").read_text().splitlines()
-        recomputed = costs.read_text().splitlines()
-        for line_a, line_b in zip(original[1:], recomputed[1:]):
-            a = line_a.split(",")
-            b = line_b.split(",")
-            assert a[:4] == b[:4]  # static/centroid/temporal agree; iterations differ
+        layout = tmp_path / "idrun.layout.json"
+        doc = json.loads(layout.read_text())
+        nodes = doc["steps"][1]["nodes"]
+        if edit == "swapped":
+            nodes[0]["id"], nodes[1]["id"] = nodes[1]["id"], nodes[0]["id"]
+        else:
+            del nodes[0]
+        layout.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["metrics", "--input", str(snaps), "--layout", str(layout),
+                    "--out", str(tmp_path / "idcosts.csv")])
+        assert code == 2
+        assert "step t=1" in capsys.readouterr().err
 
 
     def test_similarity_mode_is_used_for_static_cost(self, tmp_path):
         # weighted similarities: the recomputed stress must use the same
         # dissimilarities as the layout run, not the raw weights
-        import numpy as np
-
         rng = np.random.default_rng(4)
         snaps = tmp_path / "weighted.tsv"
         lines = []

@@ -240,6 +240,21 @@ class TestBfpLambdaSelect:
         table = {lam: float(rng.random()) for lam in grid}
         assert bfp_lambda_select(grid, table.get) == bfp_lambda_select(grid, table.get)
 
+    def test_disconnected_blends_skipped(self, rng):
+        # the previous graph leaves node 3 isolated, so only the pure
+        # previous Laplacian (blend weight 1) is disconnected
+        W_curr = random_connected_adjacency(rng, 4)
+        W_prev = np.zeros((4, 4))
+        W_prev[:3, :3] = path_graph()
+        lap_prev, lap_curr = laplacian(W_prev), laplacian(W_curr)
+
+        def composite(lam):
+            return -lam + 0.0 * bfp_layout(lap_prev, lap_curr, lam, None, 1).X.sum()
+
+        assert bfp_lambda_select([0.0, 0.5, 1.0], composite) == 0.5
+        with pytest.raises(DataError, match="no blend weight.*2 components"):
+            bfp_lambda_select([1.0], composite)
+
 
 class TestDgllObjective:
     def test_beta_zero_is_trace_form(self, rng):

@@ -75,7 +75,7 @@ class TestRunSequence:
             Snapshot(t=2, W=W3, active=(0, 1, 2)),   # a re-enters
         ]
         network = DynamicNetwork(registry, snaps)
-        for method in ("dmds", "mds-stabilized", "dgll"):
+        for method in METHODS:
             config = RegularizationConfig(method=method, groups="none", seed=1)
             sequence, report = run_sequence(network, config)
             assert [step.X.shape[0] for step in sequence.steps] == [3, 3, 3]
