@@ -26,18 +26,13 @@ def _block_statistics(W: np.ndarray, labels: np.ndarray, k: int):
     # off-diagonal pair counts as one observation (W is symmetric, so the
     # mirrored entry is the same realization, not a second sample); blocks
     # with fewer than 2 observations get variance 0.
-    n = W.shape[0]
     means = np.zeros((k, k))
     variances = np.zeros((k, k))
     for c in range(1, k + 1):
         rows = np.flatnonzero(labels == c)
         for d in range(c, k + 1):
-            cols = np.flatnonzero(labels == d)
-            if d == c:
-                entries = np.array([W[i, j] for a, i in enumerate(rows)
-                                    for j in rows[a + 1:]])
-            else:
-                entries = W[np.ix_(rows, cols)].ravel()
+            block = W[np.ix_(rows, np.flatnonzero(labels == d))]
+            entries = block[np.triu_indices(rows.size, 1)] if d == c else block.ravel()
             if entries.size == 0:
                 continue
             means[c - 1, d - 1] = means[d - 1, c - 1] = entries.mean()

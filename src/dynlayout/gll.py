@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError, DisconnectedGraphError, NumericalError
+from .graph import augment, has_temporal_anchor, require_connected
 from .layout import Layout, align_to_reference
 from .numerics import gen_eig_smallest, minimize_eq_constrained, sym_eig_smallest
 
@@ -40,13 +39,11 @@ def energy(X: np.ndarray, L: np.ndarray) -> float:
     return float(np.trace(X.T @ L @ X))
 
 
-def _require_connected(W: np.ndarray, what: str) -> None:
-    n_comp, _ = connected_components(scipy.sparse.csr_matrix(W), directed=False)
-    if n_comp > 1:
-        raise DisconnectedGraphError(f"{what} needs a connected graph; found {n_comp} components")
-
-
-def _scaled_eig_layout(L: np.ndarray, D: np.ndarray, s: int, normalized: bool) -> np.ndarray:
+def _scaled_eig_layout(W: np.ndarray, L: np.ndarray, D: np.ndarray, s: int,
+                       normalized: bool, what: str) -> np.ndarray:
+    """Scaled eigen layout of the Laplacian L (degrees D) of the connected
+    graph W; ``what`` names the layout in the error for a disconnected W."""
+    require_connected(W, what)
     n = L.shape[0]
     if s + 1 > n:
         raise DataError(f"need at least {s + 1} nodes for a {s}-D spectral layout, got {n}")
@@ -64,9 +61,8 @@ def spectral_layout(W: np.ndarray, s: int, normalized: bool = True) -> Layout:
     Laplacian eigenvectors, scaled so the layout has unit (degree-)
     weighted variance per dimension."""
     W = np.asarray(W, dtype=float)
-    _require_connected(W, "spectral layout")
     lap = laplacian(W)
-    X = _scaled_eig_layout(lap.L, lap.D, s, normalized)
+    X = _scaled_eig_layout(W, lap.L, lap.D, s, normalized, "spectral layout")
     return Layout(X=X, Y=np.zeros((0, s)))
 
 
@@ -81,15 +77,7 @@ class AugmentedGllSystem:
 
 
 def augment_gll(W: np.ndarray, C: np.ndarray, alpha: float) -> AugmentedGllSystem:
-    W = np.asarray(W, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n, k = C.shape
-    if W.shape != (n, n):
-        raise DataError(f"W shape {W.shape} does not match membership rows {n}")
-    W_aug = np.zeros((n + k, n + k))
-    W_aug[:n, :n] = W
-    W_aug[:n, n:] = alpha * C
-    W_aug[n:, :n] = alpha * C.T
+    W_aug = augment(W, C, alpha)
     lap = laplacian(W_aug)
     return AugmentedGllSystem(W_aug=W_aug, L_aug=lap.L, D_aug=lap.D)
 
@@ -109,11 +97,10 @@ def ccdr_layout(W: np.ndarray, C: np.ndarray, alpha: float, s: int,
                 normalized: bool = True) -> Layout:
     """Grouping-regularized eigen layout: spectral layout of the augmented
     graph, split back into node and representative coordinates."""
-    C = np.asarray(C, dtype=float)
-    n, k = C.shape
+    n = np.shape(C)[0]
     system = augment_gll(W, C, alpha)
-    _require_connected(system.W_aug, "grouping-regularized spectral layout")
-    X_aug = _scaled_eig_layout(system.L_aug, system.D_aug, s, normalized)
+    X_aug = _scaled_eig_layout(system.W_aug, system.L_aug, system.D_aug, s, normalized,
+                               "grouping-regularized spectral layout")
     return Layout(X=X_aug[:n], Y=X_aug[n:])
 
 
@@ -125,9 +112,7 @@ def bfp_layout(lap_prev: LaplacianPair, lap_curr: LaplacianPair, lam: float,
         raise DataError(f"blend weight must be in [0, 1], got {lam}")
     L = lam * lap_prev.L + (1.0 - lam) * lap_curr.L
     D = lam * lap_prev.D + (1.0 - lam) * lap_curr.D
-    W_blend = D - L
-    _require_connected(W_blend, "blended-Laplacian layout")
-    X = _scaled_eig_layout(L, D, s, normalized)
+    X = _scaled_eig_layout(D - L, L, D, s, normalized, "blended-Laplacian layout")
     if X_prev is not None:
         mask = np.any(np.asarray(X_prev) != 0, axis=1)
         X = align_to_reference(X, np.asarray(X_prev, dtype=float), mask)
@@ -295,20 +280,20 @@ def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
     n, k = C.shape
     if s not in (1, 2):
         raise DataError(f"constrained dynamic layout supports 1-D and 2-D only, got s={s}")
-    if n + k <= s:
-        raise DataError(f"need more than {s} points for a {s}-D constrained layout")
     system = augment_gll(W, C, alpha)
     D_for_M = system.D_aug if normalized else np.eye(n + k)
+    if np.count_nonzero(np.diagonal(D_for_M)) <= s:
+        # the scatter constraint needs s independent directions
+        raise DataError(f"need more than {s} points with positive weight for a {s}-D "
+                        "constrained layout")
     M = centering_matrix(D_for_M)
     target = float(np.trace(D_for_M))
-    E_aug = np.zeros((n + k, n + k))
-    E_aug[:n, :n] = np.asarray(E, dtype=float)
+    E_aug = augment(E, C, 0.0)
     X_prev_aug = np.atleast_2d(np.asarray(X_prev_aug, dtype=float))
 
-    no_anchor = beta == 0 or not np.any(np.diagonal(E_aug) > 0)
-    if no_anchor:
-        _require_connected(system.W_aug, "eigen solve of the dynamic layout problem")
-        X = _scaled_eig_layout(system.L_aug, system.D_aug, s, normalized)
+    if not has_temporal_anchor(beta, E_aug):
+        X = _scaled_eig_layout(system.W_aug, system.L_aug, system.D_aug, s, normalized,
+                               "eigen solve of the dynamic layout problem")
         grad, g, J, _ = dgll_derivatives(X, system.L_aug, E_aug, beta, X_prev_aug, M,
                                          np.zeros(3 if s == 2 else 1), target)
         mu, *_ = np.linalg.lstsq(J.T, -grad, rcond=None)
@@ -321,15 +306,20 @@ def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
     m_pts = n + k
     problem = _DgllProblem(system.L_aug, E_aug, beta, X_prev_aug, M, target, s)
 
-    starts = [X_prev_aug.T.reshape(-1)]
-    if restarts > 0:
-        rng = np.random.default_rng(rng)
-        for _ in range(restarts):
-            starts.append(_feasible_random_start(rng, m_pts, s, M, target).T.reshape(-1))
+    rng = np.random.default_rng(rng)
+    start = X_prev_aug
+    if np.linalg.eigvalsh(start.T @ M @ start)[0] <= 1e-10 * target:
+        # no scatter along some axis (e.g. a new node placed on its only
+        # neighbor): the constraint Jacobian is rank-deficient there, so the
+        # solve could not reach the constraint from this start
+        start = _feasible_random_start(rng, m_pts, s, M, target)
+    starts = [start] + [_feasible_random_start(rng, m_pts, s, M, target)
+                        for _ in range(restarts)]
 
     best = None
     best_failed = None
-    for x0 in starts:
+    for X0 in starts:
+        x0 = X0.T.reshape(-1)
         result = minimize_eq_constrained(problem.f, problem.grad, problem.g, problem.jac,
                                          lambda x, mu: problem.hess(mu), x0, tol=tol)
         if result.converged:

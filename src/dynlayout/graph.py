@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
-from .errors import DataError
+from .errors import DataError, DisconnectedGraphError
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -83,6 +85,37 @@ def build_presence_matrix(active_t: Sequence[int], active_prev: Iterable[int]) -
     prev = set(active_prev)
     e = np.array([1.0 if idx in prev else 0.0 for idx in active_t])
     return np.diag(e)
+
+
+def augment(M: np.ndarray, C: np.ndarray, alpha: float) -> np.ndarray:
+    """Grouping-augmented system [[M, alpha C], [alpha C^T, 0]]: each
+    column of the n x k membership matrix C adds a representative tied to
+    its members with weight alpha. Desired distances and presence use
+    alpha = 0, as representatives have no desired distance or anchor."""
+    M = np.asarray(M, dtype=float)
+    C = np.asarray(C, dtype=float)
+    n, k = C.shape
+    if M.shape != (n, n):
+        raise DataError(f"matrix shape {M.shape} does not match membership rows {n}")
+    out = np.zeros((n + k, n + k))
+    out[:n, :n] = M
+    out[:n, n:] = alpha * C
+    out[n:, :n] = alpha * C.T
+    return out
+
+
+def has_temporal_anchor(beta: float, E: np.ndarray) -> bool:
+    """Whether the temporal penalty ties any node to its previous position:
+    beta is nonzero and some node of presence matrix E was present at t-1."""
+    return beta != 0 and bool(np.any(np.diagonal(E) > 0))
+
+
+def require_connected(W: np.ndarray, what: str) -> None:
+    """Raise DisconnectedGraphError, with the component count, when the
+    graph of weight matrix W has more than one component."""
+    n_comp, _ = connected_components(scipy.sparse.csr_matrix(W), directed=False)
+    if n_comp > 1:
+        raise DisconnectedGraphError(f"{what} needs a connected graph; found {n_comp} components")
 
 
 def validate_snapshot(W: np.ndarray) -> list[str]:

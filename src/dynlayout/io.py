@@ -106,13 +106,11 @@ def write_snapshots(network: DynamicNetwork, path) -> None:
     """Serialize to canonical snapshot TSV (sorted records, u < v)."""
     lines = []
     for snap in network.snapshots:
-        for a in range(snap.n):
-            for b in range(a + 1, snap.n):
-                if snap.W[a, b] > 0:
-                    u = network.registry.id_of(snap.active[a])
-                    v = network.registry.id_of(snap.active[b])
-                    u, v = min(u, v), max(u, v)
-                    lines.append((snap.t, u, v, repr(float(snap.W[a, b]))))
+        for a, b in zip(*np.nonzero(np.triu(snap.W, 1))):
+            u = network.registry.id_of(snap.active[a])
+            v = network.registry.id_of(snap.active[b])
+            u, v = min(u, v), max(u, v)
+            lines.append((snap.t, u, v, repr(float(snap.W[a, b]))))
     lines.sort()
     with open(path, "w", encoding="utf-8") as fh:
         for t, u, v, w in lines:

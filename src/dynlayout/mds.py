@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NotPositiveDefiniteError
+from .graph import augment, has_temporal_anchor, require_connected
 from .layout import Layout
 from .numerics import spd_factor, spd_solve
 
@@ -22,6 +23,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_MAX_ITER = 1000
+# relative size below which a Cholesky pivot is taken for rounding noise
+_ROUNDOFF = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -118,28 +121,7 @@ def augment_mds(V: np.ndarray, delta: np.ndarray, C: np.ndarray, alpha: float):
     extra points tied to their members with weight alpha and desired
     distance zero.
     """
-    V = np.asarray(V, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n, k = C.shape
-    if V.shape != (n, n):
-        raise DataError(f"V shape {V.shape} does not match membership rows {n}")
-    if k == 0:
-        return V.copy(), delta.copy()
-    V_aug = np.zeros((n + k, n + k))
-    V_aug[:n, :n] = V
-    V_aug[:n, n:] = alpha * C
-    V_aug[n:, :n] = alpha * C.T
-    delta_aug = np.zeros((n + k, n + k))
-    delta_aug[:n, :n] = delta
-    return V_aug, delta_aug
-
-
-def _augment_presence(E: np.ndarray, k: int) -> np.ndarray:
-    n = E.shape[0]
-    E_aug = np.zeros((n + k, n + k))
-    E_aug[:n, :n] = E
-    return E_aug
+    return augment(V, C, alpha), augment(delta, C, 0.0)
 
 
 def modified_stress(
@@ -158,6 +140,30 @@ def modified_stress(
     system = _Majorization(V_aug, delta_aug, beta, np.diagonal(E),
                            np.asarray(X_prev_aug, dtype=float))
     return system.at(X_aug).stress()
+
+
+def _factor_layout_system(A: np.ndarray, V_aug: np.ndarray, E_aug: np.ndarray,
+                          temporal: bool):
+    """Cholesky factor of A, whose first point is pinned when there is no
+    temporal anchor. A is singular exactly when a component of the weight
+    graph holds neither the pinned point nor a temporally anchored node,
+    which raises DisconnectedGraphError with the count. The graph is checked
+    only when the factorization fails or leaves a round-off pivot, as a
+    singular system can."""
+    A_free = A if temporal else A[1:, 1:]
+    try:
+        factor = spd_factor(A_free)
+    except NotPositiveDefiniteError:
+        factor = None
+    if factor is None or np.any(np.diagonal(factor.c_and_lower[0]) ** 2
+                                <= _ROUNDOFF * np.diagonal(A_free).max(initial=0.0)):
+        # the anchored nodes join the weight graph through one extra point
+        ties = np.diagonal(E_aug)[:, None] if temporal else np.zeros((A.shape[0], 0))
+        require_connected(augment(V_aug, ties, 1.0),
+                          "stress layout (weight graph joined at its anchored nodes)")
+    if factor is None:
+        raise NotPositiveDefiniteError("singular layout system")
+    return factor
 
 
 def _relative_decrease(prev: float, cur: float) -> float:
@@ -187,7 +193,9 @@ def dmds_layout(
 
     When beta is zero or no node persists, the system is rank-deficient
     (translation invariance) and the solve falls back to anchoring the
-    first node at the origin.
+    first node at the origin. A component of the weight graph that neither
+    this nor the temporal anchor fixes raises DisconnectedGraphError with
+    the component count.
     """
     delta = np.asarray(delta, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -199,20 +207,11 @@ def dmds_layout(
         raise DataError(f"initial layout has {X.shape[0]} rows, expected {n + k}")
 
     V_aug, delta_aug = augment_mds(V, delta, C, alpha)
-    E_aug = _augment_presence(np.asarray(E, dtype=float), k)
+    E_aug = augment(E, C, 0.0)
     A = build_R(V_aug) + beta * E_aug
 
-    anchored = beta == 0 or not np.any(np.diagonal(E_aug) > 0)
-    try:
-        if anchored:
-            factor = spd_factor(A[1:, 1:])
-        else:
-            factor = spd_factor(A)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(
-            "singular layout system (disconnected weight graph with no "
-            f"anchored component): {exc}"
-        ) from None
+    temporal = has_temporal_anchor(beta, E_aug)
+    factor = _factor_layout_system(A, V_aug, E_aug, temporal)
 
     system = _Majorization(V_aug, delta_aug, beta, np.diagonal(E_aug)[:n], X_prev_aug)
     anchor = beta * (E_aug @ X_prev_aug)
@@ -222,12 +221,11 @@ def dmds_layout(
     while True:
         iterations += 1
         rhs = system.S() @ X + anchor
-        if anchored:
-            X_new = np.zeros_like(X)
-            X_new[1:] = spd_solve(factor, rhs[1:])
+        if temporal:
+            X = spd_solve(factor, rhs)
         else:
-            X_new = spd_solve(factor, rhs)
-        X = X_new
+            X = np.zeros_like(X)
+            X[1:] = spd_solve(factor, rhs[1:])
         trace.append(system.at(X).stress())
         if _relative_decrease(trace[-2], trace[-1]) < eps:
             break

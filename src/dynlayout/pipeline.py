@@ -44,7 +44,6 @@ class RegularizationConfig:
     restarts: int = 0
     lambda_grid: tuple[float, ...] = _DEFAULT_LAMBDA_GRID
     similarity_mode: Optional[str] = None  # None | linear | inverse
-    max_iter: int = 1000
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -177,20 +176,22 @@ def learn_group_sequence(network: DynamicNetwork, k: int,
 
 class _SequenceState:
     """Cross-step memory: the last known position of every registry node
-    (row i is node i; ``seen`` marks the nodes laid out so far), previous
-    representative positions, clustering history."""
+    (row i is node i; ``seen`` marks the nodes laid out so far), the same
+    for every group representative (row j is group j + 1), and the
+    clustering history."""
 
-    def __init__(self, n_nodes: int, dims: int):
+    def __init__(self, n_nodes: int, n_groups: int, dims: int):
         self.last_X = np.zeros((n_nodes, dims))
         self.seen = np.zeros(n_nodes, dtype=bool)
-        self.Y_prev: Optional[np.ndarray] = None
+        self.last_Y = np.zeros((n_groups, dims))
+        self.seen_Y = np.zeros(n_groups, dtype=bool)
         self.tracker: Optional[ClusterTracker] = None
 
-    def update(self, active: np.ndarray, X: np.ndarray, Y: Optional[np.ndarray]):
+    def update(self, active: np.ndarray, X: np.ndarray, kept: list[int], Y: np.ndarray):
         self.last_X[active] = X
         self.seen[active] = True
-        if Y is not None:
-            self.Y_prev = Y.copy()
+        self.last_Y[kept] = Y
+        self.seen_Y[kept] = True
 
 
 def _group_info(snap: Snapshot, state: _SequenceState, config: RegularizationConfig, t: int):
@@ -226,19 +227,19 @@ def _effective_membership(labels: Optional[Sequence[Optional[int]]], k: int,
     return C_full[:, kept], kept
 
 
-def _init_positions(snap: Snapshot, known: np.ndarray, X_prev: np.ndarray, labels,
-                    kept_cols, Y_prev_kept: Optional[np.ndarray],
+def _init_positions(snap: Snapshot, X_prev: np.ndarray, labels, state: _SequenceState,
                     config: RegularizationConfig, t: int) -> np.ndarray:
     """Previous-or-initial positions for every current node.
 
-    Persisting and re-entering nodes (``known``) use their last known
-    position, the matching row of ``X_prev``; new nodes fall back to their
-    group representative's previous position, then to the centroid of
-    their already-placed neighbors, then to a small seeded offset from the
-    centroid of the previous layout.
+    Persisting and re-entering nodes (those laid out before) use their last
+    known position, the matching row of ``X_prev``; new nodes fall back to
+    their group representative's last position when it has been laid out,
+    then to the centroid of their already-placed neighbors, then to a small
+    seeded offset from the centroid of the previous layout.
     """
     s = config.dims
     X = X_prev.copy()
+    known = state.seen[np.asarray(snap.active)]
     missing = np.flatnonzero(~known)
     if not missing.size:
         return X
@@ -249,11 +250,10 @@ def _init_positions(snap: Snapshot, known: np.ndarray, X_prev: np.ndarray, label
     else:
         center = np.zeros(s)
         spread = 1.0
-    col_of = {col: j for j, col in enumerate(kept_cols)}
     for row in missing:
         lab = labels[row] if labels is not None else None
-        if lab is not None and Y_prev_kept is not None and (lab - 1) in col_of:
-            X[row] = Y_prev_kept[col_of[lab - 1]]
+        if lab is not None and state.seen_Y[lab - 1]:
+            X[row] = state.last_Y[lab - 1]
             continue
         neighbors = known & (snap.W[row] > 0)
         if neighbors.any():
@@ -284,29 +284,21 @@ def _prev_snapshot_adjacency(network: DynamicNetwork, t: int, snap: Snapshot) ->
     return W_prev
 
 
-def _augmented_prev(snap, state, X_prev, labels, kept, C, config, t, random_t0: bool):
-    """Stacked [nodes; kept representatives] previous/initial positions."""
-    s = config.dims
-    k_eff = C.shape[1]
-    Y_prev_kept = None
-    if state.Y_prev is not None and kept:
-        Y_prev_kept = state.Y_prev[kept]
-    if t == 0 and random_t0:
-        X_nodes = _rng_for(config.seed, t, 0).uniform(-1.0, 1.0, size=(snap.n, s))
-    elif t == 0:
-        X_nodes = np.zeros((snap.n, s))
+def _augmented_prev(snap, state, X_prev, labels, kept, C, config, t):
+    """Stacked [nodes; kept representatives] previous/initial positions.
+
+    The first step starts from seeded random positions. A representative
+    that has not been laid out yet starts at the centroid of its members.
+    """
+    if t == 0:
+        X_nodes = _rng_for(config.seed, t, 0).uniform(-1.0, 1.0, size=(snap.n, config.dims))
     else:
-        known = state.seen[np.asarray(snap.active)]
-        X_nodes = _init_positions(snap, known, X_prev, labels, kept, Y_prev_kept, config, t)
-    if not k_eff:
+        X_nodes = _init_positions(snap, X_prev, labels, state, config, t)
+    if not kept:
         return X_nodes, X_nodes
-    if Y_prev_kept is not None:
-        Y_rows = Y_prev_kept.copy()
-    else:
-        Y_rows = np.zeros((k_eff, s))
-        for j in range(k_eff):
-            members = np.flatnonzero(C[:, j])
-            Y_rows[j] = X_nodes[members].mean(axis=0)
+    Y_rows = state.last_Y[kept]
+    for j in np.flatnonzero(~state.seen_Y[kept]):
+        Y_rows[j] = X_nodes[np.flatnonzero(C[:, j])].mean(axis=0)
     return X_nodes, np.vstack([X_nodes, Y_rows])
 
 
@@ -314,20 +306,13 @@ def _augmented_prev(snap, state, X_prev, labels, kept, C, config, t, random_t0: 
 # the per-method solvers
 
 def _solve_mds(snap, state, config, t, E, X_prev, labels, C, kept, delta, V):
-    X_nodes, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t,
-                                          random_t0=True)
+    X_nodes, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
     if config.method == "dmds":
-        layout, report = mds.dmds_layout(delta, V, C, config.alpha, config.beta, E,
-                                         X_aug_prev, eps=config.epsilon,
-                                         max_iter=config.max_iter)
-    elif config.method == "mds-static":
-        layout, report = mds.smacof_static(delta, V, X_nodes, eps=config.epsilon,
-                                           max_iter=config.max_iter)
-    else:  # mds-stabilized
-        layout, report = mds.stabilized_mds_online(delta, V, config.beta, E, X_nodes,
-                                                   eps=config.epsilon,
-                                                   max_iter=config.max_iter)
-    return layout, report
+        return mds.dmds_layout(delta, V, C, config.alpha, config.beta, E, X_aug_prev,
+                               eps=config.epsilon)
+    if config.method == "mds-static":
+        return mds.smacof_static(delta, V, X_nodes, eps=config.epsilon)
+    return mds.stabilized_mds_online(delta, V, config.beta, E, X_nodes, eps=config.epsilon)
 
 
 def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
@@ -372,8 +357,7 @@ def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
         return candidates[lam_star]
 
     # dgll
-    _, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t,
-                                    random_t0=False)
+    _, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
     rng = _rng_for(config.seed, t, 3)
     solution = gll.dgll_layout(snap.W, C, config.alpha, config.beta, E, X_aug_prev, s,
                                normalized=config.normalized, restarts=config.restarts,
@@ -402,7 +386,9 @@ def run_sequence(network: DynamicNetwork,
                  config: RegularizationConfig) -> tuple[LayoutSequence, metrics.CostReport]:
     """Lay out every snapshot with the configured method and score each
     step. Engine failures are re-raised with the failing step attached."""
-    state = _SequenceState(len(network.registry), config.dims)
+    n_groups = config.k if config.groups == "learn" else max(
+        (snap.groups.k for snap in network.snapshots if snap.groups is not None), default=0)
+    state = _SequenceState(len(network.registry), n_groups, config.dims)
     sequence = LayoutSequence(metadata=config.metadata())
     report = metrics.CostReport(method=config.method, params=config.metadata())
     is_mds = config.method in MDS_METHODS
@@ -435,18 +421,12 @@ def run_sequence(network: DynamicNetwork,
             report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, E,
                                            iterations, trace))
 
-            Y_full = None
-            if kept:
-                Y_full = np.zeros((k, config.dims))
-                if state.Y_prev is not None and state.Y_prev.shape == Y_full.shape:
-                    Y_full[:] = state.Y_prev
-                Y_full[kept] = layout.Y
+            state.update(active, layout.X, kept, layout.Y)
             display = layout_labels if layout_labels is not None else eval_labels
             sequence.steps.append(LayoutStep(
                 t=t, ids=tuple(network.registry.id_of(i) for i in snap.active),
-                X=layout.X, labels=display, Y=Y_full,
+                X=layout.X, labels=display, Y=state.last_Y[:k].copy() if kept else None,
             ))
-            state.update(active, layout.X, Y_full)
         except DynlayoutError as exc:
             raise type(exc)(f"step t={t}: {exc}") from exc
     return sequence, report

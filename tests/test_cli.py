@@ -62,6 +62,17 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["dmds", "mds-static"])
+    def test_disconnected_snapshot_is_data_error(self, method, tmp_path, capsys):
+        two_triangles = tmp_path / "two.tsv"
+        two_triangles.write_text("".join(f"0\t{u}\t{v}\t1\n" for u, v in (
+            ("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f"))),
+            encoding="utf-8")
+        code = run(["layout", "--input", str(two_triangles), "--method", method,
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "step t=0" in capsys.readouterr().err
+
 
 class TestSimulateSbm:
     def test_same_seed_byte_identical(self, tmp_path):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynlayout.clustering import (adjusted_rand_index, affect_alpha, affect_cluster_step,
-                                  affect_smooth, kmeans, match_labels, spectral_cluster)
+from dynlayout.clustering import (_block_statistics, adjusted_rand_index, affect_alpha,
+                                  affect_cluster_step, affect_smooth, kmeans, match_labels,
+                                  spectral_cluster)
 from dynlayout.errors import DataError
 from dynlayout.sbm import sbm_sample
 
@@ -32,6 +35,39 @@ def oracle_alpha(psi_prev, W, labels):
     if den == 0:
         return 0.0
     return min(max(num / den, 0.0), 1.0)
+
+
+def loop_block_statistics(W, labels, k):
+    """Block means and variances gathered pair by pair in row-major order."""
+    means = np.zeros((k, k))
+    variances = np.zeros((k, k))
+    for c in range(1, k + 1):
+        rows = np.flatnonzero(labels == c)
+        for d in range(c, k + 1):
+            cols = np.flatnonzero(labels == d)
+            if d == c:
+                entries = np.array([W[i, j] for a, i in enumerate(rows)
+                                    for j in rows[a + 1:]])
+            else:
+                entries = np.array([W[i, j] for i in rows for j in cols])
+            if entries.size:
+                means[c - 1, d - 1] = means[d - 1, c - 1] = entries.mean()
+            if entries.size >= 2:
+                variances[c - 1, d - 1] = variances[d - 1, c - 1] = entries.var(ddof=1)
+    return means, variances
+
+
+class TestBlockStatistics:
+    @given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_pairwise_loop(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        W = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.6), 1)
+        W = W + W.T
+        labels = rng.integers(1, k + 1, size=n)
+        ours = _block_statistics(W, labels, k)
+        ref = loop_block_statistics(W, labels, k)
+        assert np.array_equal(ours[0], ref[0]) and np.array_equal(ours[1], ref[1])
 
 
 class TestAffectAlpha:

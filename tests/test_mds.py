@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_connected_adjacency
 from dynlayout.distances import kk_weights, shortest_path_distances
-from dynlayout.errors import NotPositiveDefiniteError
+from dynlayout.errors import DisconnectedGraphError
 from dynlayout.mds import (_pairwise_distances, augment_mds, build_R, build_S, dmds_layout,
                            modified_stress, smacof_static, stabilized_mds_online, stress)
 
@@ -202,8 +202,17 @@ class TestSmacofStatic:
         delta = np.full((2, 2), np.inf)
         np.fill_diagonal(delta, 0.0)
         V = np.zeros((2, 2))
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(DisconnectedGraphError, match="2 components"):
             smacof_static(delta, V, np.zeros((2, 1)))
+
+    def test_disconnected_rejected_when_rounding_lets_it_factor(self):
+        # pinning the isolated first node leaves the path's Laplacian, which
+        # is singular but factors with a pivot at round-off level
+        W = np.zeros((4, 4))
+        W[1, 2] = W[2, 1] = W[2, 3] = W[3, 2] = 1.0
+        dm = shortest_path_distances(W)
+        with pytest.raises(DisconnectedGraphError, match="2 components"):
+            smacof_static(dm.delta, kk_weights(dm), np.arange(4.0)[:, None])
 
 
 class TestAugmentMds:

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from dynlayout.errors import DataError
-from dynlayout.graph import DynamicNetwork, NodeRegistry, Snapshot
+from dynlayout import gll, mds
+from dynlayout.errors import DataError, DisconnectedGraphError, NumericalError
+from dynlayout.graph import DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot
 from dynlayout.pipeline import (GROUPING_METHODS, METHODS, RegularizationConfig,
                                 learn_group_sequence, parameter_sweep, run_sequence)
 from dynlayout.sbm import SbmConfig, sbm_sequence
+
+TRIANGLE = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
+TWO_TRIANGLES = np.kron(np.eye(2), TRIANGLE)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +87,39 @@ class TestRunSequence:
             sequence, report = run_sequence(network, config)
             assert [step.X.shape[0] for step in sequence.steps] == [3, 3, 3]
 
+    @pytest.mark.parametrize("method", ["dmds", "mds-static"])
+    def test_disconnected_snapshot_names_component_count(self, method):
+        registry = NodeRegistry("abcdef")
+        network = DynamicNetwork(registry, [Snapshot(t=0, W=TWO_TRIANGLES, active=range(6))])
+        with pytest.raises(DisconnectedGraphError, match="^step t=0: .*2 components"):
+            run_sequence(network, RegularizationConfig(method=method))
+
+    def test_new_component_without_anchor_names_step(self):
+        # one triangle persists and anchors its component; the new one is free
+        registry = NodeRegistry("abcdef")
+        network = DynamicNetwork(registry, [
+            Snapshot(t=0, W=TRIANGLE, active=(0, 1, 2)),
+            Snapshot(t=1, W=TWO_TRIANGLES, active=range(6)),
+        ])
+        with pytest.raises(DisconnectedGraphError, match="^step t=1: .*2 components"):
+            run_sequence(network, RegularizationConfig(method="dmds"))
+
+    def test_dgll_start_without_scatter(self):
+        # d enters on its only neighbor b, and a has no edge: the start has
+        # no weighted scatter, and in 2-D the constraint cannot be met
+        registry = NodeRegistry("abcd")
+        W1 = np.zeros((3, 3))
+        W1[1, 2] = W1[2, 1] = 1.0
+        network = DynamicNetwork(registry, [
+            Snapshot(t=0, W=TRIANGLE, active=(0, 1, 2)),
+            Snapshot(t=1, W=W1, active=(0, 1, 3)),
+        ])
+        sequence, _ = run_sequence(network, RegularizationConfig(method="dgll", dims=1))
+        X = sequence.steps[1].X
+        assert 0.5 * (X[1, 0] - X[2, 0]) ** 2 == pytest.approx(2.0)
+        with pytest.raises(DataError, match="^step t=1: need more than 2 points"):
+            run_sequence(network, RegularizationConfig(method="dgll", dims=2))
+
     def test_missing_known_groups_is_data_error(self):
         registry = NodeRegistry(["a", "b"])
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -125,3 +165,136 @@ class TestParameterSweep:
                                     base_config=base)
         assert len(records_a) == 4
         assert records_a == records_b
+
+
+def late_group_network():
+    """12 nodes. At t = 0 groups 1 and 2 hold n00-n07 on a ring; at t = 1
+    group 3 arrives with n08-n11, each tied to two nodes placed at t = 0."""
+    registry = NodeRegistry(f"n{i:02d}" for i in range(12))
+    W0 = np.zeros((8, 8))
+    for i in range(8):
+        W0[i, (i + 1) % 8] = W0[(i + 1) % 8, i] = 1.0
+    W1 = np.zeros((12, 12))
+    W1[:8, :8] = W0
+    for j in range(4):
+        for placed in (j, j + 4):
+            W1[8 + j, placed] = W1[placed, 8 + j] = 1.0
+        W1[8 + j, 8 + (j + 1) % 4] = W1[8 + (j + 1) % 4, 8 + j] = 1.0
+    labels0 = (1, 1, 1, 1, 2, 2, 2, 2)
+    return DynamicNetwork(registry, [
+        Snapshot(t=0, W=W0, active=range(8), groups=GroupAssignment(labels0, 3)),
+        Snapshot(t=1, W=W1, active=range(12),
+                 groups=GroupAssignment(labels0 + (3, 3, 3, 3), 3)),
+    ])
+
+
+class TestLateGroupStart:
+    @pytest.mark.parametrize("method, module, arg", [("dmds", mds, 6), ("dgll", gll, 5)],
+                             ids=["dmds", "dgll"])
+    def test_new_group_starts_from_placed_nodes(self, method, module, arg, monkeypatch):
+        starts = []
+        solver = getattr(module, f"{method}_layout")
+
+        def capture(*args, **kwargs):
+            starts.append(np.array(args[arg]))
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(module, f"{method}_layout", capture)
+        sequence, _ = run_sequence(late_group_network(),
+                                   RegularizationConfig(method=method, groups="known"))
+        X0 = sequence.steps[0].X
+        start = starts[1]  # rows: 12 nodes, then representatives of groups 1-3
+        for j in range(4):
+            assert np.allclose(start[8 + j], X0[[j, j + 4]].mean(axis=0), rtol=1e-12)
+        assert np.allclose(start[14], start[8:12].mean(axis=0), rtol=1e-12)
+        assert np.all(np.any(start[8:12] != 0, axis=1)) and np.any(start[14] != 0)
+
+
+# --- churn properties -------------------------------------------------------
+
+@st.composite
+def churned_networks(draw):
+    """Small sequences with node churn: random or all-new active sets,
+    snapshots that may be disconnected (a random edge set, optionally cut
+    in two), random known labels in which groups empty and, optionally, the
+    last group is absent at t = 0."""
+    n_reg = draw(st.integers(2, 12))
+    T = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    late = k > 1 and draw(st.booleans())
+    registry = NodeRegistry(f"v{i:02d}" for i in range(n_reg))
+    snaps, prev = [], ()
+    for t in range(T):
+        fresh = [i for i in range(n_reg) if i not in prev]
+        if t > 0 and len(fresh) >= 2 and draw(st.booleans()):
+            active = fresh
+        else:
+            active = sorted(draw(st.sets(st.integers(0, n_reg - 1), min_size=2)))
+        m = len(active)
+        upper = draw(st.lists(st.booleans(), min_size=m * (m - 1) // 2,
+                              max_size=m * (m - 1) // 2))
+        W = np.zeros((m, m))
+        W[np.triu_indices(m, 1)] = upper
+        if draw(st.booleans()):
+            W[:m // 2, m // 2:] = 0.0
+        W = W + W.T
+        top = k - 1 if late and t == 0 else k
+        labels = tuple(draw(st.lists(st.integers(1, top), min_size=m, max_size=m)))
+        snaps.append(Snapshot(t=t, W=W, active=active, groups=GroupAssignment(labels, k)))
+        prev = active
+    return DynamicNetwork(registry, snaps)
+
+
+def _first_step(network, failing):
+    return next((snap.t for snap in network.snapshots if failing(snap)), None)
+
+
+def _disconnected(snap):
+    return connected_components(snap.W, directed=False)[0] > 1
+
+
+# methods whose README row is unconditional: the first step that fails the
+# rule is the step named by the DataError, and no other step fails
+ALWAYS_FAILS_ON = {
+    "spectral": lambda snap, s: _disconnected(snap) or snap.n <= s,
+    "mds-static": lambda snap, s: _disconnected(snap),
+    "mds-stabilized": lambda snap, s: False,
+}
+GROUP_MODES = [(method, groups) for method in METHODS for groups in ("none", "known", "learn")]
+
+
+class TestChurnProperties:
+    """Outcomes on churned sequences match the README's table: finite
+    coordinates of shape (n_t, s) for every step, or a DataError (for
+    `dgll` also a NumericalError) that names the step."""
+
+    @pytest.mark.parametrize("method, groups", GROUP_MODES)
+    @given(network=churned_networks(), s=st.sampled_from([1, 3]))
+    @settings(deadline=None, max_examples=50,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_outcome_matches_table(self, method, groups, network, s):
+        config = RegularizationConfig(method=method, groups=groups, dims=s, seed=1,
+                                      k=2 if groups == "learn" else None)
+        if method in ALWAYS_FAILS_ON:
+            fails_at = _first_step(network, lambda snap: ALWAYS_FAILS_ON[method](snap, s))
+        elif method == "dgll" and s > 2:
+            fails_at = 0
+        elif _first_step(network, lambda snap: _disconnected(snap) or snap.n <= s) is None:
+            fails_at = None
+        else:
+            fails_at = "any"
+        try:
+            sequence, _ = run_sequence(network, config)
+        except (DataError, NumericalError) as exc:
+            assert str(exc).startswith("step t=")
+            if isinstance(exc, NumericalError):
+                assert method == "dgll"  # its constrained solve may not converge
+                return
+            assert fails_at is not None
+            if fails_at != "any":
+                assert str(exc).startswith(f"step t={fails_at}:")
+            return
+        assert fails_at in (None, "any")
+        for snap, step in zip(network.snapshots, sequence.steps):
+            assert step.X.shape == (snap.n, s)
+            assert np.all(np.isfinite(step.X))
