@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -6,6 +7,11 @@ import pytest
 
 from dynlayout.cli import cli_main
 from dynlayout.pipeline import METHODS
+
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).parent / "data" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
 
 
 def run(args):
@@ -125,22 +131,17 @@ class TestLayoutCommand:
 
 
 class TestGoldenFixture:
-    def test_layout_reproduces_frozen_golden_run(self, tmp_path):
-        # fixture frozen from a known-good build; coordinates compared with
-        # a small tolerance so BLAS build differences do not flake the test
-        import numpy as np
-
+    @pytest.mark.parametrize("name", sorted(make_golden.GOLDEN_RUNS))
+    def test_layout_reproduces_frozen_golden_run(self, name, tmp_path):
+        # fixtures frozen from a known-good build by tests/data/make_golden.py;
+        # coordinates compared with a small tolerance so BLAS build
+        # differences do not flake the test
         from dynlayout import io as dio
 
-        data = Path(__file__).parent / "data"
-        out = tmp_path / "golden_run"
-        code = run(["layout", "--input", str(data / "golden.snapshots.tsv"),
-                    "--groups", str(data / "golden.groups.tsv"), "--k", "2",
-                    "--method", "dmds", "--alpha", "1", "--beta", "1",
-                    "--seed", "13", "--out", str(out)])
-        assert code == 0
-        got = dio.import_layouts(tmp_path / "golden_run.layout.json")
-        expected = dio.import_layouts(data / "golden_run.layout.json")
+        _, prefix, _ = make_golden.GOLDEN_RUNS[name]
+        assert run(make_golden.layout_argv(name, tmp_path / prefix)) == 0
+        got = dio.import_layouts(tmp_path / f"{prefix}.layout.json")
+        expected = dio.import_layouts(make_golden.DATA / f"{prefix}.layout.json")
         assert got.metadata == expected.metadata
         assert len(got.steps) == len(expected.steps)
         for a, b in zip(got.steps, expected.steps):
