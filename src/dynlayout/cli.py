@@ -73,7 +73,6 @@ def _add_layout_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalized", action=argparse.BooleanOptionalAction, default=True,
                    help="degree-normalized constraints (GLL family)")
-    p.add_argument("--restarts", type=int, default=0)
     p.add_argument("--lambda-grid", type=_float_list,
                    default=[i / 20.0 for i in range(21)],
                    help="comma-separated blend weights (bfp)")
@@ -95,7 +94,7 @@ def _build_config(args) -> RegularizationConfig:
     return RegularizationConfig(
         method=args.method, alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
         dims=args.dims, seed=args.seed, normalized=args.normalized,
-        groups=groups_mode, k=args.k, restarts=args.restarts,
+        groups=groups_mode, k=args.k,
         lambda_grid=tuple(args.lambda_grid), similarity_mode=args.similarity,
     )
 

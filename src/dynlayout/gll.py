@@ -245,7 +245,6 @@ class DgllSolution:
     objective: float
     kkt_residual: float
     constraint_residual: float
-    restarts_used: int
 
     @property
     def layout(self) -> Layout:
@@ -265,15 +264,18 @@ def _feasible_random_start(rng, m: int, s: int, M: np.ndarray, target: float) ->
 
 
 def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
-                restarts: int = 0, rng=None, tol: float = 1e-8) -> DgllSolution:
+                rng=None, tol: float = 1e-8) -> DgllSolution:
     """Dynamic Laplacian layout for one time step.
 
     Minimizes the blended quadratic objective subject to the centered
-    scatter constraints, starting from the previous augmented layout plus
-    any random restarts; the lowest-objective feasible point wins. When
-    there is no temporal anchor (beta = 0 or nothing persisted, e.g. the
-    first step) the objective has no linear term and the scaled eigenvector
-    solution is returned directly.
+    scatter constraints with ``numerics.minimize_eq_constrained``, started
+    once from the previous augmented layout; a start with no scatter
+    along some axis is replaced by a feasible random one drawn from
+    ``rng``. When there is no temporal anchor (beta = 0 or nothing
+    persisted, e.g. the first step) the objective has no linear term and
+    the scaled eigenvector solution is returned directly. Raises
+    NumericalError, carrying the last iterate, when the solve does not
+    converge.
     """
     W = np.asarray(W, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -300,43 +302,28 @@ def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
         kkt = float(np.max(np.abs(grad + J.T @ mu)))
         return DgllSolution(
             X_aug=X, n_nodes=n, objective=dgll_objective(X, system.L_aug, E_aug, beta, X_prev_aug),
-            kkt_residual=kkt, constraint_residual=float(np.max(np.abs(g))), restarts_used=0,
+            kkt_residual=kkt, constraint_residual=float(np.max(np.abs(g))),
         )
 
-    m_pts = n + k
     problem = _DgllProblem(system.L_aug, E_aug, beta, X_prev_aug, M, target, s)
 
-    rng = np.random.default_rng(rng)
     start = X_prev_aug
     if np.linalg.eigvalsh(start.T @ M @ start)[0] <= 1e-10 * target:
         # no scatter along some axis (e.g. a new node placed on its only
         # neighbor): the constraint Jacobian is rank-deficient there, so the
         # solve could not reach the constraint from this start
-        start = _feasible_random_start(rng, m_pts, s, M, target)
-    starts = [start] + [_feasible_random_start(rng, m_pts, s, M, target)
-                        for _ in range(restarts)]
-
-    best = None
-    best_failed = None
-    for X0 in starts:
-        x0 = X0.T.reshape(-1)
-        result = minimize_eq_constrained(problem.f, problem.grad, problem.g, problem.jac,
-                                         lambda x, mu: problem.hess(mu), x0, tol=tol)
-        if result.converged:
-            value = problem.f(result.x)
-            if best is None or value < best[0]:
-                best = (value, result)
-        elif best_failed is None or result.feasibility_residual < best_failed.feasibility_residual:
-            best_failed = result
-    if best is None:
+        start = _feasible_random_start(np.random.default_rng(rng), n + k, s, M, target)
+    result = minimize_eq_constrained(problem.f, problem.grad, problem.g, problem.jac,
+                                     lambda x, mu: problem.hess(mu), start.T.reshape(-1),
+                                     tol=tol)
+    if not result.converged:
         raise NumericalError(
-            "constrained layout solver failed to converge on all starts "
-            f"(best feasibility residual {best_failed.feasibility_residual:.3e})",
-            best_iterate=problem.unflatten(best_failed.x),
+            "constrained layout solver did not converge "
+            f"(feasibility residual {result.feasibility_residual:.3e}, "
+            f"KKT residual {result.kkt_residual:.3e})",
+            best_iterate=problem.unflatten(result.x),
         )
-    value, result = best
     return DgllSolution(
-        X_aug=problem.unflatten(result.x), n_nodes=n, objective=value,
+        X_aug=problem.unflatten(result.x), n_nodes=n, objective=problem.f(result.x),
         kkt_residual=result.kkt_residual, constraint_residual=result.feasibility_residual,
-        restarts_used=len(starts) - 1,
     )

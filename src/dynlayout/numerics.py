@@ -2,7 +2,9 @@
 
 Everything here is dense: target problems are a few hundred unknowns at
 most, where Cholesky / full symmetric eigendecomposition are the right
-tools.
+tools. The one iterative kernel, ``minimize_eq_constrained``, solves
+DGLL's constrained step by quadratic-penalty continuation with exact
+trust-region steps and a Newton-KKT polish.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from .errors import DataError, NotPositiveDefiniteError
 
@@ -99,8 +102,10 @@ def gen_eig_smallest(L: np.ndarray, D: np.ndarray, m: int) -> EigenResult:
 class EqConstrainedResult:
     """Outcome of an equality-constrained minimization.
 
-    ``converged`` is False when the iteration budget ran out; ``x`` then
-    carries the best iterate found (never silently labeled converged).
+    ``iterations`` counts trust-region and polish steps together.
+    ``converged`` is False when no penalty weight gave a point that meets
+    the tolerance; ``x`` then carries the last penalty minimizer (never
+    silently labeled converged).
     """
 
     x: np.ndarray
@@ -111,27 +116,8 @@ class EqConstrainedResult:
     multipliers: np.ndarray
 
 
-def _recover_multipliers(grad: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, float]:
-    # Least squares on the KKT stationarity system grad f + J^T mu = 0.
-    mu, *_ = np.linalg.lstsq(J.T, -grad, rcond=None)
-    kkt = float(np.max(np.abs(grad + J.T @ mu))) if grad.size else 0.0
-    return mu, kkt
-
-
-def _newton_step(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Solve H p = rhs with increasing diagonal regularization until the
-    # factorization succeeds and the step is a descent direction.
-    n = H.shape[0]
-    tau = 0.0
-    base = max(1.0, float(np.max(np.abs(np.diagonal(H)))))
-    for _ in range(40):
-        try:
-            c = scipy.linalg.cho_factor(H + tau * np.eye(n))
-            p = scipy.linalg.cho_solve(c, rhs)
-            return p
-        except scipy.linalg.LinAlgError:
-            tau = max(2.0 * tau, 1e-10 * base)
-    return np.linalg.lstsq(H, rhs, rcond=None)[0]
+# penalty weights of the continuation, each solve warm-started from the last
+_PENALTY_WEIGHTS = tuple(10.0 ** e for e in range(9))
 
 
 def minimize_eq_constrained(
@@ -142,114 +128,75 @@ def minimize_eq_constrained(
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
     tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> EqConstrainedResult:
-    """Minimize f(x) subject to g(x) = 0 by an augmented-Lagrangian method
-    with Newton inner iterations and a final Newton-KKT polish.
+    """Minimize f(x) subject to g(x) = 0 by quadratic-penalty continuation
+    with a Newton-KKT polish.
 
-    ``hess(x, mu)`` must return the Hessian of the Lagrangian
-    f + mu^T g at (x, mu); ``max_iter`` bounds each inner Newton phase.
-    Returns a converged result with max(|g|) <= tol and stationarity
-    residual <= tol; an exhausted iteration budget yields a non-converged
-    result carrying the best iterate, never an exception.
+    For rho = 1, 10, ..., 1e8 an exact trust-region solve minimizes
+    f + rho/2 |g|^2 from the previous minimizer, and a Newton polish on
+    the KKT system starts from it with multipliers rho*g. ``hess(x, mu)``
+    must return the Hessian of the Lagrangian f + mu^T g at (x, mu).
+    Returns at the first polished point with max(|g|) <= tol and
+    stationarity residual <= tol; when no weight gives one, the result is
+    non-converged, never an exception.
     """
     x = np.asarray(x0, dtype=float).copy()
-    m = np.atleast_1d(g(x)).shape[0]
-    mu = np.zeros(m)
-    rho = 10.0
-    total_iters = 0
-    best = (np.inf, x.copy(), mu.copy())
+    iterations = 0
+    for rho in _PENALTY_WEIGHTS:
+        def penalized(z, rho=rho):
+            gz = np.atleast_1d(g(z))
+            value = f(z) + 0.5 * rho * float(gz @ gz)
+            return value, np.asarray(grad(z)) + rho * (np.atleast_2d(jac(z)).T @ gz)
 
-    def check(xc: np.ndarray) -> tuple[float, float, np.ndarray]:
-        gv = np.atleast_1d(g(xc))
-        feas = float(np.max(np.abs(gv))) if gv.size else 0.0
-        mu_ls, kkt = _recover_multipliers(np.asarray(grad(xc)), np.atleast_2d(jac(xc)))
-        return feas, kkt, mu_ls
+        def penalized_hess(z, rho=rho):
+            J = np.atleast_2d(jac(z))
+            return hess(z, rho * np.atleast_1d(g(z))) + rho * (J.T @ J)
 
-    prev_feas = np.inf
-    for _outer in range(30):
-        # Inner: Newton with backtracking on the augmented Lagrangian
-        # L_A = f + mu^T g + rho/2 |g|^2.
-        for _inner in range(max_iter):
-            total_iters += 1
-            gv = np.atleast_1d(g(x))
-            J = np.atleast_2d(jac(x))
-            mu_eff = mu + rho * gv
-            grad_la = np.asarray(grad(x)) + J.T @ mu_eff
-            grad_norm = float(np.max(np.abs(grad_la)))
-            if grad_norm <= max(0.1 * tol, 1e-3 * tol * rho, 1e-12):
-                break
-            H_la = hess(x, mu_eff) + rho * (J.T @ J)
-            p = _newton_step(H_la, -grad_la)
+        solve = scipy.optimize.minimize(penalized, x, jac=True, hess=penalized_hess,
+                                        method="trust-exact")
+        x = solve.x
+        x_pol, polish_steps = _kkt_polish(x, rho * np.atleast_1d(g(x)), grad, g, jac, hess, tol)
+        iterations += solve.nit + polish_steps
+        feas, kkt, mu = _residuals(x_pol, grad, g, jac)
+        if feas <= tol and kkt <= tol:
+            return EqConstrainedResult(x=x_pol, kkt_residual=kkt, feasibility_residual=feas,
+                                       converged=True, iterations=iterations, multipliers=mu)
+    feas, kkt, mu = _residuals(x, grad, g, jac)
+    return EqConstrainedResult(x=x, kkt_residual=kkt, feasibility_residual=feas,
+                               converged=False, iterations=iterations, multipliers=mu)
 
-            def la(z: np.ndarray) -> float:
-                gz = np.atleast_1d(g(z))
-                return float(f(z) + mu @ gz + 0.5 * rho * (gz @ gz))
 
-            la0 = la(x)
-            slope = float(grad_la @ p)
-            step = 1.0
-            for _ in range(60):
-                xn = x + step * p
-                if la(xn) <= la0 + 1e-4 * step * slope:
-                    x = xn
-                    break
-                step *= 0.5
-            else:
-                break  # line search stalled; hand back to the outer loop
-
-        gv = np.atleast_1d(g(x))
-        feas = float(np.max(np.abs(gv))) if gv.size else 0.0
-        if feas < best[0]:
-            best = (feas, x.copy(), mu.copy())
-        mu = mu + rho * gv
-        feas_now, kkt_now, mu_ls = check(x)
-        if feas_now <= tol and kkt_now <= tol:
-            x, mu = _kkt_polish(x, mu_ls, grad, g, jac, hess, tol)
-            feas_f, kkt_f, mu_f = check(x)
-            return EqConstrainedResult(
-                x=x, kkt_residual=kkt_f, feasibility_residual=feas_f,
-                converged=True, iterations=total_iters, multipliers=mu_f,
-            )
-        if feas > 0.25 * prev_feas:
-            rho = min(rho * 10.0, 1e12)
-        prev_feas = feas
-
-    feas_f, kkt_f, mu_f = check(best[1])
-    return EqConstrainedResult(
-        x=best[1], kkt_residual=kkt_f, feasibility_residual=feas_f,
-        converged=False, iterations=total_iters, multipliers=mu_f,
-    )
+def _residuals(x, grad, g, jac) -> tuple[float, float, np.ndarray]:
+    # Constraint and stationarity residuals at x, with the multipliers from
+    # least squares on the stationarity system grad f + J^T mu = 0.
+    gv = np.atleast_1d(g(x))
+    gr = np.asarray(grad(x))
+    J = np.atleast_2d(jac(x))
+    mu, *_ = np.linalg.lstsq(J.T, -gr, rcond=None)
+    kkt = float(np.max(np.abs(gr + J.T @ mu))) if gr.size else 0.0
+    return (float(np.max(np.abs(gv))) if gv.size else 0.0), kkt, mu
 
 
 def _kkt_polish(x, mu, grad, g, jac, hess, tol, rounds: int = 8):
     # Newton on the KKT system [grad f + J^T mu; g] = 0; quadratic local
     # convergence squeezes residuals well below the requested tolerance.
-    n = x.shape[0]
-    m = mu.shape[0]
-    for _ in range(rounds):
+    # Least squares takes the step, so a singular KKT matrix (a continuum
+    # of minimizers) still converges. Returns the point and the steps taken.
+    def residual(x, mu):
         J = np.atleast_2d(jac(x))
-        gv = np.atleast_1d(g(x))
-        r1 = np.asarray(grad(x)) + J.T @ mu
-        res = max(np.max(np.abs(r1)), np.max(np.abs(gv)) if gv.size else 0.0)
+        r = np.concatenate([np.asarray(grad(x)) + J.T @ mu, np.atleast_1d(g(x))])
+        return J, r, float(np.max(np.abs(r)))
+
+    n, m = x.shape[0], mu.shape[0]
+    J, r, res = residual(x, mu)
+    for taken in range(rounds):
         if res <= 1e-3 * tol:
-            break
-        K = np.zeros((n + m, n + m))
-        K[:n, :n] = hess(x, mu)
-        K[:n, n:] = J.T
-        K[n:, :n] = J
-        rhs = -np.concatenate([r1, gv])
-        try:
-            step = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            break
-        x_new = x + step[:n]
-        mu_new = mu + step[n:]
-        J_new = np.atleast_2d(jac(x_new))
-        gv_new = np.atleast_1d(g(x_new))
-        r1_new = np.asarray(grad(x_new)) + J_new.T @ mu_new
-        res_new = max(np.max(np.abs(r1_new)), np.max(np.abs(gv_new)) if gv_new.size else 0.0)
+            return x, taken
+        K = np.block([[hess(x, mu), J.T], [J, np.zeros((m, m))]])
+        step = np.linalg.lstsq(K, -r, rcond=None)[0]
+        x_new, mu_new = x + step[:n], mu + step[n:]
+        J_new, r_new, res_new = residual(x_new, mu_new)
         if res_new >= res:
-            break
-        x, mu = x_new, mu_new
-    return x, mu
+            return x, taken
+        x, mu, J, r, res = x_new, mu_new, J_new, r_new, res_new
+    return x, rounds

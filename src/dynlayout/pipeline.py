@@ -41,7 +41,6 @@ class RegularizationConfig:
     normalized: bool = True
     groups: str = "none"  # none | known | learn
     k: Optional[int] = None
-    restarts: int = 0
     lambda_grid: tuple[float, ...] = _DEFAULT_LAMBDA_GRID
     similarity_mode: Optional[str] = None  # None | linear | inverse
 
@@ -360,8 +359,7 @@ def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
     _, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
     rng = _rng_for(config.seed, t, 3)
     solution = gll.dgll_layout(snap.W, C, config.alpha, config.beta, E, X_aug_prev, s,
-                               normalized=config.normalized, restarts=config.restarts,
-                               rng=rng)
+                               normalized=config.normalized, rng=rng)
     return solution.layout
 
 

@@ -110,6 +110,24 @@ class TestConstrainedMinimizer:
         assert res.converged
         assert np.allclose(res.x, -c / np.linalg.norm(c), atol=1e-6)
 
+    @pytest.mark.parametrize("x0", [[0.6, 0.3, 0.5], [0.0, 0.0, 1.0]],
+                             ids=["generic", "constrained-maximum"])
+    def test_circle_of_minimizers(self, x0):
+        # min x3^2 on the unit sphere: every point of the equator is a
+        # minimizer, so the KKT matrix there is singular; the pole is a
+        # KKT point too, but a maximum
+        res = minimize_eq_constrained(
+            f=lambda x: float(x[2] ** 2),
+            grad=lambda x: np.array([0.0, 0.0, 2 * x[2]]),
+            g=lambda x: np.array([x @ x - 1.0]),
+            jac=lambda x: 2 * x[None, :],
+            hess=lambda x, mu: np.diag([0.0, 0.0, 2.0]) + 2 * mu[0] * np.eye(3),
+            x0=np.array(x0),
+        )
+        assert res.converged
+        assert abs(res.x[2]) <= 1e-6
+        assert res.x @ res.x == pytest.approx(1.0, abs=1e-8)
+
     def test_random_quadratic_with_quadratic_constraint_vs_oracle(self, rng):
         # oracle: scipy BFGS on a tightening quadratic penalty, best of a
         # coarse grid of starts

@@ -120,6 +120,32 @@ class TestRunSequence:
         with pytest.raises(DataError, match="^step t=1: need more than 2 points"):
             run_sequence(network, RegularizationConfig(method="dgll", dims=2))
 
+    def test_dgll_two_edgeless_nodes_after_first_step(self, monkeypatch):
+        # six nodes in one group; after t = 0 only v0 and v1 remain, with
+        # no edge between them, so only the grouping and temporal penalties
+        # place them
+        W0 = np.zeros((6, 6))
+        W0[4, 5] = W0[5, 4] = 1.0
+        pair = GroupAssignment((1, 1), 1)
+        network = DynamicNetwork(NodeRegistry(f"v{i}" for i in range(6)), [
+            Snapshot(t=0, W=W0, active=range(6), groups=GroupAssignment((1,) * 6, 1)),
+            Snapshot(t=1, W=np.zeros((2, 2)), active=(0, 1), groups=pair),
+            Snapshot(t=2, W=np.zeros((2, 2)), active=(0, 1), groups=pair),
+        ])
+        solutions = []
+        solver = gll.dgll_layout
+
+        def record(*args, **kwargs):
+            solutions.append(solver(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(gll, "dgll_layout", record)
+        sequence, _ = run_sequence(network, RegularizationConfig(
+            method="dgll", groups="known", dims=1, seed=1))
+        assert [step.X.shape for step in sequence.steps] == [(6, 1), (2, 1), (2, 1)]
+        assert all(sol.kkt_residual <= 1e-8 and sol.constraint_residual <= 1e-8
+                   for sol in solutions)
+
     def test_missing_known_groups_is_data_error(self):
         registry = NodeRegistry(["a", "b"])
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
