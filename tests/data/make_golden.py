@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from dynlayout.cli import cli_main
+
 DATA = Path(__file__).resolve().parent
 
 SBM_INPUT = "golden_sbm"
@@ -43,8 +45,6 @@ def layout_argv(name: str, out_prefix) -> list[str]:
 
 
 def main() -> None:
-    from dynlayout.cli import cli_main
-
     commands = [[*SBM_ARGS, "--out", str(DATA / SBM_INPUT)]]
     commands += [layout_argv(name, DATA / out) for name, (_, out, _) in GOLDEN_RUNS.items()]
     for argv in commands:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import dynlayout as dl
 from conftest import random_connected_adjacency
+from dynlayout import gll
 from dynlayout.errors import DataError
 from dynlayout.gll import (augment_gll, bfp_lambda_select, bfp_layout, ccdr_layout,
                            centering_matrix, dgll_derivatives, dgll_layout,
@@ -450,11 +452,8 @@ class TestDgllLayout:
         assert solution.X_aug.shape == (5, 1)
 
     def test_protocol_solves_stay_under_200_iterations(self, monkeypatch):
-        # one protocol network (acceptance seed 0, known groups, 2-D); an
-        # augmented-Lagrangian solver ran inner phases into its 200-step cap
-        import dynlayout as dl
-        from dynlayout import gll
-
+        # every solve on one protocol network (acceptance seed 0, known
+        # groups, 2-D) converges well inside 200 iterations
         network, _ = dl.sbm_sequence(dl.SbmConfig.two_rate(
             n=30, k=4, p_in=0.6, p_out=0.2, T=20, change_step=10,
             change_fraction=0.25, seed=0))
