@@ -32,6 +32,10 @@ GOLDEN_RUNS = {
                 ("--k", "4", "--method", "dgll", "--seed", "1", "--dims", "1")),
     "dgll-2d": (SBM_INPUT, "golden_dgll_2d",
                 ("--k", "4", "--method", "dgll", "--seed", "1", "--dims", "2")),
+    "bfp-2d": (SBM_INPUT, "golden_bfp_2d",
+               ("--k", "4", "--method", "bfp", "--seed", "1", "--dims", "2")),
+    "ccdr-2d": (SBM_INPUT, "golden_ccdr_2d",
+                ("--k", "4", "--method", "ccdr", "--seed", "1", "--dims", "2")),
 }
 
 

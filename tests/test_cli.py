@@ -147,7 +147,9 @@ class TestGoldenFixture:
         for a, b in zip(got.steps, expected.steps):
             assert a.ids == b.ids and a.labels == b.labels
             assert np.allclose(a.X, b.X, atol=1e-6)
-            assert np.allclose(a.Y, b.Y, atol=1e-6)
+            assert (a.Y is None) == (b.Y is None)
+            if a.Y is not None:
+                assert np.allclose(a.Y, b.Y, atol=1e-6)
 
 
 class TestClusterCommand:
