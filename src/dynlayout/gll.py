@@ -105,17 +105,18 @@ def ccdr_layout(W: np.ndarray, C: np.ndarray, alpha: float, s: int,
 
 
 def bfp_layout(lap_prev: LaplacianPair, lap_curr: LaplacianPair, lam: float,
-               X_prev: np.ndarray | None, s: int, normalized: bool = True) -> Layout:
+               X_prev: np.ndarray | None, s: int, normalized: bool = True,
+               mask: np.ndarray | None = None) -> Layout:
     """Spectral layout of the blended Laplacian lam*L[t-1] + (1-lam)*L[t],
-    sign/axis aligned to the previous layout when one is given."""
+    sign/axis aligned to the previous layout when one is given, on the
+    rows of X_prev that ``mask`` marks (all rows when it is None)."""
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"blend weight must be in [0, 1], got {lam}")
     L = lam * lap_prev.L + (1.0 - lam) * lap_curr.L
     D = lam * lap_prev.D + (1.0 - lam) * lap_curr.D
     X = _scaled_eig_layout(D - L, L, D, s, normalized, "blended-Laplacian layout")
     if X_prev is not None:
-        mask = np.any(np.asarray(X_prev) != 0, axis=1)
-        X = align_to_reference(X, np.asarray(X_prev, dtype=float), mask)
+        X = align_to_reference(X, X_prev, mask)
     return Layout(X=X, Y=np.zeros((0, s)))
 
 

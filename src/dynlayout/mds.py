@@ -36,40 +36,52 @@ class SmacofReport:
     hit_iteration_cap: bool = False
 
 
-def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    # one coordinate at a time, so no (n, n, s) difference tensor is built
-    sq = np.zeros((X.shape[0], X.shape[0]))
+def _pairwise_distances(X: np.ndarray, out: np.ndarray | None = None,
+                        scratch: np.ndarray | None = None) -> np.ndarray:
+    # one coordinate at a time, so no (n, n, s) difference tensor is built;
+    # fills the n x n buffers ``out`` (the result) and ``scratch`` when given
+    n = X.shape[0]
+    sq = np.empty((n, n)) if out is None else out
+    diff = np.empty((n, n)) if scratch is None else scratch
+    sq.fill(0.0)
     for col in X.T:
-        diff = col[:, None] - col[None, :]
-        sq += diff * diff
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        sq += diff
     return np.sqrt(sq, out=sq)
 
 
 class _Majorization:
     """Modified stress and majorization matrix of one (V, delta) system.
 
-    What a solve never changes is built once: the V > 0 mask and the
-    products -v_ij delta_ij, computed only where v_ij > 0 so that
-    unreachable pairs (delta = inf) never produce NaNs. ``at`` computes an
-    iterate's pairwise distances once; ``stress`` and ``S`` both read them.
+    What a solve never changes is built once: the products -v_ij delta_ij,
+    computed only where v_ij > 0 so that unreachable pairs (delta = inf)
+    never produce NaNs, and V and delta set to zero outside that mask. So
+    are the n x n work buffers, which every iterate fills in place: ``at``
+    computes an iterate's pairwise distances once, and ``stress`` and ``S``
+    both read them.
     """
 
     def __init__(self, V: np.ndarray, delta: np.ndarray, beta: float = 0.0,
                  e: np.ndarray | None = None, X_prev: np.ndarray | None = None):
-        self.V, self.delta = V, delta
-        self.mask = V > 0
-        self.neg_num = np.multiply(V, delta, out=np.zeros_like(V), where=self.mask)
-        np.negative(self.neg_num, out=self.neg_num)
+        mask = V > 0
+        self.V = np.where(mask, V, 0.0)
+        self.delta = np.where(mask, delta, 0.0)
+        self.neg_num = -(self.V * self.delta)
         self.num_nonzero = self.neg_num != 0
         self.beta, self.e, self.X_prev = beta, e, X_prev
+        self.dist = np.empty_like(self.V)
+        self._scratch = np.empty_like(self.V)
+        self._S = np.empty_like(self.V)
+        self._S_mask = np.empty_like(mask)
 
     def at(self, X: np.ndarray) -> "_Majorization":
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.dist = _pairwise_distances(self.X)
+        _pairwise_distances(self.X, self.dist, self._scratch)
         return self
 
     def stress(self) -> float:
-        resid = np.subtract(self.delta, self.dist, out=np.zeros_like(self.V), where=self.mask)
+        resid = np.subtract(self.delta, self.dist, out=self._scratch)
         resid *= resid
         resid *= self.V
         value = float(0.5 * np.sum(resid))
@@ -80,8 +92,13 @@ class _Majorization:
         return value
 
     def S(self) -> np.ndarray:
-        S = np.zeros_like(self.V)
-        np.divide(self.neg_num, self.dist, out=S, where=self.num_nonzero & (self.dist > 0))
+        """Majorization matrix at the current iterate, in a buffer that the
+        next call overwrites."""
+        S, keep = self._S, self._S_mask
+        np.greater(self.dist, 0, out=keep)
+        keep &= self.num_nonzero
+        S.fill(0.0)
+        np.divide(self.neg_num, self.dist, out=S, where=keep)
         np.fill_diagonal(S, 0.0)
         np.fill_diagonal(S, -S.sum(axis=1))
         return S

@@ -1,7 +1,8 @@
 """Shared dense numerical kernels.
 
 Everything here is dense: target problems are a few hundred unknowns at
-most, where Cholesky / full symmetric eigendecomposition are the right
+most, where Cholesky factorization and a symmetric eigensolve that
+computes only the few smallest eigenpairs a layout uses are the right
 tools. The one iterative kernel, ``minimize_eq_constrained``, solves
 DGLL's constrained step by quadratic-penalty continuation with exact
 trust-region steps and a Newton-KKT polish.
@@ -41,21 +42,27 @@ def spd_factor(A: np.ndarray) -> SpdFactorization:
     return SpdFactorization(c_and_lower=(c, lower))
 
 
+_potrs = scipy.linalg.get_lapack_funcs("potrs", dtype=np.float64)
+
+
 def spd_solve(factor: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Back-substitute a previously computed Cholesky factor."""
-    return scipy.linalg.cho_solve(factor.c_and_lower, b)
+    """Back-substitute a previously computed Cholesky factor.
+
+    The factor was checked for non-finite entries when it was made, so
+    only the right-hand side is checked here (ValueError).
+    """
+    c, lower = factor.c_and_lower
+    x, info = _potrs(c, np.asarray_chkfinite(b, dtype=float), lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return x
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    # Flip each eigenvector so its largest-magnitude entry is positive;
-    # keeps eigen-based layouts reproducible across runs.
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            out[:, j] = -col
-    return out
+    # Flip each eigenvector so its largest-magnitude entry is positive (the
+    # first one on ties); keeps eigen-based layouts reproducible across runs.
+    peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(peak < 0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -67,25 +74,27 @@ class EigenResult:
 
 
 def sym_eig_smallest(A: np.ndarray, m: int) -> EigenResult:
-    """The m smallest eigenpairs of a symmetric matrix, ascending."""
+    """The m smallest eigenpairs of a symmetric matrix, ascending. Only
+    those m pairs are computed, not the full spectrum."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if m > n:
+    if not 1 <= m <= n:
         raise DataError(f"requested {m} eigenpairs from a {n}x{n} matrix")
-    values, vectors = scipy.linalg.eigh(A)
-    return EigenResult(values=values[:m], vectors=_canonical_signs(vectors[:, :m]))
+    values, vectors = scipy.linalg.eigh(A, subset_by_index=[0, m - 1])
+    return EigenResult(values=values, vectors=_canonical_signs(vectors))
 
 
 def gen_eig_smallest(L: np.ndarray, D: np.ndarray, m: int) -> EigenResult:
     """The m smallest generalized eigenpairs of (L, D) for diagonal positive
-    D, via the symmetric transform D^{-1/2} L D^{-1/2}.
+    D, via the symmetric transform D^{-1/2} L D^{-1/2}. Only those m pairs
+    are computed, not the full spectrum.
 
     Returned vectors are D-orthonormal: U^T D U = I.
     """
     L = np.asarray(L, dtype=float)
     D = np.asarray(D, dtype=float)
     n = L.shape[0]
-    if m > n:
+    if not 1 <= m <= n:
         raise DataError(f"requested {m} eigenpairs from a {n}x{n} matrix")
     d = np.diagonal(D)
     if np.any(d <= 0):
@@ -93,9 +102,8 @@ def gen_eig_smallest(L: np.ndarray, D: np.ndarray, m: int) -> EigenResult:
     d_isqrt = 1.0 / np.sqrt(d)
     B = (L * d_isqrt[:, None]) * d_isqrt[None, :]
     B = (B + B.T) / 2.0
-    values, vectors = scipy.linalg.eigh(B)
-    U = vectors[:, :m] * d_isqrt[:, None]
-    return EigenResult(values=values[:m], vectors=_canonical_signs(U))
+    values, vectors = scipy.linalg.eigh(B, subset_by_index=[0, m - 1])
+    return EigenResult(values=values, vectors=_canonical_signs(vectors * d_isqrt[:, None]))
 
 
 @dataclass(frozen=True)

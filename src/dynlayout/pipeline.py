@@ -340,11 +340,12 @@ def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
     if config.method == "bfp":
         lap_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, snap))
         lam_grid = config.lambda_grid if t > 0 else (0.0,)
+        reference = X_prev if t > 0 and persist_mask.any() else None
         candidates: dict[float, Layout] = {}
 
         def composite(lam: float) -> float:
-            cand = gll.bfp_layout(lap_prev, lap, lam, X_prev if t > 0 else None, s,
-                                  config.normalized)
+            cand = gll.bfp_layout(lap_prev, lap, lam, reference, s, config.normalized,
+                                  persist_mask)
             candidates[lam] = cand
             static = metrics.static_cost_gll(cand.X, lap.L, lap.D)
             centroid = metrics.centroid_cost(cand.X, eval_labels) \

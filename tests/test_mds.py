@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_connected_adjacency
 from dynlayout.distances import kk_weights, shortest_path_distances
 from dynlayout.errors import DisconnectedGraphError
-from dynlayout.mds import (_pairwise_distances, augment_mds, build_R, build_S, dmds_layout,
-                           modified_stress, smacof_static, stabilized_mds_online, stress)
+from dynlayout.mds import (_Majorization, _pairwise_distances, augment_mds, build_R, build_S,
+                           dmds_layout, modified_stress, smacof_static,
+                           stabilized_mds_online, stress)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -99,6 +100,10 @@ class TestPairwiseDistances:
         else:
             # einsum adds the three squares in another order
             assert np.allclose(ours, ref, rtol=1e-15, atol=0.0)
+        # the in-place path overwrites whatever its buffers held
+        out, scratch = np.full_like(ours, np.nan), np.full_like(ours, np.inf)
+        assert _pairwise_distances(X, out, scratch) is out
+        assert np.array_equal(out, ours)
 
 
 # --- stress -----------------------------------------------------------------
@@ -376,3 +381,26 @@ class TestTraceEndsAtReturnedLayout:
             layout, report = stabilized_mds_online(delta, V, 0.9, E, X_prev)
             assert report.stress_trace[-1] == modified_stress(
                 layout.X, delta, V, np.zeros((6, 0)), 0.0, 0.9, E, X_prev)
+
+    def test_reused_buffers_hold_no_state_between_iterates(self, rng):
+        # two components, so pairs across them are unreachable (V = 0,
+        # delta = inf), and nodes 0 and 1 coincide in the last iterate
+        W = np.zeros((7, 7))
+        W[:4, :4] = random_connected_adjacency(rng, 4)
+        W[4:, 4:] = random_connected_adjacency(rng, 3)
+        dm = shortest_path_distances(W)
+        delta, V = dm.delta, kk_weights(dm)
+        assert np.isinf(delta[0, 4]) and V[0, 4] == 0
+        e = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        X_prev = rng.uniform(-1, 1, size=(7, 2))
+        system = _Majorization(V, delta, 0.8, e, X_prev)
+        iterates = [rng.uniform(-1, 1, size=(7, 2)) for _ in range(4)]
+        iterates[-1][1] = iterates[-1][0]
+        for X in iterates:
+            system.at(X).stress()
+            system.S()
+        fresh = _Majorization(V, delta, 0.8, e, X_prev).at(iterates[-1])
+        assert np.isfinite(system.stress())
+        assert system.stress() == fresh.stress()
+        assert np.array_equal(system.S(), fresh.S())
+        assert system.S()[0, 1] == 0.0

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import random_connected_adjacency
 
 from dynlayout.errors import DataError, NotPositiveDefiniteError
-from dynlayout.numerics import (gen_eig_smallest, minimize_eq_constrained, spd_factor,
+from dynlayout.numerics import (_canonical_signs, gen_eig_smallest, minimize_eq_constrained, spd_factor,
                                 spd_solve, sym_eig_smallest)
 
 
@@ -40,7 +46,70 @@ class TestSpdSolve:
             spd_factor(L)
 
 
+@st.composite
+def connected_laplacians(draw):
+    """(L, D, m): the Laplacian and degree matrix of a random connected
+    graph, weighted or not, or of a 4-block graph whose blocks hang together
+    by weak edges, so its four smallest eigenvalues nearly coincide; m is
+    often n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weighted = draw(st.booleans())
+    if draw(st.booleans()):
+        size = draw(st.integers(2, 8))
+        W = np.kron(np.eye(4), np.ones((size, size)) - np.eye(size))
+        if weighted:
+            W *= rng.uniform(0.5, 2.0, size=W.shape)
+            W = (W + W.T) / 2
+        for b in range(3):
+            W[b * size, (b + 1) * size] = W[(b + 1) * size, b * size] = 1e-4
+    else:
+        W = random_connected_adjacency(rng, draw(st.integers(2, 30)), weighted)
+    n = W.shape[0]
+    m = n if draw(st.booleans()) else draw(st.integers(1, n))
+    D = np.diag(W.sum(axis=1))
+    return D - W, D, m
+
+
+def loop_canonical_signs(vectors):
+    # the per-column loop that the vectorized sign convention replaced
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = int(np.argmax(np.abs(col)))
+        if col[idx] < 0:
+            out[:, j] = -col
+    return out
+
+
 class TestEigenSolvers:
+    @given(arrays(float, st.tuples(st.integers(1, 6), st.integers(0, 4)),
+                  elements=st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+                  | st.floats(-1e3, 1e3)))
+    @settings(deadline=None, max_examples=300)
+    def test_canonical_signs_match_loop_bit_for_bit(self, vectors):
+        # small values make magnitude ties, which go to the first entry
+        assert _canonical_signs(vectors).tobytes() == loop_canonical_signs(vectors).tobytes()
+
+    @given(connected_laplacians(), st.booleans())
+    @settings(deadline=None, max_examples=200)
+    def test_partial_solve_matches_full_spectrum(self, problem, generalized):
+        L, D, m = problem
+        if generalized:
+            res = gen_eig_smallest(L, D, m)
+            full = scipy.linalg.eigh(L, D, eigvals_only=True)
+        else:
+            D = np.eye(L.shape[0])
+            res = sym_eig_smallest(L, m)
+            full = scipy.linalg.eigh(L, eigvals_only=True)
+        U, scale = res.vectors, np.max(np.abs(full))
+        assert res.values.shape == (m,) and U.shape == (L.shape[0], m)
+        assert np.all(np.abs(res.values - full[:m]) <= 1e-12 * scale)
+        assert np.all(np.abs(U.T @ D @ U - np.eye(m)) <= 1e-12)
+        assert np.all(np.abs(L @ U - D @ U * res.values) <= 1e-12 * scale)
+        # canonical signs: the largest-magnitude entry of each vector, the
+        # first one on ties, is positive
+        assert np.all(U[np.argmax(np.abs(U), axis=0), np.arange(m)] > 0)
+
     def test_k2_laplacian_eigenvalues(self):
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
         res = sym_eig_smallest(L, 2)

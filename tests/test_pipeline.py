@@ -4,9 +4,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from conftest import random_connected_adjacency
 from dynlayout import gll, mds
 from dynlayout.errors import DataError, DisconnectedGraphError, NumericalError
 from dynlayout.graph import DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot
+from dynlayout.layout import align_to_reference
 from dynlayout.pipeline import (GROUPING_METHODS, METHODS, RegularizationConfig,
                                 learn_group_sequence, parameter_sweep, run_sequence)
 from dynlayout.sbm import SbmConfig, sbm_sequence
@@ -86,6 +88,22 @@ class TestRunSequence:
             config = RegularizationConfig(method=method, groups="none", seed=1)
             sequence, report = run_sequence(network, config)
             assert [step.X.shape[0] for step in sequence.steps] == [3, 3, 3]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bfp_aligns_on_nodes_present_at_previous_step(self, seed):
+        # nodes 4-7 leave at t = 1 and re-enter at t = 2 with their stale
+        # positions from t = 0; the axes and signs at t = 2 must be chosen on
+        # nodes 0-3 alone, the nodes present at t = 1
+        rng = np.random.default_rng(seed)
+        active = [range(8), range(4), range(8)]
+        snaps = [Snapshot(t=t, W=random_connected_adjacency(rng, len(nodes)), active=nodes)
+                 for t, nodes in enumerate(active)]
+        network = DynamicNetwork(NodeRegistry(f"v{i}" for i in range(8)), snaps)
+        sequence, _ = run_sequence(network, RegularizationConfig(method="bfp", seed=1))
+        X2 = sequence.steps[2].X
+        ref = np.zeros_like(X2)
+        ref[:4] = sequence.steps[1].X
+        assert np.array_equal(align_to_reference(X2, ref, np.arange(8) < 4), X2)
 
     @pytest.mark.parametrize("method", ["dmds", "mds-static"])
     def test_disconnected_snapshot_names_component_count(self, method):
