@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_connected_adjacency
-
 from dynlayout.errors import DataError, NotPositiveDefiniteError
-from dynlayout.numerics import (_canonical_signs, gen_eig_smallest, minimize_eq_constrained, spd_factor,
-                                spd_solve, sym_eig_smallest)
+from dynlayout.numerics import (_canonical_signs, gen_eig_smallest, minimize_eq_constrained,
+                                spd_factor, spd_solve, sym_eig_smallest)
 
 
 def random_spd(rng, n):
