@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DataError, NotPositiveDefiniteError
 from .graph import augment, has_temporal_anchor, require_connected
@@ -36,21 +37,6 @@ class SmacofReport:
     hit_iteration_cap: bool = False
 
 
-def _pairwise_distances(X: np.ndarray, out: np.ndarray | None = None,
-                        scratch: np.ndarray | None = None) -> np.ndarray:
-    # one coordinate at a time, so no (n, n, s) difference tensor is built;
-    # fills the n x n buffers ``out`` (the result) and ``scratch`` when given
-    n = X.shape[0]
-    sq = np.empty((n, n)) if out is None else out
-    diff = np.empty((n, n)) if scratch is None else scratch
-    sq.fill(0.0)
-    for col in X.T:
-        np.subtract.outer(col, col, out=diff)
-        diff *= diff
-        sq += diff
-    return np.sqrt(sq, out=sq)
-
-
 class _Majorization:
     """Modified stress and majorization matrix of one (V, delta) system.
 
@@ -67,17 +53,18 @@ class _Majorization:
         mask = V > 0
         self.V = np.where(mask, V, 0.0)
         self.delta = np.where(mask, delta, 0.0)
-        self.neg_num = -(self.V * self.delta)
-        self.num_nonzero = self.neg_num != 0
+        # 0.0 - p rather than -p: a zero product stays +0.0, so S holds no -0.0
+        self.neg_num = 0.0 - self.V * self.delta
         self.beta, self.e, self.X_prev = beta, e, X_prev
         self.dist = np.empty_like(self.V)
         self._scratch = np.empty_like(self.V)
         self._S = np.empty_like(self.V)
-        self._S_mask = np.empty_like(mask)
 
     def at(self, X: np.ndarray) -> "_Majorization":
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        _pairwise_distances(self.X, self.dist, self._scratch)
+        # adds the squared coordinate differences in order from zero, giving the
+        # same bits as a per-coordinate sum
+        cdist(self.X, self.X, out=self.dist)
         return self
 
     def stress(self) -> float:
@@ -94,13 +81,16 @@ class _Majorization:
     def S(self) -> np.ndarray:
         """Majorization matrix at the current iterate, in a buffer that the
         next call overwrites."""
-        S, keep = self._S, self._S_mask
-        np.greater(self.dist, 0, out=keep)
-        keep &= self.num_nonzero
-        S.fill(0.0)
-        np.divide(self.neg_num, self.dist, out=S, where=keep)
+        S = self._S
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self.neg_num, self.dist, out=S)
         np.fill_diagonal(S, 0.0)
-        np.fill_diagonal(S, -S.sum(axis=1))
+        rows = S.sum(axis=1)
+        if not np.isfinite(rows).all():
+            # two distinct points coincide (x/0 or 0/0); their term is 0
+            S[self.dist == 0] = 0.0
+            rows = S.sum(axis=1)
+        np.fill_diagonal(S, -rows)
         return S
 
 

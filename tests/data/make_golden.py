@@ -28,6 +28,13 @@ SBM_ARGS = ("simulate-sbm", "--n", "30", "--k", "4", "--steps", "8", "--change-s
 GOLDEN_RUNS = {
     "dmds": ("golden", "golden_run",
              ("--k", "2", "--method", "dmds", "--alpha", "1", "--beta", "1", "--seed", "13")),
+    "dmds-1d": (SBM_INPUT, "golden_dmds_1d",
+                ("--k", "4", "--method", "dmds", "--seed", "1", "--dims", "1")),
+    "mds-static-2d": (SBM_INPUT, "golden_mds_static_2d",
+                      ("--k", "4", "--method", "mds-static", "--seed", "1", "--dims", "2")),
+    "mds-stabilized-2d": (SBM_INPUT, "golden_mds_stabilized_2d",
+                          ("--k", "4", "--method", "mds-stabilized", "--seed", "1",
+                           "--dims", "2")),
     "dgll-1d": (SBM_INPUT, "golden_dgll_1d",
                 ("--k", "4", "--method", "dgll", "--seed", "1", "--dims", "1")),
     "dgll-2d": (SBM_INPUT, "golden_dgll_2d",

@@ -8,9 +8,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_connected_adjacency
 from dynlayout.distances import kk_weights, shortest_path_distances
 from dynlayout.errors import DisconnectedGraphError
-from dynlayout.mds import (_Majorization, _pairwise_distances, augment_mds, build_R, build_S,
-                           dmds_layout, modified_stress, smacof_static,
-                           stabilized_mds_online, stress)
+from dynlayout.mds import (_Majorization, augment_mds, build_R, build_S, dmds_layout,
+                           modified_stress, smacof_static, stabilized_mds_online, stress)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -79,31 +78,72 @@ def kk_problem(rng, n, weighted=False):
     return dm.delta, kk_weights(dm)
 
 
-# --- pairwise distances -----------------------------------------------------
+# --- majorization kernel ----------------------------------------------------
 
-def einsum_distances(X):
-    # the 3-D difference-tensor formula the per-coordinate sum replaced
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def loop_distances(X):
+    # one coordinate at a time, the squares added in order from zero
+    sq = np.zeros((X.shape[0], X.shape[0]))
+    for col in X.T:
+        diff = np.subtract.outer(col, col)
+        sq += diff * diff
+    return np.sqrt(sq)
 
 
-class TestPairwiseDistances:
-    @given(st.integers(1, 3).flatmap(lambda s: arrays(
-        float, st.tuples(st.integers(1, 12), st.just(s)),
-        elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
+def masked_S(V, delta, dist):
+    # -v_ij delta_ij / d_ij only where v_ij > 0, d_ij > 0 and the product is
+    # nonzero, 0 elsewhere; the diagonal makes rows sum to zero
+    mask = V > 0
+    neg_num = -(np.where(mask, V, 0.0) * np.where(mask, delta, 0.0))
+    keep = (dist > 0) & (neg_num != 0)
+    S = np.zeros_like(dist)
+    np.divide(neg_num, dist, out=S, where=keep)
+    np.fill_diagonal(S, 0.0)
+    np.fill_diagonal(S, -S.sum(axis=1))
+    return S
+
+
+@st.composite
+def layouts(draw, max_n=12):
+    """Up to ``max_n`` points in 1-3 dimensions over six decades of scale,
+    drawn from fewer distinct points so that rows often repeat."""
+    s = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    base = draw(arrays(float, st.tuples(st.integers(1, max_n), st.just(s)),
+                       elements=st.floats(-1, 1, allow_subnormal=False)))
+    rows = draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=1, max_size=max_n))
+    return scale * base[rows]
+
+
+class TestMajorizationKernel:
+    @given(layouts(), layouts())
     @settings(deadline=None, max_examples=300)
-    def test_matches_einsum_formula(self, X):
-        ours = _pairwise_distances(X)
-        ref = einsum_distances(X)
-        if X.shape[1] <= 2:
-            assert np.array_equal(ours, ref)
-        else:
-            # einsum adds the three squares in another order
-            assert np.allclose(ours, ref, rtol=1e-15, atol=0.0)
-        # the in-place path overwrites whatever its buffers held
-        out, scratch = np.full_like(ours, np.nan), np.full_like(ours, np.inf)
-        assert _pairwise_distances(X, out, scratch) is out
-        assert np.array_equal(out, ours)
+    def test_distances_match_per_coordinate_sum(self, X, other):
+        n = X.shape[0]
+        system = _Majorization(np.zeros((n, n)), np.zeros((n, n)))
+        system.dist.fill(np.nan)
+        assert np.array_equal(system.at(X).dist, loop_distances(X))
+        # an earlier iterate, possibly of another dimension, leaves nothing behind
+        other = np.resize(other, (n, other.shape[1]))
+        system.at(other)
+        assert np.array_equal(system.at(X).dist, loop_distances(X))
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_S_matches_masked_formula(self, data):
+        X = data.draw(layouts())
+        n = X.shape[0]
+        square = st.tuples(st.just(n), st.just(n))
+        V = data.draw(arrays(float, square, elements=st.sampled_from([0.0, 0.25, 1.0, 3.0])))
+        delta = data.draw(arrays(float, square, elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+        # unreachable pairs: no weight and an infinite desired distance
+        unreachable = data.draw(arrays(bool, square)) & (V == 0)
+        delta[unreachable] = np.inf
+        system = _Majorization(V, delta)
+        system.at(X + 1.0).S()
+        S = system.at(X).S()
+        ref = masked_S(V, delta, loop_distances(X))
+        assert np.array_equal(S, ref)
+        assert np.array_equal(np.signbit(S), np.signbit(ref))
 
 
 # --- stress -----------------------------------------------------------------
