@@ -39,6 +39,14 @@ GOLDEN_RUNS = {
                 ("--k", "4", "--method", "dgll", "--seed", "1", "--dims", "1")),
     "dgll-2d": (SBM_INPUT, "golden_dgll_2d",
                 ("--k", "4", "--method", "dgll", "--seed", "1", "--dims", "2")),
+    "spectral-1d": (SBM_INPUT, "golden_spectral_1d",
+                    ("--k", "4", "--method", "spectral", "--seed", "1", "--dims", "1")),
+    "spectral-2d": (SBM_INPUT, "golden_spectral_2d",
+                    ("--k", "4", "--method", "spectral", "--seed", "1", "--dims", "2")),
+    "ccdr-1d": (SBM_INPUT, "golden_ccdr_1d",
+                ("--k", "4", "--method", "ccdr", "--seed", "1", "--dims", "1")),
+    "bfp-1d": (SBM_INPUT, "golden_bfp_1d",
+               ("--k", "4", "--method", "bfp", "--seed", "1", "--dims", "1")),
     "bfp-2d": (SBM_INPUT, "golden_bfp_2d",
                ("--k", "4", "--method", "bfp", "--seed", "1", "--dims", "2")),
     "ccdr-2d": (SBM_INPUT, "golden_ccdr_2d",
