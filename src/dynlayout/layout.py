@@ -19,9 +19,11 @@ class Layout:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        Y = np.asarray(self.Y, dtype=float).reshape(-1, X.shape[1]) if np.size(self.Y) else \
-            np.zeros((0, X.shape[1]))
+        # C order, like a layout read back from a file, so that costs summed
+        # over it come out in the same bits
+        X = np.ascontiguousarray(np.atleast_2d(np.asarray(self.X, dtype=float)))
+        Y = np.ascontiguousarray(np.asarray(self.Y, dtype=float).reshape(-1, X.shape[1])) \
+            if np.size(self.Y) else np.zeros((0, X.shape[1]))
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
             raise DataError("layout coordinates must be finite")
         X.flags.writeable = False

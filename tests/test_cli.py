@@ -186,14 +186,22 @@ class TestMetricsCommand:
     def test_recomputed_costs_match_run(self, method, sbm_fixture, churn_fixture, tmp_path):
         _, snaps, groups = sbm_fixture
         # known groups on the block model; learned groups (scored against
-        # the labels stored in the layout) on the churned sequence
-        inputs = {"sbm": (snaps, ["--groups", str(groups), "--k", "2"],
-                          ["--groups", str(groups), "--k", "2"]),
-                  "churn": (churn_fixture, ["--groups", "learn", "--k", "2"], [])}
-        for name, (path, layout_groups, metrics_groups) in inputs.items():
+        # the labels stored in the layout) on the churned sequence; the
+        # golden block model at both dimensions, whose eigen layouts hold
+        # column slices that a reloaded layout does not
+        sbm_groups = ["--groups", str(groups), "--k", "2"]
+        golden = make_golden.DATA / make_golden.SBM_INPUT
+        golden_groups = ["--groups", f"{golden}.groups.tsv", "--k", "4"]
+        inputs = {"sbm": (snaps, sbm_groups, ["--seed", "3"], sbm_groups),
+                  "churn": (churn_fixture, ["--groups", "learn", "--k", "2"], ["--seed", "3"],
+                            []),
+                  **{f"golden-{s}d": (f"{golden}.snapshots.tsv", golden_groups,
+                                      ["--seed", "1", "--dims", s], golden_groups)
+                     for s in ("1", "2")}}
+        for name, (path, layout_groups, options, metrics_groups) in inputs.items():
             out = tmp_path / name
             assert run(["layout", "--input", str(path), *layout_groups,
-                        "--method", method, "--seed", "3", "--out", str(out)]) == 0
+                        "--method", method, *options, "--out", str(out)]) == 0
             costs = tmp_path / f"{name}.recomputed.csv"
             code = run(["metrics", "--input", str(path), *metrics_groups,
                         "--layout", str(tmp_path / f"{name}.layout.json"),
