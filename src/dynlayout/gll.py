@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DataError, DisconnectedGraphError, NumericalError
 from .graph import augment, has_temporal_anchor, require_connected
 from .layout import Layout, align_to_reference
-from .numerics import gen_eig_smallest, minimize_eq_constrained, sym_eig_smallest
+from .numerics import (gen_eig_smallest, kkt_residuals, minimize_eq_constrained,
+                       sym_eig_smallest)
 
 
 @dataclass(frozen=True)
@@ -39,47 +40,36 @@ def energy(X: np.ndarray, L: np.ndarray) -> float:
     return float(np.trace(X.T @ L @ X))
 
 
-def _scaled_eig_layout(W: np.ndarray, L: np.ndarray, D: np.ndarray, s: int,
-                       normalized: bool, what: str) -> np.ndarray:
-    """Scaled eigen layout of the Laplacian L (degrees D) of the connected
-    graph W; ``what`` names the layout in the error for a disconnected W."""
-    require_connected(W, what)
-    n = L.shape[0]
+def _scaled_eig_layout(lap: LaplacianPair, s: int, normalized: bool, what: str,
+                       reference: np.ndarray | None = None,
+                       mask: np.ndarray | None = None) -> np.ndarray:
+    """Scaled eigen layout of a connected graph given by its Laplacian pair,
+    sign/axis aligned to ``reference`` on the rows that ``mask`` marks when
+    a reference is given; ``what`` names the layout in the error for a
+    disconnected graph."""
+    require_connected(lap.D - lap.L, what)
+    n = lap.L.shape[0]
     if s + 1 > n:
         raise DataError(f"need at least {s + 1} nodes for a {s}-D spectral layout, got {n}")
     if normalized:
-        res = gen_eig_smallest(L, D, s + 1)
-        scale = np.sqrt(np.trace(D))
+        res = gen_eig_smallest(lap.L, lap.D, s + 1)
+        scale = np.sqrt(np.trace(lap.D))
     else:
-        res = sym_eig_smallest(L, s + 1)
+        res = sym_eig_smallest(lap.L, s + 1)
         scale = np.sqrt(n)
-    return scale * res.vectors[:, 1:s + 1]
+    X = scale * res.vectors[:, 1:s + 1]
+    return X if reference is None else align_to_reference(X, reference, mask)
 
 
-def spectral_layout(W: np.ndarray, s: int, normalized: bool = True) -> Layout:
+def spectral_layout(W: np.ndarray, s: int, normalized: bool = True,
+                    reference: np.ndarray | None = None,
+                    mask: np.ndarray | None = None) -> Layout:
     """Static layout from the s smallest nontrivial (generalized)
     Laplacian eigenvectors, scaled so the layout has unit (degree-)
-    weighted variance per dimension."""
-    W = np.asarray(W, dtype=float)
-    lap = laplacian(W)
-    X = _scaled_eig_layout(W, lap.L, lap.D, s, normalized, "spectral layout")
+    weighted variance per dimension, and aligned to ``reference`` (on the
+    rows ``mask`` marks) when one is given."""
+    X = _scaled_eig_layout(laplacian(W), s, normalized, "spectral layout", reference, mask)
     return Layout(X=X, Y=np.zeros((0, s)))
-
-
-@dataclass(frozen=True)
-class AugmentedGllSystem:
-    """Adjacency augmented with group-representative nodes tied to their
-    members by edges of weight alpha."""
-
-    W_aug: np.ndarray
-    L_aug: np.ndarray
-    D_aug: np.ndarray
-
-
-def augment_gll(W: np.ndarray, C: np.ndarray, alpha: float) -> AugmentedGllSystem:
-    W_aug = augment(W, C, alpha)
-    lap = laplacian(W_aug)
-    return AugmentedGllSystem(W_aug=W_aug, L_aug=lap.L, D_aug=lap.D)
 
 
 def centering_matrix(D: np.ndarray) -> np.ndarray:
@@ -94,13 +84,15 @@ def centering_matrix(D: np.ndarray) -> np.ndarray:
 
 
 def ccdr_layout(W: np.ndarray, C: np.ndarray, alpha: float, s: int,
-                normalized: bool = True) -> Layout:
+                normalized: bool = True, reference: np.ndarray | None = None,
+                mask: np.ndarray | None = None) -> Layout:
     """Grouping-regularized eigen layout: spectral layout of the augmented
-    graph, split back into node and representative coordinates."""
+    graph, aligned on its node rows to ``reference`` (on the rows ``mask``
+    marks) when one is given, and split back into node and representative
+    coordinates."""
     n = np.shape(C)[0]
-    system = augment_gll(W, C, alpha)
-    X_aug = _scaled_eig_layout(system.W_aug, system.L_aug, system.D_aug, s, normalized,
-                               "grouping-regularized spectral layout")
+    X_aug = _scaled_eig_layout(laplacian(augment(W, C, alpha)), s, normalized,
+                               "grouping-regularized spectral layout", reference, mask)
     return Layout(X=X_aug[:n], Y=X_aug[n:])
 
 
@@ -114,9 +106,8 @@ def bfp_layout(lap_prev: LaplacianPair, lap_curr: LaplacianPair, lam: float,
         raise DataError(f"blend weight must be in [0, 1], got {lam}")
     L = lam * lap_prev.L + (1.0 - lam) * lap_curr.L
     D = lam * lap_prev.D + (1.0 - lam) * lap_curr.D
-    X = _scaled_eig_layout(D - L, L, D, s, normalized, "blended-Laplacian layout")
-    if X_prev is not None:
-        X = align_to_reference(X, X_prev, mask)
+    X = _scaled_eig_layout(LaplacianPair(L=L, D=D), s, normalized, "blended-Laplacian layout",
+                           X_prev, mask)
     return Layout(X=X, Y=np.zeros((0, s)))
 
 
@@ -274,17 +265,16 @@ def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
     along some axis is replaced by a feasible random one drawn from
     ``rng``. When there is no temporal anchor (beta = 0 or nothing
     persisted, e.g. the first step) the objective has no linear term and
-    the scaled eigenvector solution is returned directly. Raises
-    NumericalError, carrying the last iterate, when the solve does not
-    converge.
+    the scaled eigenvector solution is taken directly. Either way the
+    residuals are reported at the returned point. Raises NumericalError,
+    carrying the last iterate, when the solve does not converge.
     """
-    W = np.asarray(W, dtype=float)
     C = np.asarray(C, dtype=float)
     n, k = C.shape
     if s not in (1, 2):
         raise DataError(f"constrained dynamic layout supports 1-D and 2-D only, got s={s}")
-    system = augment_gll(W, C, alpha)
-    D_for_M = system.D_aug if normalized else np.eye(n + k)
+    lap = laplacian(augment(W, C, alpha))
+    D_for_M = lap.D if normalized else np.eye(n + k)
     if np.count_nonzero(np.diagonal(D_for_M)) <= s:
         # the scatter constraint needs s independent directions
         raise DataError(f"need more than {s} points with positive weight for a {s}-D "
@@ -293,38 +283,29 @@ def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
     target = float(np.trace(D_for_M))
     E_aug = augment(E, C, 0.0)
     X_prev_aug = np.atleast_2d(np.asarray(X_prev_aug, dtype=float))
+    problem = _DgllProblem(lap.L, E_aug, beta, X_prev_aug, M, target, s)
 
     if not has_temporal_anchor(beta, E_aug):
-        X = _scaled_eig_layout(system.W_aug, system.L_aug, system.D_aug, s, normalized,
-                               "eigen solve of the dynamic layout problem")
-        grad, g, J, _ = dgll_derivatives(X, system.L_aug, E_aug, beta, X_prev_aug, M,
-                                         np.zeros(3 if s == 2 else 1), target)
-        mu, *_ = np.linalg.lstsq(J.T, -grad, rcond=None)
-        kkt = float(np.max(np.abs(grad + J.T @ mu)))
-        return DgllSolution(
-            X_aug=X, n_nodes=n, objective=dgll_objective(X, system.L_aug, E_aug, beta, X_prev_aug),
-            kkt_residual=kkt, constraint_residual=float(np.max(np.abs(g))),
-        )
-
-    problem = _DgllProblem(system.L_aug, E_aug, beta, X_prev_aug, M, target, s)
-
-    start = X_prev_aug
-    if np.linalg.eigvalsh(start.T @ M @ start)[0] <= 1e-10 * target:
-        # no scatter along some axis (e.g. a new node placed on its only
-        # neighbor): the constraint Jacobian is rank-deficient there, so the
-        # solve could not reach the constraint from this start
-        start = _feasible_random_start(np.random.default_rng(rng), n + k, s, M, target)
-    result = minimize_eq_constrained(problem.f, problem.grad, problem.g, problem.jac,
-                                     lambda x, mu: problem.hess(mu), start.T.reshape(-1),
-                                     tol=tol)
-    if not result.converged:
-        raise NumericalError(
-            "constrained layout solver did not converge "
-            f"(feasibility residual {result.feasibility_residual:.3e}, "
-            f"KKT residual {result.kkt_residual:.3e})",
-            best_iterate=problem.unflatten(result.x),
-        )
-    return DgllSolution(
-        X_aug=problem.unflatten(result.x), n_nodes=n, objective=problem.f(result.x),
-        kkt_residual=result.kkt_residual, constraint_residual=result.feasibility_residual,
-    )
+        X = _scaled_eig_layout(lap, s, normalized, "eigen solve of the dynamic layout problem")
+        x = X.T.reshape(-1)
+        feasibility, kkt = kkt_residuals(x, problem.grad, problem.g, problem.jac)
+    else:
+        start = X_prev_aug
+        if np.linalg.eigvalsh(start.T @ M @ start)[0] <= 1e-10 * target:
+            # no scatter along some axis (e.g. a new node placed on its only
+            # neighbor): the constraint Jacobian is rank-deficient there, so
+            # the solve could not reach the constraint from this start
+            start = _feasible_random_start(np.random.default_rng(rng), n + k, s, M, target)
+        result = minimize_eq_constrained(problem.f, problem.grad, problem.g, problem.jac,
+                                         lambda x, mu: problem.hess(mu), start.T.reshape(-1),
+                                         tol=tol)
+        if not result.converged:
+            raise NumericalError(
+                "constrained layout solver did not converge "
+                f"(feasibility residual {result.feasibility_residual:.3e}, "
+                f"KKT residual {result.kkt_residual:.3e})",
+                best_iterate=problem.unflatten(result.x),
+            )
+        x, feasibility, kkt = result.x, result.feasibility_residual, result.kkt_residual
+    return DgllSolution(X_aug=problem.unflatten(x), n_nodes=n, objective=problem.f(x),
+                        kkt_residual=kkt, constraint_residual=feasibility)

@@ -31,19 +31,6 @@ class Layout:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """[X; Y] as one (n+k) x s matrix."""
-        return np.vstack([self.X, self.Y])
-
 
 def align_to_reference(X: np.ndarray, ref: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Permute and sign-flip the columns of X to maximize trace alignment
@@ -51,15 +38,17 @@ def align_to_reference(X: np.ndarray, ref: np.ndarray, mask: np.ndarray | None =
 
     Eigen-based layouts are only defined up to axis permutation and
     reflection; without this step their temporal cost is dominated by
-    arbitrary sign flips. Rows where ``mask`` is False (e.g. nodes absent
-    from the reference) are ignored when scoring.
+    arbitrary sign flips. Only the first len(ref) rows of X are scored,
+    so a layout stacked with its group representatives aligns on its
+    nodes; rows where ``mask`` is False (e.g. nodes absent from the
+    reference) are ignored too.
     """
     X = np.asarray(X, dtype=float)
     ref = np.asarray(ref, dtype=float)
     s = X.shape[1]
-    if ref.shape != X.shape:
-        raise DataError(f"reference shape {ref.shape} does not match layout shape {X.shape}")
-    rows = np.arange(X.shape[0]) if mask is None else np.flatnonzero(mask)
+    if ref.shape[1:] != X.shape[1:] or ref.shape[0] > X.shape[0]:
+        raise DataError(f"reference shape {ref.shape} does not fit layout shape {X.shape}")
+    rows = np.arange(ref.shape[0]) if mask is None else np.flatnonzero(mask)
     A = X[rows].T @ ref[rows]
     best_score, best_perm = -np.inf, None
     for perm in itertools.permutations(range(s)):

@@ -179,6 +179,24 @@ def _relative_decrease(prev: float, cur: float) -> float:
     return (prev - cur) / prev
 
 
+def _majorize(system: _Majorization, X: np.ndarray, update, eps: float, max_iter: int,
+              what: str) -> tuple[np.ndarray, SmacofReport]:
+    """Iterate X <- update(X), with ``system`` placed at X before each
+    update, until the relative stress decrease drops below eps or max_iter
+    updates are made; hitting the cap is logged as a warning naming ``what``."""
+    trace = [system.at(X).stress()]
+    while True:
+        X = update(X)
+        trace.append(system.at(X).stress())
+        converged = _relative_decrease(trace[-2], trace[-1]) < eps
+        if converged or len(trace) > max_iter:
+            break
+    if not converged:
+        logger.warning("%s hit the %d-iteration cap", what, max_iter)
+    return X, SmacofReport(iterations=len(trace) - 1, stress_trace=tuple(trace),
+                           hit_iteration_cap=not converged)
+
+
 def dmds_layout(
     delta: np.ndarray,
     V: np.ndarray,
@@ -222,28 +240,17 @@ def dmds_layout(
 
     system = _Majorization(V_aug, delta_aug, beta, np.diagonal(E_aug)[:n], X_prev_aug)
     anchor = beta * (E_aug @ X_prev_aug)
-    trace = [system.at(X).stress()]
-    hit_cap = False
-    iterations = 0
-    while True:
-        iterations += 1
+
+    def update(X):
         rhs = system.S() @ X + anchor
         if temporal:
-            X = spd_solve(factor, rhs)
-        else:
-            X = np.zeros_like(X)
-            X[1:] = spd_solve(factor, rhs[1:])
-        trace.append(system.at(X).stress())
-        if _relative_decrease(trace[-2], trace[-1]) < eps:
-            break
-        if iterations >= max_iter:
-            hit_cap = True
-            logger.warning("majorization hit the %d-iteration cap", max_iter)
-            break
+            return spd_solve(factor, rhs)
+        X = np.zeros_like(X)
+        X[1:] = spd_solve(factor, rhs[1:])
+        return X
 
-    layout = Layout(X=X[:n], Y=X[n:])
-    return layout, SmacofReport(iterations=iterations, stress_trace=tuple(trace),
-                                hit_iteration_cap=hit_cap)
+    X, report = _majorize(system, X, update, eps, max_iter, "majorization")
+    return Layout(X=X[:n], Y=X[n:]), report
 
 
 def smacof_static(
@@ -294,22 +301,12 @@ def stabilized_mds_online(
     movable = denom > 0
     system = _Majorization(V, delta, beta, e, X_prev)
     anchor = beta * e[:, None] * X_prev
-    trace = [system.at(X).stress()]
-    hit_cap = False
-    iterations = 0
-    while True:
-        iterations += 1
+
+    def update(X):
         numer = V @ X + system.S() @ X + anchor
         X_new = X.copy()
         X_new[movable] = numer[movable] / denom[movable, None]
-        X = X_new
-        trace.append(system.at(X).stress())
-        if _relative_decrease(trace[-2], trace[-1]) < eps:
-            break
-        if iterations >= max_iter:
-            hit_cap = True
-            logger.warning("stabilized MDS hit the %d-iteration cap", max_iter)
-            break
+        return X_new
 
-    return Layout(X=X, Y=np.zeros((0, X.shape[1]))), SmacofReport(
-        iterations=iterations, stress_trace=tuple(trace), hit_iteration_cap=hit_cap)
+    X, report = _majorize(system, X, update, eps, max_iter, "stabilized MDS")
+    return Layout(X=X, Y=np.zeros((0, X.shape[1]))), report

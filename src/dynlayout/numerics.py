@@ -121,7 +121,6 @@ class EqConstrainedResult:
     feasibility_residual: float
     converged: bool
     iterations: int
-    multipliers: np.ndarray
 
 
 # penalty weights of the continuation, each solve warm-started from the last
@@ -165,24 +164,24 @@ def minimize_eq_constrained(
         x = solve.x
         x_pol, polish_steps = _kkt_polish(x, rho * np.atleast_1d(g(x)), grad, g, jac, hess, tol)
         iterations += solve.nit + polish_steps
-        feas, kkt, mu = _residuals(x_pol, grad, g, jac)
+        feas, kkt = kkt_residuals(x_pol, grad, g, jac)
         if feas <= tol and kkt <= tol:
             return EqConstrainedResult(x=x_pol, kkt_residual=kkt, feasibility_residual=feas,
-                                       converged=True, iterations=iterations, multipliers=mu)
-    feas, kkt, mu = _residuals(x, grad, g, jac)
+                                       converged=True, iterations=iterations)
+    feas, kkt = kkt_residuals(x, grad, g, jac)
     return EqConstrainedResult(x=x, kkt_residual=kkt, feasibility_residual=feas,
-                               converged=False, iterations=iterations, multipliers=mu)
+                               converged=False, iterations=iterations)
 
 
-def _residuals(x, grad, g, jac) -> tuple[float, float, np.ndarray]:
-    # Constraint and stationarity residuals at x, with the multipliers from
-    # least squares on the stationarity system grad f + J^T mu = 0.
+def kkt_residuals(x, grad, g, jac) -> tuple[float, float]:
+    """Feasibility max|g(x)| and stationarity max|grad f + J^T mu| at x,
+    with the multipliers mu that least squares gives for grad f + J^T mu = 0."""
     gv = np.atleast_1d(g(x))
     gr = np.asarray(grad(x))
     J = np.atleast_2d(jac(x))
     mu, *_ = np.linalg.lstsq(J.T, -gr, rcond=None)
     kkt = float(np.max(np.abs(gr + J.T @ mu))) if gr.size else 0.0
-    return (float(np.max(np.abs(gv))) if gv.size else 0.0), kkt, mu
+    return (float(np.max(np.abs(gv))) if gv.size else 0.0), kkt
 
 
 def _kkt_polish(x, mu, grad, g, jac, hess, tol, rounds: int = 8):

@@ -18,7 +18,7 @@ from . import gll, mds, metrics
 from .distances import kk_weights, shortest_path_distances, similarity_to_dissimilarity
 from .errors import DataError, DynlayoutError
 from .graph import DynamicNetwork, Snapshot, build_membership_matrix
-from .layout import Layout, align_to_reference
+from .layout import Layout
 
 MDS_METHODS = ("dmds", "mds-static", "mds-stabilized")
 GLL_METHODS = ("dgll", "spectral", "ccdr", "bfp")
@@ -317,30 +317,20 @@ def _solve_mds(snap, state, config, t, E, X_prev, labels, C, kept, delta, V):
 def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
                eval_labels):
     s = config.dims
-    n = snap.n
-    k_eff = C.shape[1]
     persist_mask = np.diagonal(E) > 0
+    # eigen layouts align to the previous step on the nodes present at both
+    reference = X_prev if t > 0 and persist_mask.any() else None
 
     if config.method == "spectral":
-        layout = gll.spectral_layout(snap.W, s, config.normalized)
-        X = layout.X
-        if t > 0 and persist_mask.any():
-            X = align_to_reference(X, X_prev, persist_mask)
-        return Layout(X=X, Y=np.zeros((0, s)))
+        return gll.spectral_layout(snap.W, s, config.normalized, reference, persist_mask)
 
     if config.method == "ccdr":
-        layout = gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized)
-        stacked = layout.stacked
-        if t > 0 and persist_mask.any():
-            mask_aug = np.concatenate([persist_mask, np.zeros(k_eff, dtype=bool)])
-            ref = np.vstack([X_prev, np.zeros((k_eff, s))])
-            stacked = align_to_reference(stacked, ref, mask_aug)
-        return Layout(X=stacked[:n], Y=stacked[n:])
+        return gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized, reference,
+                               persist_mask)
 
     if config.method == "bfp":
         lap_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, snap))
         lam_grid = config.lambda_grid if t > 0 else (0.0,)
-        reference = X_prev if t > 0 and persist_mask.any() else None
         candidates: dict[float, Layout] = {}
 
         def composite(lam: float) -> float:

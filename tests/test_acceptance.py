@@ -26,6 +26,7 @@ from conftest import ACCEPTANCE_LINES, random_connected_adjacency
 from dynlayout import clustering as clus
 from dynlayout import gll, mds
 from dynlayout.distances import kk_weights, shortest_path_distances
+from dynlayout.graph import augment
 
 SEEDS = list(range(50))
 SWEEP_SEEDS = [0, 1]
@@ -279,24 +280,24 @@ class TestCriterion7DerivativeCorrectness:
                     C[rng.integers(n), g_idx] = 1.0
             beta = float(rng.uniform(0.2, 3.0))
             E = np.diag((rng.random(n) < 0.7).astype(float))
-            system = gll.augment_gll(W, C, float(rng.uniform(0.2, 2.0)))
-            M = gll.centering_matrix(system.D_aug)
-            target = float(np.trace(system.D_aug))
+            lap = gll.laplacian(augment(W, C, float(rng.uniform(0.2, 2.0))))
+            M = gll.centering_matrix(lap.D)
+            target = float(np.trace(lap.D))
             m = n + k
             E_aug = np.zeros((m, m))
             E_aug[:n, :n] = E
             X_prev = rng.standard_normal((m, 2))
             x0 = rng.standard_normal(2 * m)
             X0 = x0.reshape(2, m).T
-            grad, gval, J, H = gll.dgll_derivatives(X0, system.L_aug, E_aug, beta,
+            grad, gval, J, H = gll.dgll_derivatives(X0, lap.L, E_aug, beta,
                                                     X_prev, M, np.zeros(3), target)
 
             def f(x):
-                return gll.dgll_objective(x.reshape(2, m).T, system.L_aug, E_aug,
+                return gll.dgll_objective(x.reshape(2, m).T, lap.L, E_aug,
                                           beta, X_prev)
 
             def g_of(x):
-                return gll.dgll_derivatives(x.reshape(2, m).T, system.L_aug, E_aug,
+                return gll.dgll_derivatives(x.reshape(2, m).T, lap.L, E_aug,
                                             beta, X_prev, M, np.zeros(3), target)[1]
 
             h = 1e-6
@@ -308,7 +309,7 @@ class TestCriterion7DerivativeCorrectness:
                                     for e in eye])
             scale_j = max(1.0, float(np.max(np.abs(J))))
             worst_jac = max(worst_jac, float(np.max(np.abs(J - fd_J))) / scale_j)
-            block = 2.0 * system.L_aug + 2.0 * beta * E_aug
+            block = 2.0 * lap.L + 2.0 * beta * E_aug
             exact = (np.array_equal(H[:m, :m], block)
                      and np.array_equal(H[m:, m:], block)
                      and np.array_equal(H[:m, m:], np.zeros((m, m))))
@@ -340,12 +341,12 @@ class TestCriterion8DgllSolverContract:
             worst_g = max(worst_g, solution.constraint_residual)
             worst_kkt = max(worst_kkt, solution.kkt_residual)
 
-            system = gll.augment_gll(W, C, 1.0)
-            M = gll.centering_matrix(system.D_aug)
-            target = float(np.trace(system.D_aug))
+            lap = gll.laplacian(augment(W, C, 1.0))
+            M = gll.centering_matrix(lap.D)
+            target = float(np.trace(lap.D))
             E_aug = np.zeros((m, m))
             E_aug[:n, :n] = E
-            L = system.L_aug
+            L = lap.L
 
             def f(x):
                 X = x.reshape(2, m).T

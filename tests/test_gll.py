@@ -6,9 +6,10 @@ import dynlayout as dl
 from conftest import random_connected_adjacency
 from dynlayout import gll
 from dynlayout.errors import DataError
-from dynlayout.gll import (augment_gll, bfp_lambda_select, bfp_layout, ccdr_layout,
-                           centering_matrix, dgll_derivatives, dgll_layout,
-                           dgll_objective, energy, laplacian, spectral_layout)
+from dynlayout.gll import (bfp_lambda_select, bfp_layout, ccdr_layout, centering_matrix,
+                           dgll_derivatives, dgll_layout, dgll_objective, energy, laplacian,
+                           spectral_layout)
+from dynlayout.graph import augment
 from dynlayout.layout import align_to_reference
 
 
@@ -116,22 +117,22 @@ class TestSpectralLayout:
 class TestAugmentGll:
     def test_no_groups(self):
         W = path_graph()
-        system = augment_gll(W, np.zeros((3, 0)), 2.0)
-        assert np.array_equal(system.W_aug, W)
+        lap = laplacian(augment(W, np.zeros((3, 0)), 2.0))
+        assert np.array_equal(lap.D - lap.L, W)
 
     def test_single_node_single_group(self):
-        system = augment_gll(np.zeros((1, 1)), np.array([[1.0]]), 3.0)
-        assert np.array_equal(system.W_aug, [[0.0, 3.0], [3.0, 0.0]])
-        assert np.array_equal(np.diagonal(system.D_aug), [3.0, 3.0])
+        lap = laplacian(augment(np.zeros((1, 1)), np.array([[1.0]]), 3.0))
+        assert np.array_equal(lap.D - lap.L, [[0.0, 3.0], [3.0, 0.0]])
+        assert np.array_equal(np.diagonal(lap.D), [3.0, 3.0])
 
     def test_degree_bookkeeping(self, rng):
         W = random_connected_adjacency(rng, 6)
         C = np.zeros((6, 2))
         C[:4, 0] = 1
         C[4:, 1] = 1
-        system = augment_gll(W, C, 1.5)
+        lap = laplacian(augment(W, C, 1.5))
         grouped = 6
-        assert np.trace(system.D_aug) == pytest.approx(
+        assert np.trace(lap.D) == pytest.approx(
             np.trace(laplacian(W).D) + 2 * 1.5 * grouped)
 
 
@@ -165,10 +166,10 @@ class TestCcdr:
         C[:3, 0] = 1
         C[3:, 1] = 1
         layout = ccdr_layout(W, C, 1.0, 2, normalized=True)
-        system = augment_gll(W, C, 1.0)
-        M = centering_matrix(system.D_aug)
-        stacked = layout.stacked
-        target = np.trace(system.D_aug)
+        lap = laplacian(augment(W, C, 1.0))
+        M = centering_matrix(lap.D)
+        stacked = np.vstack([layout.X, layout.Y])
+        target = np.trace(lap.D)
         assert np.allclose(stacked.T @ M @ stacked, target * np.eye(2), atol=1e-8)
 
     def test_large_alpha_collapses_groups(self, rng):
@@ -311,13 +312,13 @@ def random_dgll_instance(rng, n, k, s=2, normalized=True):
         E_diag[0] = 1.0
     E = np.diag(E_diag)
     X_prev = rng.standard_normal((n + k, s))
-    system = augment_gll(W, C, 1.0)
-    D_for_M = system.D_aug if normalized else np.eye(n + k)
+    lap = laplacian(augment(W, C, 1.0))
+    D_for_M = lap.D if normalized else np.eye(n + k)
     M = centering_matrix(D_for_M)
     target = float(np.trace(D_for_M))
     E_aug = np.zeros((n + k, n + k))
     E_aug[:n, :n] = E
-    return W, C, beta, E, X_prev, system, M, target, E_aug
+    return W, C, beta, E, X_prev, lap, M, target, E_aug
 
 
 class TestDgllDerivatives:
@@ -325,20 +326,20 @@ class TestDgllDerivatives:
         for _ in range(20):
             n = int(rng.integers(3, 9))
             k = int(rng.integers(0, 4))
-            W, C, beta, E, X_prev, system, M, target, E_aug = \
+            W, C, beta, E, X_prev, lap, M, target, E_aug = \
                 random_dgll_instance(rng, n, k)
             m = n + k
             x0 = rng.standard_normal(2 * m)
 
             def f(x):
-                return dgll_objective(x.reshape(2, m).T, system.L_aug, E_aug,
+                return dgll_objective(x.reshape(2, m).T, lap.L, E_aug,
                                       beta, X_prev)
 
             def g(x):
-                return dgll_derivatives(x.reshape(2, m).T, system.L_aug, E_aug, beta,
+                return dgll_derivatives(x.reshape(2, m).T, lap.L, E_aug, beta,
                                         X_prev, M, np.zeros(3), target)[1]
 
-            grad, gval, J, _ = dgll_derivatives(x0.reshape(2, m).T, system.L_aug,
+            grad, gval, J, _ = dgll_derivatives(x0.reshape(2, m).T, lap.L,
                                                 E_aug, beta, X_prev, M,
                                                 np.zeros(3), target)
             h = 1e-6
@@ -351,22 +352,22 @@ class TestDgllDerivatives:
             assert np.max(np.abs(J - fd_J)) <= 1e-5 * max(1.0, np.max(np.abs(J)))
 
     def test_zero_multiplier_hessian_is_block_diagonal(self, rng):
-        W, C, beta, E, X_prev, system, M, target, E_aug = \
+        W, C, beta, E, X_prev, lap, M, target, E_aug = \
             random_dgll_instance(rng, 5, 2)
         m = 7
         X = rng.standard_normal((m, 2))
-        _, _, _, H = dgll_derivatives(X, system.L_aug, E_aug, beta, X_prev, M,
+        _, _, _, H = dgll_derivatives(X, lap.L, E_aug, beta, X_prev, M,
                                       np.zeros(3), target)
-        block = 2 * system.L_aug + 2 * beta * E_aug
+        block = 2 * lap.L + 2 * beta * E_aug
         assert np.array_equal(H[:m, :m], block)
         assert np.array_equal(H[m:, m:], block)
         assert np.array_equal(H[:m, m:], np.zeros((m, m)))
 
     def test_three_dimensions_rejected(self, rng):
-        W, C, beta, E, X_prev, system, M, target, E_aug = \
+        W, C, beta, E, X_prev, lap, M, target, E_aug = \
             random_dgll_instance(rng, 4, 0)
         with pytest.raises(DataError):
-            dgll_derivatives(np.zeros((4, 3)), system.L_aug, E_aug, beta,
+            dgll_derivatives(np.zeros((4, 3)), lap.L, E_aug, beta,
                              np.zeros((4, 3)), M, np.zeros(3), target)
 
 
@@ -390,9 +391,9 @@ class TestDgllLayout:
 
     def test_huge_beta_returns_feasible_previous(self, rng):
         W = random_connected_adjacency(rng, 6)
-        system = augment_gll(W, np.zeros((6, 0)), 0.0)
-        M = centering_matrix(system.D_aug)
-        target = float(np.trace(system.D_aug))
+        lap = laplacian(augment(W, np.zeros((6, 0)), 0.0))
+        M = centering_matrix(lap.D)
+        target = float(np.trace(lap.D))
         raw = rng.standard_normal((6, 2))
         G = raw.T @ M @ raw
         vals, vecs = np.linalg.eigh(G)
@@ -404,7 +405,7 @@ class TestDgllLayout:
     def test_matches_tightening_penalty_oracle(self, rng):
         for _ in range(3):
             n = int(rng.integers(4, 6))
-            W, C, beta, E, X_prev, system, M, target, E_aug = \
+            W, C, beta, E, X_prev, lap, M, target, E_aug = \
                 random_dgll_instance(rng, n, 1)
             m = n + 1
             solution = dgll_layout(W, C, 1.0, beta, E, X_prev, 2)
@@ -412,7 +413,7 @@ class TestDgllLayout:
             # independent penalty oracle: objective/constraints and their
             # gradients written out directly, minimized by scipy BFGS with a
             # tightening quadratic penalty
-            L, E_full = system.L_aug, E_aug
+            L, E_full = lap.L, E_aug
 
             def f(x):
                 X = x.reshape(2, m).T
@@ -492,3 +493,41 @@ class TestAlignToReference:
         mask = np.array([True] * 5 + [False])
         aligned = align_to_reference(noisy, X, mask)
         assert np.allclose(aligned[:5], X[:5])
+
+    @pytest.mark.parametrize("mask", [None, "some"])
+    def test_stacked_layout_aligns_on_node_rows(self, mask, rng):
+        # a node-only reference gives the bits of the padded reference and
+        # mask that once stood in for it
+        for _ in range(30):
+            n, k, s = int(rng.integers(3, 9)), int(rng.integers(0, 4)), int(rng.integers(1, 3))
+            stacked = rng.standard_normal((n + k, s))
+            ref = rng.standard_normal((n, s))
+            node_mask = None if mask is None else rng.random(n) < 0.7
+            padded_mask = np.concatenate([np.ones(n, dtype=bool) if mask is None else node_mask,
+                                          np.zeros(k, dtype=bool)])
+            padded = align_to_reference(stacked, np.vstack([ref, np.zeros((k, s))]),
+                                        padded_mask)
+            assert np.array_equal(align_to_reference(stacked, ref, node_mask), padded)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (5, 3), (4, 1), (5,)])
+    def test_longer_or_wider_reference_rejected(self, shape, rng):
+        with pytest.raises(DataError, match="reference shape"):
+            align_to_reference(rng.standard_normal((5, 2)), np.zeros(shape))
+
+    @pytest.mark.parametrize("method", ["spectral", "ccdr"])
+    def test_eigen_layouts_align_to_a_given_reference(self, method, rng):
+        W = random_connected_adjacency(rng, 8)
+        C = np.zeros((8, 2))
+        C[:5, 0] = 1
+        C[5:, 1] = 1
+        ref = rng.standard_normal((8, 2))
+        mask = rng.random(8) < 0.6
+
+        def solve(*reference):
+            if method == "spectral":
+                return spectral_layout(W, 2, True, *reference)
+            return ccdr_layout(W, C, 1.0, 2, True, *reference)
+
+        free, aligned = solve(), solve(ref, mask)
+        expected = align_to_reference(np.vstack([free.X, free.Y]), ref, mask)
+        assert np.array_equal(np.vstack([aligned.X, aligned.Y]), expected)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_connected_adjacency
 from dynlayout.distances import kk_weights, shortest_path_distances
 from dynlayout.errors import DisconnectedGraphError
-from dynlayout.mds import (_Majorization, augment_mds, build_R, build_S, dmds_layout,
-                           modified_stress, smacof_static, stabilized_mds_online, stress)
+from dynlayout.mds import (DEFAULT_EPSILON, DEFAULT_MAX_ITER, _Majorization, augment_mds,
+                           build_R, build_S, dmds_layout, modified_stress, smacof_static,
+                           stabilized_mds_online, stress)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -444,3 +447,42 @@ class TestTraceEndsAtReturnedLayout:
         assert system.stress() == fresh.stress()
         assert np.array_equal(system.S(), fresh.S())
         assert system.S()[0, 1] == 0.0
+
+
+# solver name -> (solve(delta, V, X0, **options) from the start X0, the
+# solver's name in its iteration-cap warning)
+CAPPED_SOLVERS = {
+    "dmds_layout": (lambda delta, V, X0, **kw: dmds_layout(
+        delta, V, np.zeros((len(X0), 0)), 0.0, 0.5, np.eye(len(X0)), np.zeros_like(X0),
+        X0=X0, **kw), "majorization"),
+    "smacof_static": (smacof_static, "majorization"),
+    "stabilized_mds_online": (lambda delta, V, X0, **kw: stabilized_mds_online(
+        delta, V, 0.5, np.eye(len(X0)), np.zeros_like(X0), X0=X0, **kw), "stabilized MDS"),
+}
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("name", sorted(CAPPED_SOLVERS))
+    def test_cap_is_reported_and_logged(self, name, rng, caplog):
+        solve, what = CAPPED_SOLVERS[name]
+        delta, V = kk_problem(rng, 7)
+        X0 = rng.uniform(-1, 1, size=(7, 2))
+        with caplog.at_level(logging.WARNING, logger="dynlayout.mds"):
+            _, report = solve(delta, V, X0, max_iter=1)
+        first, second = report.stress_trace
+        assert (first - second) / first >= DEFAULT_EPSILON  # not converged after one update
+        assert report.hit_iteration_cap
+        assert report.iterations == 1
+        assert [rec.getMessage() for rec in caplog.records] == \
+            [f"{what} hit the 1-iteration cap"]
+
+    @pytest.mark.parametrize("name", sorted(CAPPED_SOLVERS))
+    def test_converged_run_is_not_capped(self, name, rng, caplog):
+        solve, _ = CAPPED_SOLVERS[name]
+        delta, V = kk_problem(rng, 7)
+        with caplog.at_level(logging.WARNING, logger="dynlayout.mds"):
+            _, report = solve(delta, V, rng.uniform(-1, 1, size=(7, 2)))
+        assert not report.hit_iteration_cap
+        assert 1 <= report.iterations < DEFAULT_MAX_ITER
+        assert len(report.stress_trace) == report.iterations + 1
+        assert caplog.records == []
