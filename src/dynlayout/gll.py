@@ -61,14 +61,15 @@ def _scaled_eig_layout(lap: LaplacianPair, s: int, normalized: bool, what: str,
     return X if reference is None else align_to_reference(X, reference, mask)
 
 
-def spectral_layout(W: np.ndarray, s: int, normalized: bool = True,
+def spectral_layout(lap: LaplacianPair, s: int, normalized: bool = True,
                     reference: np.ndarray | None = None,
                     mask: np.ndarray | None = None) -> Layout:
-    """Static layout from the s smallest nontrivial (generalized)
-    Laplacian eigenvectors, scaled so the layout has unit (degree-)
-    weighted variance per dimension, and aligned to ``reference`` (on the
-    rows ``mask`` marks) when one is given."""
-    X = _scaled_eig_layout(laplacian(W), s, normalized, "spectral layout", reference, mask)
+    """Static layout of the graph with Laplacian pair ``lap`` (see
+    ``laplacian``) from the s smallest nontrivial (generalized) Laplacian
+    eigenvectors, scaled so the layout has unit (degree-) weighted variance
+    per dimension, and aligned to ``reference`` (on the rows ``mask``
+    marks) when one is given."""
+    X = _scaled_eig_layout(lap, s, normalized, "spectral layout", reference, mask)
     return Layout(X=X, Y=np.zeros((0, s)))
 
 

@@ -42,15 +42,17 @@ def centroid_cost(X: np.ndarray, labels: Sequence[Optional[int]]) -> Optional[fl
     representative points). Returns None when no node is labeled.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    labeled = [i for i, lab in enumerate(labels) if lab is not None]
-    if not labeled:
+    labels = np.asarray(labels, dtype=object)
+    rows = np.flatnonzero(labels != None)  # noqa: E711 (elementwise on an object array)
+    if not rows.size:
         return None
+    groups = labels[rows].astype(int)
     total = 0.0
-    for group in sorted({labels[i] for i in labeled}):
-        members = [i for i in labeled if labels[i] == group]
-        centroid = X[members].mean(axis=0)
-        total += float(np.sum((X[members] - centroid) ** 2))
-    return total / len(labeled)
+    # groups in ascending order, members in index order
+    for group in np.unique(groups):
+        members = X[rows[groups == group]]
+        total += float(np.sum((members - members.mean(axis=0)) ** 2))
+    return total / rows.size
 
 
 def temporal_cost(X: np.ndarray, X_prev: np.ndarray, E: np.ndarray) -> float:

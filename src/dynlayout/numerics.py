@@ -6,10 +6,18 @@ computes only the few smallest eigenpairs a layout uses are the right
 tools. The one iterative kernel, ``minimize_eq_constrained``, solves
 DGLL's constrained step by quadratic-penalty continuation with exact
 trust-region steps and a Newton-KKT polish.
+
+At these sizes a multi-threaded BLAS costs time rather than saving it,
+and its thread count can change the last bits of a result, so a layout
+run holds every loaded OpenBLAS at one thread (``single_threaded_blas``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +26,73 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import DataError, NotPositiveDefiniteError
+
+# (getter, setter) of the thread count, one pair per OpenBLAS build: numpy's
+# 64-bit-integer build, SciPy's build, and a plain OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """Thread-count (getter, setter) of every OpenBLAS library loaded in the
+    process, found in /proc/self/maps; empty where there is none or no such
+    file. numpy and scipy.linalg, which load their libraries, are imported
+    by this module, so the result does not change once it is computed."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({fields[5] for fields in map(str.split, fh)
+                            if len(fields) == 6 and "openblas" in fields[5].lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+# the thread count is process-wide, so the scope is too: the outermost
+# entry saves and sets it, the last exit restores it
+_blas_scope_lock = threading.Lock()
+_blas_scope = {"depth": 0, "saved": ()}
+
+
+@contextmanager
+def single_threaded_blas():
+    """Hold every loaded OpenBLAS at one thread inside the block and restore
+    the previous thread counts when the last active block exits, normally
+    or by an exception. Nested and concurrent blocks share one scope. Does
+    nothing where no OpenBLAS thread control is found."""
+    with _blas_scope_lock:
+        if _blas_scope["depth"] == 0:
+            saved = tuple((setter, getter()) for getter, setter in _openblas_thread_controls())
+            for setter, _ in saved:
+                setter(1)
+            _blas_scope["saved"] = saved
+        _blas_scope["depth"] += 1
+    try:
+        yield
+    finally:
+        with _blas_scope_lock:
+            _blas_scope["depth"] -= 1
+            if _blas_scope["depth"] == 0:
+                for setter, count in _blas_scope["saved"]:
+                    setter(count)
+                _blas_scope["saved"] = ()
 
 
 @dataclass(frozen=True)

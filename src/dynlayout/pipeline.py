@@ -19,6 +19,7 @@ from .distances import kk_weights, shortest_path_distances, similarity_to_dissim
 from .errors import DataError, DynlayoutError
 from .graph import DynamicNetwork, Snapshot, build_membership_matrix
 from .layout import Layout
+from .numerics import single_threaded_blas
 
 MDS_METHODS = ("dmds", "mds-static", "mds-stabilized")
 GLL_METHODS = ("dgll", "spectral", "ccdr", "bfp")
@@ -322,7 +323,7 @@ def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
     reference = X_prev if t > 0 and persist_mask.any() else None
 
     if config.method == "spectral":
-        return gll.spectral_layout(snap.W, s, config.normalized, reference, persist_mask)
+        return gll.spectral_layout(lap, s, config.normalized, reference, persist_mask)
 
     if config.method == "ccdr":
         return gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized, reference,
@@ -374,7 +375,11 @@ def score_step(t: int, X: np.ndarray, static: float,
 def run_sequence(network: DynamicNetwork,
                  config: RegularizationConfig) -> tuple[LayoutSequence, metrics.CostReport]:
     """Lay out every snapshot with the configured method and score each
-    step. Engine failures are re-raised with the failing step attached."""
+    step. Engine failures are re-raised with the failing step attached.
+
+    The steps run on single-threaded BLAS (``numerics.single_threaded_blas``),
+    so the output does not depend on the machine's BLAS thread count; the
+    caller's thread count is restored when the run returns or raises."""
     n_groups = config.k if config.groups == "learn" else max(
         (snap.groups.k for snap in network.snapshots if snap.groups is not None), default=0)
     state = _SequenceState(len(network.registry), n_groups, config.dims)
@@ -382,42 +387,43 @@ def run_sequence(network: DynamicNetwork,
     report = metrics.CostReport(method=config.method, params=config.metadata())
     is_mds = config.method in MDS_METHODS
 
-    for t, snap in enumerate(network.snapshots):
-        try:
-            E = network.presence(t)
-            active = np.asarray(snap.active)
-            X_prev = state.last_X[active]
-            layout_labels, eval_labels, k = _group_info(snap, state, config, t)
-            if config.method in GROUPING_METHODS:
-                C, kept = _effective_membership(layout_labels, k, snap.n)
-            else:
-                C, kept = np.zeros((snap.n, 0)), []
+    with single_threaded_blas():
+        for t, snap in enumerate(network.snapshots):
+            try:
+                E = network.presence(t)
+                active = np.asarray(snap.active)
+                X_prev = state.last_X[active]
+                layout_labels, eval_labels, k = _group_info(snap, state, config, t)
+                if config.method in GROUPING_METHODS:
+                    C, kept = _effective_membership(layout_labels, k, snap.n)
+                else:
+                    C, kept = np.zeros((snap.n, 0)), []
 
-            iterations = None
-            trace = None
-            if is_mds:
-                delta, V = mds_inputs(snap.W, config.similarity_mode)
-                layout, solve_report = _solve_mds(snap, state, config, t, E, X_prev,
-                                                  layout_labels, C, kept, delta, V)
-                iterations = solve_report.iterations
-                trace = solve_report.stress_trace
-                static = metrics.static_cost_mds(layout.X, delta, V)
-            else:
-                lap = gll.laplacian(snap.W)
-                layout = _solve_gll(network, snap, state, config, t, E, X_prev, lap,
-                                    layout_labels, C, kept, eval_labels)
-                static = metrics.static_cost_gll(layout.X, lap.L, lap.D)
-            report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, E,
-                                           iterations, trace))
+                iterations = None
+                trace = None
+                if is_mds:
+                    delta, V = mds_inputs(snap.W, config.similarity_mode)
+                    layout, solve_report = _solve_mds(snap, state, config, t, E, X_prev,
+                                                      layout_labels, C, kept, delta, V)
+                    iterations = solve_report.iterations
+                    trace = solve_report.stress_trace
+                    static = metrics.static_cost_mds(layout.X, delta, V)
+                else:
+                    lap = gll.laplacian(snap.W)
+                    layout = _solve_gll(network, snap, state, config, t, E, X_prev, lap,
+                                        layout_labels, C, kept, eval_labels)
+                    static = metrics.static_cost_gll(layout.X, lap.L, lap.D)
+                report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, E,
+                                               iterations, trace))
 
-            state.update(active, layout.X, kept, layout.Y)
-            display = layout_labels if layout_labels is not None else eval_labels
-            sequence.steps.append(LayoutStep(
-                t=t, ids=tuple(network.registry.id_of(i) for i in snap.active),
-                X=layout.X, labels=display, Y=state.last_Y[:k].copy() if kept else None,
-            ))
-        except DynlayoutError as exc:
-            raise type(exc)(f"step t={t}: {exc}") from exc
+                state.update(active, layout.X, kept, layout.Y)
+                display = layout_labels if layout_labels is not None else eval_labels
+                sequence.steps.append(LayoutStep(
+                    t=t, ids=tuple(network.registry.id_of(i) for i in snap.active),
+                    X=layout.X, labels=display, Y=state.last_Y[:k].copy() if kept else None,
+                ))
+            except DynlayoutError as exc:
+                raise type(exc)(f"step t={t}: {exc}") from exc
     return sequence, report
 
 

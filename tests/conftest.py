@@ -44,6 +44,31 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def blas_threads():
+    """Reads and sets the thread count of every loaded OpenBLAS, restoring
+    the counts it found when the test ends; skips where none is found."""
+    from dynlayout.numerics import _openblas_thread_controls
+
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    original = [getter() for getter, _ in controls]
+
+    class BlasThreads:
+        @staticmethod
+        def counts() -> list[int]:
+            return [getter() for getter, _ in controls]
+
+        @staticmethod
+        def set(counts) -> None:
+            for (_, setter), count in zip(controls, counts):
+                setter(count)
+
+    yield BlasThreads
+    BlasThreads.set(original)
+
+
 ACCEPTANCE_LINES: list[str] = []
 
 

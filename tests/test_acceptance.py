@@ -432,14 +432,14 @@ class TestCriterion10SpectralIdentities:
             n = int(rng.integers(5, 9))
             W = random_connected_adjacency(rng, n, weighted=trial % 2 == 0)
             lap = gll.laplacian(W)
-            plain = gll.spectral_layout(W, 2, normalized=False)
+            plain = gll.spectral_layout(lap, 2, normalized=False)
             X = plain.X
             worst_cons = max(worst_cons, float(np.max(np.abs(X.T @ X - n * np.eye(2)))),
                              float(np.max(np.abs(X.T @ np.ones(n)))))
             vals = np.sort(np.linalg.eigvalsh(lap.L))
             worst_energy = max(worst_energy,
                                abs(gll.energy(X, lap.L) - n * (vals[1] + vals[2])))
-            norm = gll.spectral_layout(W, 2, normalized=True)
+            norm = gll.spectral_layout(lap, 2, normalized=True)
             Xn = norm.X
             D = lap.D
             worst_cons = max(

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,19 @@ class TestGoldenFixture:
             if a.Y is not None:
                 assert np.allclose(a.Y, b.Y, atol=1e-6)
 
+
+    def test_check_lists_a_differing_file_and_rewrites_nothing(self, tmp_path, monkeypatch,
+                                                               capsys):
+        data = tmp_path / "data"
+        shutil.copytree(make_golden.DATA, data,
+                        ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+        corrupted = data / "golden_spectral_1d.costs.csv"
+        corrupted.write_text(corrupted.read_text().replace("0", "1", 1))
+        before = {path.name: path.read_bytes() for path in data.iterdir()}
+        monkeypatch.setattr(make_golden, "DATA", data)
+        assert make_golden.main(["--check"]) == 1
+        assert "differs: golden_spectral_1d.costs.csv" in capsys.readouterr().out.splitlines()
+        assert {path.name: path.read_bytes() for path in data.iterdir()} == before
 
 class TestClusterCommand:
     def test_outputs_and_determinism(self, sbm_fixture, tmp_path):

@@ -68,7 +68,7 @@ class TestEnergy:
 class TestSpectralLayout:
     def test_k2_one_dimensional(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
-        layout = spectral_layout(W, 1, normalized=False)
+        layout = spectral_layout(laplacian(W), 1, normalized=False)
         X = layout.X[:, 0]
         assert np.allclose(np.abs(X), [1.0, 1.0])
         assert X[0] * X[1] < 0
@@ -76,7 +76,7 @@ class TestSpectralLayout:
 
     def test_plain_constraints_and_energy_identity(self, rng):
         W = random_connected_adjacency(rng, 7, weighted=True)
-        layout = spectral_layout(W, 2, normalized=False)
+        layout = spectral_layout(laplacian(W), 2, normalized=False)
         X = layout.X
         n = 7
         assert np.allclose(X.T @ X, n * np.eye(2), atol=1e-8)
@@ -87,7 +87,7 @@ class TestSpectralLayout:
 
     def test_normalized_constraints(self, rng):
         W = random_connected_adjacency(rng, 7, weighted=True)
-        layout = spectral_layout(W, 2, normalized=True)
+        layout = spectral_layout(laplacian(W), 2, normalized=True)
         X = layout.X
         D = laplacian(W).D
         assert np.allclose(X.T @ D @ X, np.trace(D) * np.eye(2), atol=1e-8)
@@ -97,7 +97,7 @@ class TestSpectralLayout:
         # lambda_2 is simple but lambda_3 = 3 has multiplicity 3 here, so the
         # oracle comparison is per eigenspace
         W = two_triangles()
-        layout = spectral_layout(W, 2, normalized=False)
+        layout = spectral_layout(laplacian(W), 2, normalized=False)
         lap = laplacian(W)
         vals, vecs = np.linalg.eigh(lap.L)
         fiedler = np.sqrt(6) * vecs[:, 1]
@@ -111,7 +111,7 @@ class TestSpectralLayout:
         W[0, 1] = W[1, 0] = 1.0
         W[2, 3] = W[3, 2] = 1.0
         with pytest.raises(DataError, match="2 components"):
-            spectral_layout(W, 1)
+            spectral_layout(laplacian(W), 1)
 
 
 class TestAugmentGll:
@@ -157,7 +157,7 @@ class TestCcdr:
     def test_reduces_to_spectral(self, rng):
         W = random_connected_adjacency(rng, 6)
         a = ccdr_layout(W, np.zeros((6, 0)), 0.0, 2, normalized=True)
-        b = spectral_layout(W, 2, normalized=True)
+        b = spectral_layout(laplacian(W), 2, normalized=True)
         assert np.allclose(a.X, b.X, atol=1e-10)
 
     def test_satisfies_augmented_constraints(self, rng):
@@ -197,21 +197,21 @@ class TestBfp:
         W_prev = random_connected_adjacency(rng, 6)
         W_curr = random_connected_adjacency(rng, 6)
         layout = bfp_layout(laplacian(W_prev), laplacian(W_curr), 0.0, None, 2)
-        expected = spectral_layout(W_curr, 2, normalized=True)
+        expected = spectral_layout(laplacian(W_curr), 2, normalized=True)
         assert np.allclose(layout.X, expected.X, atol=1e-10)
 
     def test_lambda_one_is_previous_spectral(self, rng):
         W_prev = random_connected_adjacency(rng, 6)
         W_curr = random_connected_adjacency(rng, 6)
         layout = bfp_layout(laplacian(W_prev), laplacian(W_curr), 1.0, None, 2)
-        expected = spectral_layout(W_prev, 2, normalized=True)
+        expected = spectral_layout(laplacian(W_prev), 2, normalized=True)
         assert np.allclose(layout.X, expected.X, atol=1e-10)
 
     def test_identical_snapshots_any_lambda(self, rng):
         W = random_connected_adjacency(rng, 6)
         lap = laplacian(W)
         a = bfp_layout(lap, lap, 0.37, None, 2)
-        b = spectral_layout(W, 2, normalized=True)
+        b = spectral_layout(lap, 2, normalized=True)
         assert np.allclose(a.X @ a.X.T, b.X @ b.X.T, atol=1e-8)
 
     def test_lambda_outside_range_rejected(self, rng):
@@ -222,7 +222,7 @@ class TestBfp:
     def test_alignment_to_previous(self, rng):
         W = random_connected_adjacency(rng, 6)
         lap = laplacian(W)
-        ref = spectral_layout(W, 2, normalized=True).X
+        ref = spectral_layout(lap, 2, normalized=True).X
         flipped = bfp_layout(lap, lap, 0.0, -ref, 2)
         assert np.allclose(flipped.X, -ref, atol=1e-8)
 
@@ -525,7 +525,7 @@ class TestAlignToReference:
 
         def solve(*reference):
             if method == "spectral":
-                return spectral_layout(W, 2, True, *reference)
+                return spectral_layout(laplacian(W), 2, True, *reference)
             return ccdr_layout(W, C, 1.0, 2, True, *reference)
 
         free, aligned = solve(), solve(ref, mask)

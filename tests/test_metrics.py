@@ -45,7 +45,7 @@ class TestStaticCostGll:
         from dynlayout.gll import spectral_layout
         W = random_connected_adjacency(rng, 6, weighted=True)
         lap = laplacian(W)
-        layout = spectral_layout(W, 2, normalized=False)
+        layout = spectral_layout(lap, 2, normalized=False)
         vals = np.sort(np.linalg.eigvalsh(lap.L))
         expected = 6 * (vals[1] + vals[2]) / np.trace(lap.D)
         assert static_cost_gll(layout.X, lap.L, lap.D) == pytest.approx(expected)
@@ -83,6 +83,27 @@ class TestCentroidCost:
         shifted = X + np.array([13.0, -4.0])
         assert centroid_cost(shifted, labels) == pytest.approx(centroid_cost(X, labels))
 
+
+    def test_equals_per_group_loop_bit_for_bit(self, rng):
+        # the member-by-member loop it replaced, kept as the reference: the
+        # same members in the same order give the same bits
+        def reference(X, labels):
+            labeled = [i for i, lab in enumerate(labels) if lab is not None]
+            if not labeled:
+                return None
+            total = 0.0
+            for group in sorted({labels[i] for i in labeled}):
+                members = [i for i in labeled if labels[i] == group]
+                centroid = X[members].mean(axis=0)
+                total += float(np.sum((X[members] - centroid) ** 2))
+            return total / len(labeled)
+
+        for _ in range(200):
+            n, s, k = int(rng.integers(1, 40)), int(rng.integers(1, 3)), int(rng.integers(1, 6))
+            X = rng.standard_normal((n, s)) * 10.0 ** rng.uniform(-3, 3)
+            labels = tuple(None if rng.random() < 0.2 else int(rng.integers(1, k + 1))
+                           for _ in range(n))
+            assert centroid_cost(X, labels) == reference(X, labels)
 
 class TestTemporalCost:
     def test_identical_layouts(self, rng):

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_connected_adjacency
 from dynlayout.errors import DataError, NotPositiveDefiniteError
+from dynlayout import numerics
 from dynlayout.numerics import (_canonical_signs, gen_eig_smallest, minimize_eq_constrained,
-                                spd_factor, spd_solve, sym_eig_smallest)
+                                single_threaded_blas, spd_factor, spd_solve, sym_eig_smallest)
 
 
 def random_spd(rng, n):
@@ -251,3 +256,69 @@ class TestConstrainedMinimizer:
         )
         assert not res.converged
         assert res.x.shape == (2,)
+
+
+def caller_counts(blas_threads) -> list[int]:
+    # a different count per library (2, 1, 2, ...), so a restore that mixed
+    # up the libraries would show
+    return [2 - i % 2 for i in range(len(blas_threads.counts()))]
+
+
+class TestSingleThreadedBlas:
+    def test_one_thread_inside_and_caller_counts_after(self, blas_threads):
+        caller = caller_counts(blas_threads)
+        blas_threads.set(caller)
+        with single_threaded_blas():
+            assert blas_threads.counts() == [1] * len(caller)
+        assert blas_threads.counts() == caller
+
+    def test_restored_when_the_block_raises(self, blas_threads):
+        caller = caller_counts(blas_threads)
+        blas_threads.set(caller)
+        with pytest.raises(DataError):
+            with single_threaded_blas():
+                raise DataError("inside")
+        assert blas_threads.counts() == caller
+
+    def test_nested_blocks_restore_on_the_outermost_exit(self, blas_threads):
+        caller = caller_counts(blas_threads)
+        blas_threads.set(caller)
+        with single_threaded_blas():
+            with single_threaded_blas():
+                assert blas_threads.counts() == [1] * len(caller)
+            assert blas_threads.counts() == [1] * len(caller)
+        assert blas_threads.counts() == caller
+
+    def test_no_library_found_changes_nothing(self, blas_threads, monkeypatch):
+        caller = caller_counts(blas_threads)
+        blas_threads.set(caller)
+        monkeypatch.setattr(numerics, "_openblas_thread_controls", lambda: ())
+        with single_threaded_blas():
+            assert blas_threads.counts() == caller
+        assert blas_threads.counts() == caller
+
+    def test_concurrent_blocks_restore_once_all_exit(self, blas_threads):
+        caller = caller_counts(blas_threads)
+        blas_threads.set(caller)
+        seen: list[list[int]] = []
+
+        def worker():
+            for _ in range(25):
+                with single_threaded_blas():
+                    time.sleep(0.0005)
+                    seen.append(blas_threads.counts())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 100
+        assert all(counts == [1] * len(caller) for counts in seen)
+        assert blas_threads.counts() == caller

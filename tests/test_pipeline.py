@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from conftest import random_connected_adjacency
-from dynlayout import gll, mds
+from dynlayout import gll, mds, numerics
 from dynlayout.errors import DataError, DisconnectedGraphError, NumericalError
 from dynlayout.graph import DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot
 from dynlayout.layout import align_to_reference
@@ -179,6 +179,73 @@ class TestRunSequence:
     def test_learn_without_k_rejected(self):
         with pytest.raises(DataError):
             RegularizationConfig(groups="learn")
+
+
+class TestBlasThreads:
+    """A run holds every loaded OpenBLAS at one thread and gives the caller
+    its own thread counts back."""
+
+    @staticmethod
+    def caller_counts(blas_threads) -> list[int]:
+        return [2 - i % 2 for i in range(len(blas_threads.counts()))]
+
+    def test_one_thread_inside_caller_counts_after(self, small_sbm, blas_threads,
+                                                   monkeypatch):
+        caller = self.caller_counts(blas_threads)
+        blas_threads.set(caller)
+        inside = []
+        solver = mds.dmds_layout
+
+        def record(*args, **kwargs):
+            inside.append(blas_threads.counts())
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(mds, "dmds_layout", record)
+        network, _ = small_sbm
+        run_sequence(network, RegularizationConfig(method="dmds", groups="known", seed=3))
+        assert len(inside) == len(network.snapshots)
+        assert all(counts == [1] * len(caller) for counts in inside)
+        assert blas_threads.counts() == caller
+
+    def test_caller_counts_back_after_a_failed_run(self, blas_threads):
+        caller = self.caller_counts(blas_threads)
+        blas_threads.set(caller)
+        network = DynamicNetwork(NodeRegistry("abcdef"),
+                                 [Snapshot(t=0, W=TWO_TRIANGLES, active=range(6))])
+        with pytest.raises(DataError, match="^step t=0: "):
+            run_sequence(network, RegularizationConfig(method="spectral"))
+        assert blas_threads.counts() == caller
+
+    def test_no_library_found_leaves_output_unchanged(self, small_sbm, blas_threads,
+                                                      monkeypatch):
+        network, _ = small_sbm
+        for method in ("dmds", "dgll", "bfp"):
+            config = RegularizationConfig(method=method, groups="known", seed=4)
+            expected = run_sequence(network, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "_openblas_thread_controls", lambda: ())
+                caller = blas_threads.counts()
+                got = run_sequence(network, config)
+                assert blas_threads.counts() == caller
+            assert got[0] == expected[0]
+            assert got[1].steps == expected[1].steps
+
+    def test_output_does_not_depend_on_caller_threads(self, blas_threads):
+        # at a few hundred nodes a two-thread BLAS moves the last bits of
+        # the majorization; a run must give the same bits either way
+        blas_threads.set([2] * len(blas_threads.counts()))
+        if blas_threads.counts() != [2] * len(blas_threads.counts()):
+            pytest.skip("this BLAS cannot run two threads")
+        network, _ = sbm_sequence(SbmConfig.two_rate(
+            n=200, k=4, p_in=0.15, p_out=0.03, T=2, change_step=1, change_fraction=0.25,
+            seed=3))
+        config = RegularizationConfig(method="dmds", groups="known", seed=1)
+        runs = []
+        for count in (1, 2):
+            blas_threads.set([count] * len(blas_threads.counts()))
+            runs.append(run_sequence(network, config))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1].steps == runs[1][1].steps
 
 
 class TestLearnGroupSequence:
