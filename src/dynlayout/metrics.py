@@ -43,7 +43,7 @@ def centroid_cost(X: np.ndarray, labels: Sequence[Optional[int]]) -> Optional[fl
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     labels = np.asarray(labels, dtype=object)
-    rows = np.flatnonzero(labels != None)  # noqa: E711 (elementwise on an object array)
+    rows = np.flatnonzero(labels != None)  # elementwise on an object array
     if not rows.size:
         return None
     groups = labels[rows].astype(int)

@@ -65,6 +65,12 @@ def blas_threads():
             for (_, setter), count in zip(controls, counts):
                 setter(count)
 
+        @staticmethod
+        def caller_counts() -> list[int]:
+            # a different count per library (2, 1, 2, ...), so a restore
+            # that mixed up the libraries would show
+            return [2 - i % 2 for i in range(len(controls))]
+
     yield BlasThreads
     BlasThreads.set(original)
 

@@ -258,22 +258,16 @@ class TestConstrainedMinimizer:
         assert res.x.shape == (2,)
 
 
-def caller_counts(blas_threads) -> list[int]:
-    # a different count per library (2, 1, 2, ...), so a restore that mixed
-    # up the libraries would show
-    return [2 - i % 2 for i in range(len(blas_threads.counts()))]
-
-
 class TestSingleThreadedBlas:
     def test_one_thread_inside_and_caller_counts_after(self, blas_threads):
-        caller = caller_counts(blas_threads)
+        caller = blas_threads.caller_counts()
         blas_threads.set(caller)
         with single_threaded_blas():
             assert blas_threads.counts() == [1] * len(caller)
         assert blas_threads.counts() == caller
 
     def test_restored_when_the_block_raises(self, blas_threads):
-        caller = caller_counts(blas_threads)
+        caller = blas_threads.caller_counts()
         blas_threads.set(caller)
         with pytest.raises(DataError):
             with single_threaded_blas():
@@ -281,7 +275,7 @@ class TestSingleThreadedBlas:
         assert blas_threads.counts() == caller
 
     def test_nested_blocks_restore_on_the_outermost_exit(self, blas_threads):
-        caller = caller_counts(blas_threads)
+        caller = blas_threads.caller_counts()
         blas_threads.set(caller)
         with single_threaded_blas():
             with single_threaded_blas():
@@ -290,7 +284,7 @@ class TestSingleThreadedBlas:
         assert blas_threads.counts() == caller
 
     def test_no_library_found_changes_nothing(self, blas_threads, monkeypatch):
-        caller = caller_counts(blas_threads)
+        caller = blas_threads.caller_counts()
         blas_threads.set(caller)
         monkeypatch.setattr(numerics, "_openblas_thread_controls", lambda: ())
         with single_threaded_blas():
@@ -298,7 +292,7 @@ class TestSingleThreadedBlas:
         assert blas_threads.counts() == caller
 
     def test_concurrent_blocks_restore_once_all_exit(self, blas_threads):
-        caller = caller_counts(blas_threads)
+        caller = blas_threads.caller_counts()
         blas_threads.set(caller)
         seen: list[list[int]] = []
 

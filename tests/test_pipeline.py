@@ -185,13 +185,9 @@ class TestBlasThreads:
     """A run holds every loaded OpenBLAS at one thread and gives the caller
     its own thread counts back."""
 
-    @staticmethod
-    def caller_counts(blas_threads) -> list[int]:
-        return [2 - i % 2 for i in range(len(blas_threads.counts()))]
-
     def test_one_thread_inside_caller_counts_after(self, small_sbm, blas_threads,
                                                    monkeypatch):
-        caller = self.caller_counts(blas_threads)
+        caller = blas_threads.caller_counts()
         blas_threads.set(caller)
         inside = []
         solver = mds.dmds_layout
@@ -208,7 +204,7 @@ class TestBlasThreads:
         assert blas_threads.counts() == caller
 
     def test_caller_counts_back_after_a_failed_run(self, blas_threads):
-        caller = self.caller_counts(blas_threads)
+        caller = blas_threads.caller_counts()
         blas_threads.set(caller)
         network = DynamicNetwork(NodeRegistry("abcdef"),
                                  [Snapshot(t=0, W=TWO_TRIANGLES, active=range(6))])
