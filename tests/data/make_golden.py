@@ -1,9 +1,12 @@
-"""Regenerate the golden CLI runs in this directory, or check them.
+"""Regenerate the golden CLI runs in this directory, check them, or digest
+the output of a wider run matrix.
 
 Usage, from the repository root:
 
     PYTHONPATH=src python3 tests/data/make_golden.py
     PYTHONPATH=src python3 tests/data/make_golden.py --check
+    PYTHONPATH=src python3 tests/data/make_golden.py --digest OUT
+    PYTHONPATH=src python3 tests/data/make_golden.py --compare A B
 
 Without options it rewrites the block-model input of the DGLL runs
 (``golden_sbm.*.tsv``) and the ``.layout.json`` / ``.costs.csv`` output of
@@ -15,15 +18,33 @@ nothing. ``tests/test_cli.py::TestGoldenFixture`` imports the same argument
 lists, so the commands that froze a fixture and the ones that check it
 cannot drift apart. Every regenerated fixture must be justified in
 CHANGES.md.
+
+``--digest OUT`` runs ``run_sequence`` over ``digest_matrix()``: every
+method x groups mode (none, known, learn) x ``--dims`` 1 and 2 on three
+block-model networks of the acceptance protocol, the same three with nodes
+0-2 dropped at every odd step, and two n = 200 networks (without DGLL). It
+writes one SHA-256 per run, over X, Y, labels, the three costs, iterations
+and stress traces, or over the error text of a run that raised, together
+with the run's coordinates. ``--compare A B`` reads two such files, lists
+each run whose digest differs with its largest coordinate change, and exits
+1 if any does. The bits depend on the BLAS build, so compare files made on
+one machine only, e.g. a parent commit's against a change's.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from dynlayout.cli import cli_main
+from dynlayout.graph import DynamicNetwork, GroupAssignment, Snapshot
+from dynlayout.pipeline import METHODS, RegularizationConfig, run_sequence
+from dynlayout.sbm import SbmConfig, sbm_sequence
 
 DATA = Path(__file__).resolve().parent
 
@@ -83,11 +104,125 @@ def regenerate(out_dir: Path) -> list[str]:
     return [name for _, files in commands for name in files]
 
 
+def _drop_at_odd_steps(network: DynamicNetwork, dropped) -> DynamicNetwork:
+    """The same network with the registry nodes ``dropped`` absent at every
+    odd step."""
+    snaps = []
+    for snap in network.snapshots:
+        keep = [row for row, idx in enumerate(snap.active)
+                if snap.t % 2 == 0 or idx not in dropped]
+        groups = None if snap.groups is None else GroupAssignment(
+            tuple(snap.groups.labels[row] for row in keep), snap.groups.k)
+        snaps.append(Snapshot(t=snap.t, W=snap.W[np.ix_(keep, keep)],
+                              active=tuple(snap.active[row] for row in keep), groups=groups))
+    return DynamicNetwork(network.registry, snaps)
+
+
+def digest_matrix():
+    """Yield (run name, network, config) for every run of the digest."""
+    networks = []
+    for seed in (1, 2, 3):
+        net, _ = sbm_sequence(SbmConfig.two_rate(n=30, k=4, p_in=0.6, p_out=0.2, T=20,
+                                                 change_step=10, change_fraction=0.25,
+                                                 seed=seed))
+        networks += [(f"protocol{seed}", net, seed, METHODS),
+                     (f"protocol{seed}-churn", _drop_at_odd_steps(net, {0, 1, 2}), seed,
+                      METHODS)]
+    for seed in (1, 2):
+        net, _ = sbm_sequence(SbmConfig.two_rate(n=200, k=4, p_in=0.15, p_out=0.03, T=3,
+                                                 change_step=2, change_fraction=0.25,
+                                                 seed=seed))
+        networks.append((f"large{seed}", net, seed, tuple(m for m in METHODS if m != "dgll")))
+    for net_name, network, seed, methods in networks:
+        for method in methods:
+            for groups in ("none", "known", "learn"):
+                for dims in (1, 2):
+                    config = RegularizationConfig(method=method, alpha=1.0, beta=1.0,
+                                                  dims=dims, seed=seed, groups=groups,
+                                                  k=4 if groups == "learn" else None)
+                    yield f"{net_name}/{method}/{groups}/{dims}d", network, config
+
+
+def output_record(sequence=None, report=None, error: str | None = None) -> dict:
+    """Digest record of one run: the SHA-256 of its output (or of the error
+    text of a run that raised) and its coordinates, X then Y per step."""
+    h = hashlib.sha256()
+    coords = []
+    if error is not None:
+        h.update(error.encode())
+    else:
+        for step, costs in zip(sequence.steps, report.steps, strict=True):
+            for A in (step.X, step.Y):
+                A = np.zeros((0, 0)) if A is None else np.ascontiguousarray(A, dtype=float)
+                h.update(repr(A.shape).encode() + A.tobytes())
+                coords.append(A.ravel())
+            h.update(repr((step.labels, costs.static_cost, costs.centroid_cost,
+                           costs.temporal_cost, costs.iterations,
+                           costs.stress_trace)).encode())
+    return {"sha256": h.hexdigest(), "error": error,
+            "coordinates": np.concatenate(coords).tolist() if coords else []}
+
+
+def run_record(network: DynamicNetwork, config: RegularizationConfig) -> dict:
+    try:
+        sequence, report = run_sequence(network, config)
+    except Exception as exc:  # the digest records a failed run, it does not stop
+        return output_record(error=f"{type(exc).__name__}: {exc}")
+    return output_record(sequence, report)
+
+
+def write_digest(records: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(records, fh)
+        fh.write("\n")
+
+
+def compare_digests(path_a, path_b) -> list[str]:
+    """One line per run whose digest differs between two digest files."""
+    runs = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            runs.append(json.load(fh))
+    a, b = runs
+    lines = []
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            lines.append(f"differs: {name} (only in {path_a if name in a else path_b})")
+            continue
+        if a[name]["sha256"] == b[name]["sha256"]:
+            continue
+        xa, xb = np.array(a[name]["coordinates"]), np.array(b[name]["coordinates"])
+        change = (f"largest coordinate change {np.max(np.abs(xa - xb), initial=0.0):.3e}"
+                  if xa.shape == xb.shape else
+                  f"{xa.size} against {xb.size} coordinates; errors "
+                  f"{a[name]['error']!r} against {b[name]['error']!r}")
+        lines.append(f"differs: {name} ({change})")
+    return lines
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate or check the golden CLI runs.")
-    parser.add_argument("--check", action="store_true",
-                        help="compare fresh runs with the committed files; rewrite nothing")
+    parser = argparse.ArgumentParser(
+        description="Regenerate or check the golden CLI runs, or digest a run matrix.")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="compare fresh runs with the committed files; rewrite nothing")
+    mode.add_argument("--digest", metavar="OUT",
+                      help="write one SHA-256 per run of the digest matrix to OUT")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="list the runs whose digests differ between two digest files")
     args = parser.parse_args(argv)
+    if args.digest:
+        records = {name: run_record(network, config)
+                   for name, network, config in digest_matrix()}
+        write_digest(records, args.digest)
+        combined = hashlib.sha256("".join(r["sha256"] for r in records.values()).encode())
+        failed = sum(r["error"] is not None for r in records.values())
+        print(f"{len(records)} runs ({failed} raised), combined SHA-256 {combined.hexdigest()}")
+        return 0
+    if args.compare:
+        lines = compare_digests(*args.compare)
+        print("\n".join(lines) if lines else "every run has the same digest")
+        return 1 if lines else 0
     if not args.check:
         regenerate(DATA)
         return 0

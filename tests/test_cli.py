@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,34 @@ class TestGoldenFixture:
         assert make_golden.main(["--check"]) == 1
         assert "differs: golden_spectral_1d.costs.csv" in capsys.readouterr().out.splitlines()
         assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+
+    def test_digest_repeats_and_compare_flags_a_perturbed_run(self, tmp_path, capsys):
+        # no digest value is asserted: the bits depend on the BLAS build
+        from dynlayout import RegularizationConfig, SbmConfig, run_sequence, sbm_sequence
+
+        network, _ = sbm_sequence(SbmConfig.two_rate(n=12, k=2, p_in=0.8, p_out=0.15, T=3,
+                                                     seed=7))
+        network = make_golden._drop_at_odd_steps(network, {0, 1, 2})
+        config = RegularizationConfig(method="dmds", groups="known")
+        first = make_golden.run_record(network, config)
+        assert make_golden.run_record(network, config) == first
+        sequence, report = run_sequence(network, config)
+        assert make_golden.output_record(sequence, report) == first
+        X = sequence.steps[1].X.copy()
+        X[2, 0] += 1e-9
+        sequence.steps[1] = replace(sequence.steps[1], X=X)
+        perturbed = make_golden.output_record(sequence, report)
+        assert perturbed["sha256"] != first["sha256"]
+
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        make_golden.write_digest({"same": first, "moved": first}, a)
+        make_golden.write_digest({"same": first, "moved": perturbed}, b)
+        assert make_golden.main(["--compare", str(a), str(a)]) == 0
+        assert make_golden.main(["--compare", str(a), str(b)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "every run has the same digest"
+        assert lines[1:] == ["differs: moved (largest coordinate change 1.000e-09)"]
+
 
 class TestClusterCommand:
     def test_outputs_and_determinism(self, sbm_fixture, tmp_path):
