@@ -10,7 +10,7 @@ from .distances import (DistanceMatrix, kk_weights, shortest_path_distances,
                         similarity_to_dissimilarity, top_m_graph)
 from .errors import DataError, DynlayoutError, NotPositiveDefiniteError, NumericalError
 from .graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot,
-                    build_membership_matrix, build_presence_matrix, validate_snapshot)
+                    build_membership_matrix, validate_snapshot)
 from .layout import Layout, align_to_reference
 from .metrics import (CostReport, StepCosts, centroid_cost, cumulative_movement,
                       static_cost_gll, static_cost_mds, temporal_cost)
@@ -23,11 +23,10 @@ __all__ = [
     "GroupAssignment", "Layout", "LayoutSequence", "LayoutStep", "NodeRegistry",
     "NotPositiveDefiniteError", "NumericalError", "PlantedTruth", "RegularizationConfig",
     "SbmConfig", "Snapshot", "StepCosts", "align_to_reference", "build_membership_matrix",
-    "build_presence_matrix", "centroid_cost", "cumulative_movement", "kk_weights",
-    "learn_group_sequence", "parameter_sweep", "run_sequence", "sbm_sample",
-    "sbm_sequence", "shortest_path_distances", "similarity_to_dissimilarity",
-    "static_cost_gll", "static_cost_mds", "temporal_cost", "top_m_graph",
-    "validate_snapshot",
+    "centroid_cost", "cumulative_movement", "kk_weights", "learn_group_sequence",
+    "parameter_sweep", "run_sequence", "sbm_sample", "sbm_sequence",
+    "shortest_path_distances", "similarity_to_dissimilarity", "static_cost_gll",
+    "static_cost_mds", "temporal_cost", "top_m_graph", "validate_snapshot",
 ]
 
 __version__ = "0.1.0"

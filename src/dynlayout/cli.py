@@ -19,9 +19,8 @@ from . import render as rnd
 from .errors import DataError, NumericalError
 from .gll import laplacian
 from .graph import DynamicNetwork
-from .pipeline import (MDS_METHODS, METHODS, RegularizationConfig, _shared_rows,
-                       learn_group_sequence, mds_inputs, parameter_sweep, run_sequence,
-                       score_step)
+from .pipeline import (MDS_METHODS, METHODS, RegularizationConfig, learn_group_sequence,
+                       mds_inputs, parameter_sweep, run_sequence, score_step)
 from .sbm import SbmConfig, sbm_sequence
 
 EXIT_OK = 0
@@ -176,11 +175,11 @@ def _cmd_metrics(args) -> int:
             lap = laplacian(snap.W)
             static = met.static_cost_gll(step.X, lap.L, lap.D)
         known = snap.groups.labels if snap.groups is not None else step.labels
+        shared = network.persistence(t)
         X_prev = np.zeros_like(step.X)
         if t > 0:
-            rows, prev_rows = _shared_rows(snap.active, network.snapshots[t - 1].active)
-            X_prev[rows] = sequence.steps[t - 1].X[prev_rows]
-        report.steps.append(score_step(t, step.X, static, known, X_prev, network.presence(t)))
+            X_prev[shared.rows] = sequence.steps[t - 1].X[shared.prev_rows]
+        report.steps.append(score_step(t, step.X, static, known, X_prev, shared.e))
     dio.write_cost_csv(report, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -3,7 +3,8 @@
 Static spectral layout (plain and degree-normalized), the grouping-
 regularized eigen layout, the blended-Laplacian baseline, and the
 dynamic variant that adds a temporal penalty and therefore needs an
-equality-constrained solve instead of an eigendecomposition.
+equality-constrained solve instead of an eigendecomposition. Its temporal
+penalty takes the 0/1 presence vector e, the diagonal of the paper's E.
 """
 
 from __future__ import annotations
@@ -136,15 +137,16 @@ def bfp_lambda_select(candidates, score) -> float:
     return best_lam
 
 
-def dgll_objective(X_aug: np.ndarray, L_aug: np.ndarray, E_aug: np.ndarray,
+def dgll_objective(X_aug: np.ndarray, L_aug: np.ndarray, e_aug: np.ndarray,
                    beta: float, X_prev_aug: np.ndarray) -> float:
-    """tr(X^T L X) + beta [tr(X^T E X) - 2 tr(X^T E X[t-1])]; the constant
-    temporal term in X[t-1] alone is dropped."""
+    """tr(X^T L X) + beta [tr(X^T E X) - 2 tr(X^T E X[t-1])] with E =
+    diag(e_aug); the constant temporal term in X[t-1] alone is dropped."""
     X = np.atleast_2d(np.asarray(X_aug, dtype=float))
     Xp = np.atleast_2d(np.asarray(X_prev_aug, dtype=float))
     value = float(np.trace(X.T @ L_aug @ X))
     if beta != 0:
-        value += beta * float(np.trace(X.T @ E_aug @ X) - 2.0 * np.trace(X.T @ E_aug @ Xp))
+        e = np.asarray(e_aug, dtype=float)[:, None]
+        value += beta * float(np.sum(e * X * X) - 2.0 * np.sum(e * X * Xp))
     return value
 
 
@@ -152,29 +154,29 @@ class _DgllProblem:
     """Precomputed pieces of one constrained solve; all derivative formulas
     live here so the public derivative op and the solver share one source."""
 
-    def __init__(self, L_aug, E_aug, beta, X_prev_aug, M, target, s):
+    def __init__(self, L_aug, e_aug, beta, X_prev_aug, M, target, s):
         if s not in (1, 2):
             raise DataError(
                 f"constrained dynamic layout supports 1-D and 2-D only, got s={s}")
         self.m = L_aug.shape[0]
         self.s = s
         self.L = L_aug
-        self.beta = beta
         self.M = M
         self.target = target
-        self.A = 2.0 * L_aug + 2.0 * beta * E_aug
-        self.beta_E = beta * E_aug
+        e_aug = np.asarray(e_aug, dtype=float)
+        self.A = 2.0 * L_aug
+        self.A[np.diag_indices(self.m)] += 2.0 * beta * e_aug
+        self.beta_e = (beta * e_aug)[:, None]
         Xp = np.atleast_2d(np.asarray(X_prev_aug, dtype=float))
-        self.beta_E_Xp = self.beta_E @ Xp
-        self.anchor = 2.0 * self.beta_E_Xp
+        self.anchor = 2.0 * (self.beta_e * Xp)
 
     def unflatten(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.s, self.m).T
 
     def f(self, x: np.ndarray) -> float:
         X = self.unflatten(x)
-        return float(np.sum(X * (self.L @ X)) + np.sum(X * (self.beta_E @ X))
-                     - 2.0 * np.sum(X * self.beta_E_Xp))
+        return float(np.sum(X * (self.L @ X)) + np.sum(X * (self.beta_e * X))
+                     - np.sum(X * self.anchor))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         X = self.unflatten(x)
@@ -214,7 +216,7 @@ class _DgllProblem:
         return H
 
 
-def dgll_derivatives(X_aug, L_aug, E_aug, beta, X_prev_aug, M, mu, target):
+def dgll_derivatives(X_aug, L_aug, e_aug, beta, X_prev_aug, M, mu, target):
     """Closed-form gradient, constraints, constraint Jacobian, and
     Lagrangian Hessian of the dynamic layout problem in 1-D or 2-D.
 
@@ -224,7 +226,7 @@ def dgll_derivatives(X_aug, L_aug, E_aug, beta, X_prev_aug, M, mu, target):
     one covariance row); in 1-D just the variance row.
     """
     X = np.atleast_2d(np.asarray(X_aug, dtype=float))
-    problem = _DgllProblem(L_aug, E_aug, beta, X_prev_aug, M, target, X.shape[1])
+    problem = _DgllProblem(L_aug, e_aug, beta, X_prev_aug, M, target, X.shape[1])
     x = X.T.reshape(-1)
     return problem.grad(x), problem.g(x), problem.jac(x), problem.hess(np.asarray(mu, dtype=float))
 
@@ -256,9 +258,9 @@ def _feasible_random_start(rng, m: int, s: int, M: np.ndarray, target: float) ->
     raise NumericalError("could not draw a feasible random start")
 
 
-def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
+def dgll_layout(W, C, alpha, beta, e, X_prev_aug, s, normalized: bool = True,
                 rng=None, tol: float = 1e-8) -> DgllSolution:
-    """Dynamic Laplacian layout for one time step.
+    """Dynamic Laplacian layout for one time step (node presence vector e).
 
     Minimizes the blended quadratic objective subject to the centered
     scatter constraints with ``numerics.minimize_eq_constrained``, started
@@ -272,8 +274,6 @@ def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
     """
     C = np.asarray(C, dtype=float)
     n, k = C.shape
-    if s not in (1, 2):
-        raise DataError(f"constrained dynamic layout supports 1-D and 2-D only, got s={s}")
     lap = laplacian(augment(W, C, alpha))
     D_for_M = lap.D if normalized else np.eye(n + k)
     if np.count_nonzero(np.diagonal(D_for_M)) <= s:
@@ -282,11 +282,11 @@ def dgll_layout(W, C, alpha, beta, E, X_prev_aug, s, normalized: bool = True,
                         "constrained layout")
     M = centering_matrix(D_for_M)
     target = float(np.trace(D_for_M))
-    E_aug = augment(E, C, 0.0)
+    e_aug = np.pad(np.asarray(e, dtype=float), (0, k))
     X_prev_aug = np.atleast_2d(np.asarray(X_prev_aug, dtype=float))
-    problem = _DgllProblem(lap.L, E_aug, beta, X_prev_aug, M, target, s)
+    problem = _DgllProblem(lap.L, e_aug, beta, X_prev_aug, M, target, s)
 
-    if not has_temporal_anchor(beta, E_aug):
+    if not has_temporal_anchor(beta, e_aug):
         X = _scaled_eig_layout(lap, s, normalized, "eigen solve of the dynamic layout problem")
         x = X.T.reshape(-1)
         feasibility, kkt = kkt_residuals(x, problem.grad, problem.g, problem.jac)

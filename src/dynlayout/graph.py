@@ -2,14 +2,15 @@
 
 A dynamic network is an ordered list of snapshots over a shared node
 registry. Node identity across time is by external identifier; matrix row
-order within a snapshot is ascending registry index. All types are
-immutable after construction.
+order within a snapshot is ascending registry index; which nodes persist
+from step to step is decided by ``DynamicNetwork.persistence`` alone. All
+types are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -77,21 +78,11 @@ def build_membership_matrix(labels: Sequence[Optional[int]], k: int) -> np.ndarr
     return C
 
 
-def build_presence_matrix(active_t: Sequence[int], active_prev: Iterable[int]) -> np.ndarray:
-    """Diagonal 0/1 matrix marking which of the current nodes were present
-    at the previous time step, in the ordering of ``active_t``."""
-    if len(active_t) == 0:
-        raise DataError("active node set must be nonempty")
-    prev = set(active_prev)
-    e = np.array([1.0 if idx in prev else 0.0 for idx in active_t])
-    return np.diag(e)
-
-
 def augment(M: np.ndarray, C: np.ndarray, alpha: float) -> np.ndarray:
     """Grouping-augmented system [[M, alpha C], [alpha C^T, 0]]: each
     column of the n x k membership matrix C adds a representative tied to
-    its members with weight alpha. Desired distances and presence use
-    alpha = 0, as representatives have no desired distance or anchor."""
+    its members with weight alpha. Desired distances use alpha = 0, as
+    representatives have no desired distance."""
     M = np.asarray(M, dtype=float)
     C = np.asarray(C, dtype=float)
     n, k = C.shape
@@ -104,10 +95,10 @@ def augment(M: np.ndarray, C: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def has_temporal_anchor(beta: float, E: np.ndarray) -> bool:
+def has_temporal_anchor(beta: float, e: np.ndarray) -> bool:
     """Whether the temporal penalty ties any node to its previous position:
-    beta is nonzero and some node of presence matrix E was present at t-1."""
-    return beta != 0 and bool(np.any(np.diagonal(E) > 0))
+    beta is nonzero and presence vector e marks some node present at t-1."""
+    return beta != 0 and bool(np.any(np.asarray(e) > 0))
 
 
 def require_connected(W: np.ndarray, what: str) -> None:
@@ -198,6 +189,16 @@ class Snapshot:
         return len(self.active)
 
 
+class Persistence(NamedTuple):
+    """Rows of snapshot t (ascending) whose nodes were active at t-1, their
+    rows at t-1, and the 0/1 presence vector e over the rows of snapshot t
+    (1 on ``rows``): the diagonal of the paper's presence matrix E."""
+
+    rows: np.ndarray
+    prev_rows: np.ndarray
+    e: np.ndarray
+
+
 class DynamicNetwork:
     """Ordered snapshots plus the registry shared by all of them."""
 
@@ -219,13 +220,17 @@ class DynamicNetwork:
     def __len__(self) -> int:
         return len(self.snapshots)
 
-    def presence(self, t: int) -> np.ndarray:
-        """Presence matrix E for step t (who was active at t-1), in the
-        node ordering of snapshot t."""
-        active_prev: tuple[int, ...] = ()
-        if t > 0:
-            active_prev = self.snapshots[t - 1].active
-        return build_presence_matrix(self.snapshots[t].active, active_prev)
+    def persistence(self, t: int) -> Persistence:
+        """Which nodes of snapshot t were active at t-1 (none at t = 0)."""
+        active = np.asarray(self.snapshots[t].active, dtype=int)
+        if not active.size:
+            raise DataError("active node set must be nonempty")
+        prev = np.asarray(self.snapshots[t - 1].active if t > 0 else (), dtype=int)
+        _, rows, prev_rows = np.intersect1d(active, prev, assume_unique=True,
+                                            return_indices=True)
+        e = np.zeros(active.size)
+        e[rows] = 1.0
+        return Persistence(_freeze(rows), _freeze(prev_rows), _freeze(e))
 
     def truncated(self, T: int) -> "DynamicNetwork":
         """The same network restricted to its first T snapshots."""

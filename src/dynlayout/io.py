@@ -33,33 +33,40 @@ logger = logging.getLogger(__name__)
 INGEST_KINDS = ("edge_tsv", "rank_matrix", "count_matrix")
 
 
+def _read_text(path) -> str:
+    """Text of a UTF-8 input file; a file that cannot be read is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read input {path}: {exc}") from None
+
+
 def _parse_records(path) -> list[tuple[int, str, str, float, int]]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, "
-                                f"got {len(parts)}")
-            t_str, u, v, w_str = parts
-            try:
-                t = int(t_str)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad time step {t_str!r}") from None
-            if t < 0:
-                raise DataError(f"{path}:{lineno}: negative time step {t}")
-            try:
-                w = float(w_str)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad weight {w_str!r}") from None
-            if not np.isfinite(w) or w <= 0:
-                raise DataError(f"{path}:{lineno}: weight must be positive, got {w_str}")
-            if u == v:
-                raise DataError(f"{path}:{lineno}: self-loop on {u!r}")
-            records.append((t, u, v, w, lineno))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, "
+                            f"got {len(parts)}")
+        t_str, u, v, w_str = parts
+        try:
+            t = int(t_str)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad time step {t_str!r}") from None
+        if t < 0:
+            raise DataError(f"{path}:{lineno}: negative time step {t}")
+        try:
+            w = float(w_str)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad weight {w_str!r}") from None
+        if not np.isfinite(w) or w <= 0:
+            raise DataError(f"{path}:{lineno}: weight must be positive, got {w_str}")
+        if u == v:
+            raise DataError(f"{path}:{lineno}: self-loop on {u!r}")
+        records.append((t, u, v, w, lineno))
     if not records:
         raise DataError(f"{path}: no records found")
     return records
@@ -170,28 +177,26 @@ def parse_groups(path, network: DynamicNetwork, k: Optional[int] = None) -> Dyna
     """Attach group labels from a groups TSV to a network's snapshots."""
     by_t: dict[int, dict[str, int]] = {}
     max_label = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            t_str, u, lab_str = parts
-            try:
-                t = int(t_str)
-                lab = int(lab_str)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad integer field") from None
-            if lab < 1:
-                raise DataError(f"{path}:{lineno}: labels must be positive integers")
-            if u not in network.registry:
-                raise DataError(f"{path}:{lineno}: unknown node id {u!r}")
-            if not 0 <= t < len(network):
-                raise DataError(f"{path}:{lineno}: time step {t} outside the network")
-            by_t.setdefault(t, {})[u] = lab
-            max_label = max(max_label, lab)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        t_str, u, lab_str = parts
+        try:
+            t = int(t_str)
+            lab = int(lab_str)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad integer field") from None
+        if lab < 1:
+            raise DataError(f"{path}:{lineno}: labels must be positive integers")
+        if u not in network.registry:
+            raise DataError(f"{path}:{lineno}: unknown node id {u!r}")
+        if not 0 <= t < len(network):
+            raise DataError(f"{path}:{lineno}: time step {t} outside the network")
+        by_t.setdefault(t, {})[u] = lab
+        max_label = max(max_label, lab)
     k = k or max_label
     if max_label > k:
         raise DataError(f"{path}: label {max_label} exceeds k={k}")
@@ -262,22 +267,29 @@ def export_layouts(sequence: LayoutSequence, path, format: str = "json") -> None
 
 
 def import_layouts(path) -> LayoutSequence:
-    """Reload a LayoutJson document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "steps" not in doc:
+    """Reload a LayoutJson document; a malformed one is a DataError naming
+    the file and, for a bad step record, the step."""
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
         raise DataError(f"{path}: not a layout document (missing 'steps')")
     metadata = {key: value for key, value in doc.items() if key != "steps"}
     steps = []
-    for raw in doc["steps"]:
-        ids = tuple(node["id"] for node in raw["nodes"])
-        X = np.array([node["x"] for node in raw["nodes"]], dtype=float)
-        labels = tuple(node["group"] for node in raw["nodes"])
+    for position, raw in enumerate(doc["steps"]):
+        try:
+            ids = tuple(node["id"] for node in raw["nodes"])
+            X = np.array([node["x"] for node in raw["nodes"]], dtype=float)
+            labels = tuple(node["group"] for node in raw["nodes"])
+            Y = None if raw.get("representatives") is None else \
+                np.array(raw["representatives"], dtype=float)
+            t = raw["t"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: step {position}: bad layout record: {exc!r}") from None
         if all(lab is None for lab in labels):
             labels = None
-        Y = None if raw.get("representatives") is None else \
-            np.array(raw["representatives"], dtype=float)
-        steps.append(LayoutStep(t=raw["t"], ids=ids, X=X, labels=labels, Y=Y))
+        steps.append(LayoutStep(t=t, ids=ids, X=X, labels=labels, Y=Y))
     return LayoutSequence(metadata=metadata, steps=steps)
 
 

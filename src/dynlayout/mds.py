@@ -4,7 +4,8 @@ Covers the static SMACOF solve, the regularized on-line variant that adds
 grouping and temporal penalties through an augmented weight system, and
 the localized-update stabilized baseline. All three share one modified
 stress function; the static solve is the special case with no groups and
-no temporal anchor.
+no temporal anchor. The temporal penalty takes the 0/1 presence vector e,
+the diagonal of the paper's E, zero-padded for the representatives.
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ def stress(X: np.ndarray, delta: np.ndarray, V: np.ndarray) -> float:
 def build_R(V: np.ndarray) -> np.ndarray:
     """Weighted Laplacian of the MDS weight matrix: r_ij = -v_ij off the
     diagonal, rows summing to zero."""
-    R = -np.asarray(V, dtype=float).copy()
+    # 0.0 - v rather than -v: a zero weight gives +0.0, so adding beta e on the
+    # diagonal alone gives the bits of the dense sum R + beta diag(e)
+    R = 0.0 - np.asarray(V, dtype=float)
     np.fill_diagonal(R, 0.0)
     np.fill_diagonal(R, -R.sum(axis=1))
     return R
@@ -138,18 +141,18 @@ def modified_stress(
     C: np.ndarray,
     alpha: float,
     beta: float,
-    E: np.ndarray,
+    e: np.ndarray,
     X_prev_aug: np.ndarray,
 ) -> float:
-    """Stress plus the grouping and temporal penalties, evaluated on the
-    stacked node+representative coordinates."""
+    """Stress plus the grouping and temporal penalties (node presence vector
+    ``e``), evaluated on the stacked node+representative coordinates."""
     V_aug, delta_aug = augment_mds(V, delta, C, alpha)
-    system = _Majorization(V_aug, delta_aug, beta, np.diagonal(E),
+    system = _Majorization(V_aug, delta_aug, beta, np.asarray(e, dtype=float),
                            np.asarray(X_prev_aug, dtype=float))
     return system.at(X_aug).stress()
 
 
-def _factor_layout_system(A: np.ndarray, V_aug: np.ndarray, E_aug: np.ndarray,
+def _factor_layout_system(A: np.ndarray, V_aug: np.ndarray, e_aug: np.ndarray,
                           temporal: bool):
     """Cholesky factor of A, whose first point is pinned when there is no
     temporal anchor. A is singular exactly when a component of the weight
@@ -165,7 +168,7 @@ def _factor_layout_system(A: np.ndarray, V_aug: np.ndarray, E_aug: np.ndarray,
     if factor is None or np.any(np.diagonal(factor.c_and_lower[0]) ** 2
                                 <= _ROUNDOFF * np.diagonal(A_free).max(initial=0.0)):
         # the anchored nodes join the weight graph through one extra point
-        ties = np.diagonal(E_aug)[:, None] if temporal else np.zeros((A.shape[0], 0))
+        ties = e_aug[:, None] if temporal else np.zeros((A.shape[0], 0))
         require_connected(augment(V_aug, ties, 1.0),
                           "stress layout (weight graph joined at its anchored nodes)")
     if factor is None:
@@ -203,7 +206,7 @@ def dmds_layout(
     C: np.ndarray,
     alpha: float,
     beta: float,
-    E: np.ndarray,
+    e: np.ndarray,
     X_prev_aug: np.ndarray,
     eps: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -212,7 +215,8 @@ def dmds_layout(
     """Regularized stress majorization for one time step.
 
     Iterates (R_aug + beta E_aug) x_a = S_aug(X_prev_iter) x_a + beta E_aug
-    x_a[t-1] per dimension, starting from X_prev_aug (or X0 when given,
+    x_a[t-1] per dimension, with E_aug = diag(e) zero-padded for the
+    representatives, starting from X_prev_aug (or X0 when given,
     e.g. for the random initialization of the first step), until the
     relative modified-stress decrease drops below eps.
 
@@ -232,14 +236,15 @@ def dmds_layout(
         raise DataError(f"initial layout has {X.shape[0]} rows, expected {n + k}")
 
     V_aug, delta_aug = augment_mds(V, delta, C, alpha)
-    E_aug = augment(E, C, 0.0)
-    A = build_R(V_aug) + beta * E_aug
+    e_aug = np.pad(np.asarray(e, dtype=float), (0, k))
+    A = build_R(V_aug)
+    A[np.diag_indices_from(A)] += beta * e_aug
 
-    temporal = has_temporal_anchor(beta, E_aug)
-    factor = _factor_layout_system(A, V_aug, E_aug, temporal)
+    temporal = has_temporal_anchor(beta, e_aug)
+    factor = _factor_layout_system(A, V_aug, e_aug, temporal)
 
-    system = _Majorization(V_aug, delta_aug, beta, np.diagonal(E_aug)[:n], X_prev_aug)
-    anchor = beta * (E_aug @ X_prev_aug)
+    system = _Majorization(V_aug, delta_aug, beta, e_aug[:n], X_prev_aug)
+    anchor = beta * e_aug[:, None] * X_prev_aug
 
     def update(X):
         rhs = system.S() @ X + anchor
@@ -265,9 +270,7 @@ def smacof_static(
     no temporal term."""
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     n = X0.shape[0]
-    empty_C = np.zeros((n, 0))
-    zero_E = np.zeros((n, n))
-    return dmds_layout(delta, V, empty_C, 0.0, 0.0, zero_E, np.zeros_like(X0),
+    return dmds_layout(delta, V, np.zeros((n, 0)), 0.0, 0.0, np.zeros(n), np.zeros_like(X0),
                        eps=eps, max_iter=max_iter, X0=X0)
 
 
@@ -275,7 +278,7 @@ def stabilized_mds_online(
     delta: np.ndarray,
     V: np.ndarray,
     beta: float,
-    E: np.ndarray,
+    e: np.ndarray,
     X_prev: np.ndarray,
     eps: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -287,7 +290,7 @@ def stabilized_mds_online(
     Each sweep recomputes every coordinate from the previous iterate:
 
         x_ia <- [sum_j v_ij (x_ja + delta_ij (x_ia - x_ja)/|x_i - x_j|)
-                 + beta e_ii x_ia[t-1]] / [sum_j v_ij + beta e_ii].
+                 + beta e_i x_ia[t-1]] / [sum_j v_ij + beta e_i].
 
     This optimizes the same single-step objective as the regularized solve
     without groups, so both share its convergence criterion.
@@ -296,7 +299,7 @@ def stabilized_mds_online(
     V = np.asarray(V, dtype=float)
     X_prev = np.atleast_2d(np.asarray(X_prev, dtype=float))
     X = np.array(X_prev if X0 is None else X0, dtype=float)
-    e = np.diagonal(np.asarray(E, dtype=float))
+    e = np.asarray(e, dtype=float)
     denom = V.sum(axis=1) + beta * e
     movable = denom > 0
     system = _Majorization(V, delta, beta, e, X_prev)

@@ -55,10 +55,10 @@ def centroid_cost(X: np.ndarray, labels: Sequence[Optional[int]]) -> Optional[fl
     return total / rows.size
 
 
-def temporal_cost(X: np.ndarray, X_prev: np.ndarray, E: np.ndarray) -> float:
-    """Mean squared displacement of the nodes present at both steps;
-    0 when no node persists."""
-    e = np.diagonal(np.asarray(E, dtype=float))
+def temporal_cost(X: np.ndarray, X_prev: np.ndarray, e: np.ndarray) -> float:
+    """Mean squared displacement of the nodes that presence vector e marks
+    present at both steps; 0 when no node persists."""
+    e = np.asarray(e, dtype=float)
     count = e.sum()
     if count == 0:
         return 0.0

@@ -17,7 +17,7 @@ from . import clustering as clus
 from . import gll, mds, metrics
 from .distances import kk_weights, shortest_path_distances, similarity_to_dissimilarity
 from .errors import DataError, DynlayoutError
-from .graph import DynamicNetwork, Snapshot, build_membership_matrix
+from .graph import DynamicNetwork, Persistence, Snapshot, build_membership_matrix
 from .layout import Layout
 from .numerics import single_threaded_blas
 
@@ -54,6 +54,11 @@ class RegularizationConfig:
             raise DataError("learning groups requires k")
         if self.dims < 1:
             raise DataError("dims must be >= 1")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (np.isfinite(value) and value >= 0):
+                raise DataError(f"{name} must be finite and >= 0, got {value}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise DataError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
     def metadata(self) -> dict:
         meta = {
@@ -113,15 +118,6 @@ def _rng_for(seed: int, t: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, t, stream])
 
 
-def _shared_rows(active: Sequence[int], prev_active: Sequence[int]):
-    """Index map of the nodes present at both steps: their rows in the
-    current active set and, in the same order, in the previous one."""
-    prev_index = {idx: row for row, idx in enumerate(prev_active)}
-    rows = [row for row, idx in enumerate(active) if idx in prev_index]
-    return (np.array(rows, dtype=int),
-            np.array([prev_index[active[row]] for row in rows], dtype=int))
-
-
 def _known_labels(snap: Snapshot) -> Optional[tuple[Optional[int], ...]]:
     return snap.groups.labels if snap.groups is not None else None
 
@@ -135,15 +131,16 @@ class ClusterTracker:
         self.seed = seed
         self.psi_prev: Optional[np.ndarray] = None
         self.labels_prev: Optional[np.ndarray] = None
-        self.ids_prev: Optional[tuple[int, ...]] = None
 
-    def step(self, snap: Snapshot, t: int) -> tuple[tuple[int, ...], float]:
-        """Cluster one snapshot; returns (labels, forgetting factor)."""
+    def step(self, snap: Snapshot, t: int,
+             shared: Persistence) -> tuple[tuple[int, ...], float]:
+        """Cluster snapshot t, whose rows map to those of the snapshot
+        clustered before by ``shared``; returns (labels, forgetting factor)."""
         seed = int(_rng_for(self.seed, t, 1).integers(2**31))
         psi_prev = None
         prev_labels = None
-        if self.ids_prev is not None:
-            rows, prev_rows = _shared_rows(snap.active, self.ids_prev)
+        rows, prev_rows = shared.rows, shared.prev_rows
+        if self.labels_prev is not None:
             # history entries for nodes without history default to the
             # current observation (blending them is then a no-op)
             psi_prev = snap.W.copy()
@@ -152,12 +149,11 @@ class ClusterTracker:
             prev_labels[rows] = self.labels_prev[prev_rows]
         labels, psi, alpha = clus.affect_cluster_step(psi_prev, snap.W, prev_labels,
                                                       self.k, seed)
-        if self.ids_prev is not None and rows.size:
+        if rows.size:
             labels = clus.label_permutation(self.labels_prev[prev_rows], labels[rows],
                                             self.k)[labels - 1]
         self.psi_prev = psi
         self.labels_prev = labels
-        self.ids_prev = snap.active
         return tuple(int(v) for v in labels), float(alpha)
 
 
@@ -168,7 +164,7 @@ def learn_group_sequence(network: DynamicNetwork, k: int,
     tracker = ClusterTracker(k, seed)
     all_labels, alphas = [], []
     for t, snap in enumerate(network.snapshots):
-        labels, alpha = tracker.step(snap, t)
+        labels, alpha = tracker.step(snap, t, network.persistence(t))
         all_labels.append(labels)
         alphas.append(alpha)
     return all_labels, alphas
@@ -194,7 +190,8 @@ class _SequenceState:
         self.seen_Y[kept] = True
 
 
-def _group_info(snap: Snapshot, state: _SequenceState, config: RegularizationConfig, t: int):
+def _group_info(snap: Snapshot, state: _SequenceState, config: RegularizationConfig, t: int,
+                shared: Persistence):
     """Labels used by the layout, labels used for scoring, and the group
     count. Scoring always prefers the known groups when they exist."""
     layout_labels: Optional[tuple[Optional[int], ...]] = None
@@ -207,7 +204,7 @@ def _group_info(snap: Snapshot, state: _SequenceState, config: RegularizationCon
     elif config.groups == "learn":
         if state.tracker is None:
             state.tracker = ClusterTracker(config.k, config.seed)
-        layout_labels, _ = state.tracker.step(snap, t)
+        layout_labels, _ = state.tracker.step(snap, t, shared)
         k = config.k
     eval_labels = _known_labels(snap)
     if eval_labels is None:
@@ -272,15 +269,14 @@ def mds_inputs(W: np.ndarray, similarity_mode: Optional[str]):
     return dm.delta, kk_weights(dm)
 
 
-def _prev_snapshot_adjacency(network: DynamicNetwork, t: int, snap: Snapshot) -> np.ndarray:
-    """Previous adjacency matrix re-indexed to the current active set
+def _prev_snapshot_adjacency(network: DynamicNetwork, t: int, shared: Persistence) -> np.ndarray:
+    """Previous adjacency matrix re-indexed to the active set of step t
     (rows of nodes absent at t-1 are zero)."""
-    W_prev = np.zeros((snap.n, snap.n))
-    if t == 0:
-        return W_prev
-    prev_snap = network.snapshots[t - 1]
-    rows, prev_rows = _shared_rows(snap.active, prev_snap.active)
-    W_prev[np.ix_(rows, rows)] = prev_snap.W[np.ix_(prev_rows, prev_rows)]
+    n = network.snapshots[t].n
+    W_prev = np.zeros((n, n))
+    if t > 0:
+        W_prev[np.ix_(shared.rows, shared.rows)] = \
+            network.snapshots[t - 1].W[np.ix_(shared.prev_rows, shared.prev_rows)]
     return W_prev
 
 
@@ -305,20 +301,20 @@ def _augmented_prev(snap, state, X_prev, labels, kept, C, config, t):
 # ---------------------------------------------------------------------------
 # the per-method solvers
 
-def _solve_mds(snap, state, config, t, E, X_prev, labels, C, kept, delta, V):
+def _solve_mds(snap, state, config, t, e, X_prev, labels, C, kept, delta, V):
     X_nodes, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
     if config.method == "dmds":
-        return mds.dmds_layout(delta, V, C, config.alpha, config.beta, E, X_aug_prev,
+        return mds.dmds_layout(delta, V, C, config.alpha, config.beta, e, X_aug_prev,
                                eps=config.epsilon)
     if config.method == "mds-static":
         return mds.smacof_static(delta, V, X_nodes, eps=config.epsilon)
-    return mds.stabilized_mds_online(delta, V, config.beta, E, X_nodes, eps=config.epsilon)
+    return mds.stabilized_mds_online(delta, V, config.beta, e, X_nodes, eps=config.epsilon)
 
 
-def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
+def _solve_gll(network, snap, state, config, t, shared, X_prev, lap, labels, C, kept,
                eval_labels):
     s = config.dims
-    persist_mask = np.diagonal(E) > 0
+    persist_mask = shared.e > 0
     # eigen layouts align to the previous step on the nodes present at both
     reference = X_prev if t > 0 and persist_mask.any() else None
 
@@ -330,7 +326,7 @@ def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
                                persist_mask)
 
     if config.method == "bfp":
-        lap_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, snap))
+        lap_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, shared))
         lam_grid = config.lambda_grid if t > 0 else (0.0,)
         candidates: dict[float, Layout] = {}
 
@@ -341,7 +337,7 @@ def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
             static = metrics.static_cost_gll(cand.X, lap.L, lap.D)
             centroid = metrics.centroid_cost(cand.X, eval_labels) \
                 if eval_labels is not None else None
-            temporal = metrics.temporal_cost(cand.X, X_prev, E)
+            temporal = metrics.temporal_cost(cand.X, X_prev, shared.e)
             return static + config.alpha * (centroid or 0.0) + config.beta * temporal
 
         lam_star = gll.bfp_lambda_select(lam_grid, composite)
@@ -350,7 +346,7 @@ def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
     # dgll
     _, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
     rng = _rng_for(config.seed, t, 3)
-    solution = gll.dgll_layout(snap.W, C, config.alpha, config.beta, E, X_aug_prev, s,
+    solution = gll.dgll_layout(snap.W, C, config.alpha, config.beta, shared.e, X_aug_prev, s,
                                normalized=config.normalized, rng=rng)
     return solution.layout
 
@@ -359,14 +355,14 @@ def _solve_gll(network, snap, state, config, t, E, X_prev, lap, labels, C, kept,
 
 def score_step(t: int, X: np.ndarray, static: float,
                eval_labels: Optional[Sequence[Optional[int]]], X_prev: np.ndarray,
-               E: np.ndarray, iterations: Optional[int] = None,
+               e: np.ndarray, iterations: Optional[int] = None,
                stress_trace: Optional[tuple[float, ...]] = None) -> metrics.StepCosts:
     """Cost record of one laid-out step: its static cost, the centroid cost
     against ``eval_labels`` and, after the first step, the temporal cost
-    against ``X_prev`` (rows in the node order of X) over the nodes that E
-    marks present at both steps."""
+    against ``X_prev`` (rows in the node order of X) over the nodes that
+    presence vector e marks present at both steps."""
     centroid = metrics.centroid_cost(X, eval_labels) if eval_labels is not None else None
-    temporal = None if t == 0 else metrics.temporal_cost(X, X_prev, E)
+    temporal = None if t == 0 else metrics.temporal_cost(X, X_prev, e)
     return metrics.StepCosts(t=t, static_cost=static, centroid_cost=centroid,
                              temporal_cost=temporal, iterations=iterations,
                              stress_trace=stress_trace)
@@ -390,10 +386,10 @@ def run_sequence(network: DynamicNetwork,
     with single_threaded_blas():
         for t, snap in enumerate(network.snapshots):
             try:
-                E = network.presence(t)
+                shared = network.persistence(t)
                 active = np.asarray(snap.active)
                 X_prev = state.last_X[active]
-                layout_labels, eval_labels, k = _group_info(snap, state, config, t)
+                layout_labels, eval_labels, k = _group_info(snap, state, config, t, shared)
                 if config.method in GROUPING_METHODS:
                     C, kept = _effective_membership(layout_labels, k, snap.n)
                 else:
@@ -403,17 +399,17 @@ def run_sequence(network: DynamicNetwork,
                 trace = None
                 if is_mds:
                     delta, V = mds_inputs(snap.W, config.similarity_mode)
-                    layout, solve_report = _solve_mds(snap, state, config, t, E, X_prev,
+                    layout, solve_report = _solve_mds(snap, state, config, t, shared.e, X_prev,
                                                       layout_labels, C, kept, delta, V)
                     iterations = solve_report.iterations
                     trace = solve_report.stress_trace
                     static = metrics.static_cost_mds(layout.X, delta, V)
                 else:
                     lap = gll.laplacian(snap.W)
-                    layout = _solve_gll(network, snap, state, config, t, E, X_prev, lap,
+                    layout = _solve_gll(network, snap, state, config, t, shared, X_prev, lap,
                                         layout_labels, C, kept, eval_labels)
                     static = metrics.static_cost_gll(layout.X, lap.L, lap.D)
-                report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, E,
+                report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, shared.e,
                                                iterations, trace))
 
                 state.update(active, layout.X, kept, layout.Y)

@@ -279,25 +279,25 @@ class TestCriterion7DerivativeCorrectness:
                 if C[:, g_idx].sum() == 0:
                     C[rng.integers(n), g_idx] = 1.0
             beta = float(rng.uniform(0.2, 3.0))
-            E = np.diag((rng.random(n) < 0.7).astype(float))
+            e = (rng.random(n) < 0.7).astype(float)
             lap = gll.laplacian(augment(W, C, float(rng.uniform(0.2, 2.0))))
             M = gll.centering_matrix(lap.D)
             target = float(np.trace(lap.D))
             m = n + k
-            E_aug = np.zeros((m, m))
-            E_aug[:n, :n] = E
+            e_aug = np.zeros(m)
+            e_aug[:n] = e
             X_prev = rng.standard_normal((m, 2))
             x0 = rng.standard_normal(2 * m)
             X0 = x0.reshape(2, m).T
-            grad, gval, J, H = gll.dgll_derivatives(X0, lap.L, E_aug, beta,
+            grad, gval, J, H = gll.dgll_derivatives(X0, lap.L, e_aug, beta,
                                                     X_prev, M, np.zeros(3), target)
 
             def f(x):
-                return gll.dgll_objective(x.reshape(2, m).T, lap.L, E_aug,
+                return gll.dgll_objective(x.reshape(2, m).T, lap.L, e_aug,
                                           beta, X_prev)
 
             def g_of(x):
-                return gll.dgll_derivatives(x.reshape(2, m).T, lap.L, E_aug,
+                return gll.dgll_derivatives(x.reshape(2, m).T, lap.L, e_aug,
                                             beta, X_prev, M, np.zeros(3), target)[1]
 
             h = 1e-6
@@ -309,7 +309,7 @@ class TestCriterion7DerivativeCorrectness:
                                     for e in eye])
             scale_j = max(1.0, float(np.max(np.abs(J))))
             worst_jac = max(worst_jac, float(np.max(np.abs(J - fd_J))) / scale_j)
-            block = 2.0 * lap.L + 2.0 * beta * E_aug
+            block = 2.0 * lap.L + 2.0 * beta * np.diag(e_aug)
             exact = (np.array_equal(H[:m, :m], block)
                      and np.array_equal(H[m:, m:], block)
                      and np.array_equal(H[:m, m:], np.zeros((m, m))))
@@ -332,12 +332,12 @@ class TestCriterion8DgllSolverContract:
             if C.sum() == 0:
                 C[0, 0] = 1.0
             beta = float(rng.uniform(0.4, 2.0))
-            E = np.diag((rng.random(n) < 0.8).astype(float))
-            if not np.any(np.diagonal(E)):
-                E[0, 0] = 1.0
+            e = (rng.random(n) < 0.8).astype(float)
+            if not np.any(e):
+                e[0] = 1.0
             m = n + 1
             X_prev = rng.standard_normal((m, 2))
-            solution = gll.dgll_layout(W, C, 1.0, beta, E, X_prev, 2, tol=1e-8)
+            solution = gll.dgll_layout(W, C, 1.0, beta, e, X_prev, 2, tol=1e-8)
             worst_g = max(worst_g, solution.constraint_residual)
             worst_kkt = max(worst_kkt, solution.kkt_residual)
 
@@ -345,7 +345,7 @@ class TestCriterion8DgllSolverContract:
             M = gll.centering_matrix(lap.D)
             target = float(np.trace(lap.D))
             E_aug = np.zeros((m, m))
-            E_aug[:n, :n] = E
+            E_aug[:n, :n] = np.diag(e)
             L = lap.L
 
             def f(x):
@@ -399,24 +399,24 @@ class TestCriterion9DmdsOracle:
             for i in range(n):
                 if k and rng.random() < 0.6:
                     C[i, rng.integers(k)] = 1.0
-            E = np.diag((rng.random(n) < 0.8).astype(float))
-            if not np.any(np.diagonal(E)):
-                E[0, 0] = 1.0
+            e = (rng.random(n) < 0.8).astype(float)
+            if not np.any(e):
+                e[0] = 1.0
             X_prev = rng.uniform(-1, 1, size=(n + k, 2))
-            layout, _ = mds.dmds_layout(delta, V, C, 1.0, 1.0, E, X_prev,
+            layout, _ = mds.dmds_layout(delta, V, C, 1.0, 1.0, e, X_prev,
                                         eps=1e-15, max_iter=50000)
             ours = mds.modified_stress(np.vstack([layout.X, layout.Y]), delta, V, C,
-                                       1.0, 1.0, E, X_prev)
-            oracle = oracle_minimize(X_prev, delta, V, C, 1.0, 1.0, E, X_prev)
+                                       1.0, 1.0, e, X_prev)
+            oracle = oracle_minimize(X_prev, delta, V, C, 1.0, 1.0, e, X_prev)
             worst_gap = max(worst_gap, abs(ours - oracle))
 
-            a, _ = mds.stabilized_mds_online(delta, V, 1.0, E, X_prev[:n],
+            a, _ = mds.stabilized_mds_online(delta, V, 1.0, e, X_prev[:n],
                                              eps=1e-14, max_iter=50000)
-            b, _ = mds.dmds_layout(delta, V, np.zeros((n, 0)), 0.0, 1.0, E, X_prev[:n],
+            b, _ = mds.dmds_layout(delta, V, np.zeros((n, 0)), 0.0, 1.0, e, X_prev[:n],
                                    eps=1e-14, max_iter=50000)
             empty = np.zeros((n, 0))
-            ms_a = mds.modified_stress(a.X, delta, V, empty, 0.0, 1.0, E, X_prev[:n])
-            ms_b = mds.modified_stress(b.X, delta, V, empty, 0.0, 1.0, E, X_prev[:n])
+            ms_a = mds.modified_stress(a.X, delta, V, empty, 0.0, 1.0, e, X_prev[:n])
+            ms_b = mds.modified_stress(b.X, delta, V, empty, 0.0, 1.0, e, X_prev[:n])
             worst_agree = max(worst_agree, abs(ms_a - ms_b))
         ok = worst_gap <= 1e-6 and worst_agree <= 1e-5
         check("9 (regularized-MDS oracle equivalence)", ok,

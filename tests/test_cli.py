@@ -70,6 +70,32 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options", [
+        ("--method", "dgll", "--beta", "-1"), ("--method", "dmds", "--beta", "nan"),
+        ("--method", "dgll", "--beta", "nan"), ("--alpha", "inf"), ("--epsilon", "-1"),
+        ("--epsilon", "nan")], ids=" ".join)
+    def test_out_of_range_weight_is_data_error(self, options, sbm_fixture, tmp_path, capsys):
+        _, snaps, _ = sbm_fixture
+        code = run(["layout", "--input", str(snaps), *options, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{options[-2].lstrip('-')} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing-input", "metrics-bad-json",
+                                      "render-bad-json", "metrics-step-without-nodes"])
+    def test_unreadable_input_is_data_error(self, case, sbm_fixture, tmp_path, capsys):
+        _, snaps, _ = sbm_fixture
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"dims": 2, "steps": [{"t": 0}]}' if case.endswith("nodes")
+                       else '{"dims": 2, "steps": [', encoding="utf-8")
+        command, _, _ = case.partition("-")
+        argv = {"missing": ["layout", "--input", str(tmp_path / "missing.tsv")],
+                "metrics": ["metrics", "--input", str(snaps), "--layout", str(doc)],
+                "render": ["render", "--input", str(snaps), "--layout", str(doc)]}[command]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert ("cannot read input" if command == "missing" else "doc.json: ") in err
+
     @pytest.mark.parametrize("method", ["dmds", "mds-static"])
     def test_disconnected_snapshot_is_data_error(self, method, tmp_path, capsys):
         two_triangles = tmp_path / "two.tsv"

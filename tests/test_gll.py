@@ -264,27 +264,27 @@ class TestDgllObjective:
         W = random_connected_adjacency(rng, 5)
         L = laplacian(W).L
         X = rng.standard_normal((5, 2))
-        assert dgll_objective(X, L, np.zeros((5, 5)), 0.0, np.zeros_like(X)) == \
+        assert dgll_objective(X, L, np.zeros(5), 0.0, np.zeros_like(X)) == \
             pytest.approx(float(np.trace(X.T @ L @ X)))
 
     def test_pure_temporal_at_previous_layout(self, rng):
         X = rng.standard_normal((4, 2))
-        E = np.diag([1.0, 0, 1.0, 0])
-        value = dgll_objective(X, np.zeros((4, 4)), E, 2.0, X)
-        assert value == pytest.approx(-2.0 * float(np.trace(X.T @ E @ X)))
+        e = np.array([1.0, 0, 1.0, 0])
+        value = dgll_objective(X, np.zeros((4, 4)), e, 2.0, X)
+        assert value == pytest.approx(-2.0 * float(np.trace(X.T @ np.diag(e) @ X)))
 
     def test_dropped_constant_algebra(self, rng):
         # objective + beta tr(Xp^T E Xp) equals the full quadratic expansion
         W = random_connected_adjacency(rng, 4)
         L = laplacian(W).L
-        E = np.diag([1.0, 1.0, 0, 0])
+        e = np.array([1.0, 1.0, 0, 0])
         X = rng.standard_normal((4, 2))
         Xp = rng.standard_normal((4, 2))
         beta = 1.7
         full = float(np.trace(X.T @ L @ X)) + beta * sum(
-            E[i, i] * np.sum((X[i] - Xp[i]) ** 2) for i in range(4))
-        assert dgll_objective(X, L, E, beta, Xp) + beta * float(
-            np.trace(Xp.T @ E @ Xp)) == pytest.approx(full)
+            e[i] * np.sum((X[i] - Xp[i]) ** 2) for i in range(4))
+        assert dgll_objective(X, L, e, beta, Xp) + beta * float(
+            np.trace(Xp.T @ np.diag(e) @ Xp)) == pytest.approx(full)
 
     def test_rotation_invariance_without_temporal_term(self, rng):
         W = random_connected_adjacency(rng, 5)
@@ -292,8 +292,8 @@ class TestDgllObjective:
         X = rng.standard_normal((5, 2))
         theta = 1.2
         Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        a = dgll_objective(X, L, np.zeros((5, 5)), 0.0, np.zeros_like(X))
-        b = dgll_objective(X @ Q, L, np.zeros((5, 5)), 0.0, np.zeros_like(X))
+        a = dgll_objective(X, L, np.zeros(5), 0.0, np.zeros_like(X))
+        b = dgll_objective(X @ Q, L, np.zeros(5), 0.0, np.zeros_like(X))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -307,18 +307,17 @@ def random_dgll_instance(rng, n, k, s=2, normalized=True):
         if C[:, g].sum() == 0:
             C[rng.integers(n), g] = 1.0
     beta = float(rng.uniform(0.3, 2.0))
-    E_diag = (rng.random(n) < 0.8).astype(float)
-    if not E_diag.any():
-        E_diag[0] = 1.0
-    E = np.diag(E_diag)
+    e = (rng.random(n) < 0.8).astype(float)
+    if not e.any():
+        e[0] = 1.0
     X_prev = rng.standard_normal((n + k, s))
     lap = laplacian(augment(W, C, 1.0))
     D_for_M = lap.D if normalized else np.eye(n + k)
     M = centering_matrix(D_for_M)
     target = float(np.trace(D_for_M))
-    E_aug = np.zeros((n + k, n + k))
-    E_aug[:n, :n] = E
-    return W, C, beta, E, X_prev, lap, M, target, E_aug
+    e_aug = np.zeros(n + k)
+    e_aug[:n] = e
+    return W, C, beta, e, X_prev, lap, M, target, e_aug
 
 
 class TestDgllDerivatives:
@@ -326,21 +325,21 @@ class TestDgllDerivatives:
         for _ in range(20):
             n = int(rng.integers(3, 9))
             k = int(rng.integers(0, 4))
-            W, C, beta, E, X_prev, lap, M, target, E_aug = \
+            W, C, beta, e, X_prev, lap, M, target, e_aug = \
                 random_dgll_instance(rng, n, k)
             m = n + k
             x0 = rng.standard_normal(2 * m)
 
             def f(x):
-                return dgll_objective(x.reshape(2, m).T, lap.L, E_aug,
+                return dgll_objective(x.reshape(2, m).T, lap.L, e_aug,
                                       beta, X_prev)
 
             def g(x):
-                return dgll_derivatives(x.reshape(2, m).T, lap.L, E_aug, beta,
+                return dgll_derivatives(x.reshape(2, m).T, lap.L, e_aug, beta,
                                         X_prev, M, np.zeros(3), target)[1]
 
             grad, gval, J, _ = dgll_derivatives(x0.reshape(2, m).T, lap.L,
-                                                E_aug, beta, X_prev, M,
+                                                e_aug, beta, X_prev, M,
                                                 np.zeros(3), target)
             h = 1e-6
             fd_grad = np.array([(f(x0 + h * e) - f(x0 - h * e)) / (2 * h)
@@ -352,29 +351,29 @@ class TestDgllDerivatives:
             assert np.max(np.abs(J - fd_J)) <= 1e-5 * max(1.0, np.max(np.abs(J)))
 
     def test_zero_multiplier_hessian_is_block_diagonal(self, rng):
-        W, C, beta, E, X_prev, lap, M, target, E_aug = \
+        W, C, beta, e, X_prev, lap, M, target, e_aug = \
             random_dgll_instance(rng, 5, 2)
         m = 7
         X = rng.standard_normal((m, 2))
-        _, _, _, H = dgll_derivatives(X, lap.L, E_aug, beta, X_prev, M,
+        _, _, _, H = dgll_derivatives(X, lap.L, e_aug, beta, X_prev, M,
                                       np.zeros(3), target)
-        block = 2 * lap.L + 2 * beta * E_aug
+        block = 2 * lap.L + 2 * beta * np.diag(e_aug)
         assert np.array_equal(H[:m, :m], block)
         assert np.array_equal(H[m:, m:], block)
         assert np.array_equal(H[:m, m:], np.zeros((m, m)))
 
     def test_three_dimensions_rejected(self, rng):
-        W, C, beta, E, X_prev, lap, M, target, E_aug = \
+        W, C, beta, e, X_prev, lap, M, target, e_aug = \
             random_dgll_instance(rng, 4, 0)
         with pytest.raises(DataError):
-            dgll_derivatives(np.zeros((4, 3)), lap.L, E_aug, beta,
+            dgll_derivatives(np.zeros((4, 3)), lap.L, e_aug, beta,
                              np.zeros((4, 3)), M, np.zeros(3), target)
 
 
 class TestDgllLayout:
     def test_eigen_reduction_without_anchor(self, rng):
         W = random_connected_adjacency(rng, 6)
-        solution = dgll_layout(W, np.zeros((6, 0)), 0.0, 0.0, np.zeros((6, 6)),
+        solution = dgll_layout(W, np.zeros((6, 0)), 0.0, 0.0, np.zeros(6),
                                np.zeros((6, 2)), 2, normalized=False)
         lap = laplacian(W)
         vals = np.sort(np.linalg.eigvalsh(lap.L))
@@ -384,8 +383,8 @@ class TestDgllLayout:
         for _ in range(5):
             n = int(rng.integers(4, 8))
             k = int(rng.integers(0, 3))
-            W, C, beta, E, X_prev, *_ = random_dgll_instance(rng, n, k)
-            solution = dgll_layout(W, C, 1.0, beta, E, X_prev, 2)
+            W, C, beta, e, X_prev, *_ = random_dgll_instance(rng, n, k)
+            solution = dgll_layout(W, C, 1.0, beta, e, X_prev, 2)
             assert solution.constraint_residual <= 1e-6
             assert solution.kkt_residual <= 1e-6
 
@@ -399,21 +398,21 @@ class TestDgllLayout:
         vals, vecs = np.linalg.eigh(G)
         X_prev = raw @ (vecs @ np.diag(vals**-0.5) @ vecs.T * np.sqrt(target))
         # X_prev is feasible, so its constraint-set projection is itself
-        solution = dgll_layout(W, np.zeros((6, 0)), 0.0, 1e7, np.eye(6), X_prev, 2)
+        solution = dgll_layout(W, np.zeros((6, 0)), 0.0, 1e7, np.ones(6), X_prev, 2)
         assert np.max(np.abs(solution.X_aug - X_prev)) <= 1e-3
 
     def test_matches_tightening_penalty_oracle(self, rng):
         for _ in range(3):
             n = int(rng.integers(4, 6))
-            W, C, beta, E, X_prev, lap, M, target, E_aug = \
+            W, C, beta, e, X_prev, lap, M, target, e_aug = \
                 random_dgll_instance(rng, n, 1)
             m = n + 1
-            solution = dgll_layout(W, C, 1.0, beta, E, X_prev, 2)
+            solution = dgll_layout(W, C, 1.0, beta, e, X_prev, 2)
 
             # independent penalty oracle: objective/constraints and their
             # gradients written out directly, minimized by scipy BFGS with a
             # tightening quadratic penalty
-            L, E_full = lap.L, E_aug
+            L, E_full = lap.L, np.diag(e_aug)
 
             def f(x):
                 X = x.reshape(2, m).T
@@ -448,7 +447,7 @@ class TestDgllLayout:
     def test_one_dimensional_solve(self, rng):
         W = random_connected_adjacency(rng, 5)
         X_prev = rng.standard_normal((5, 1))
-        solution = dgll_layout(W, np.zeros((5, 0)), 0.0, 1.0, np.eye(5), X_prev, 1)
+        solution = dgll_layout(W, np.zeros((5, 0)), 0.0, 1.0, np.ones(5), X_prev, 1)
         assert solution.constraint_residual <= 1e-6
         assert solution.X_aug.shape == (5, 1)
 
@@ -475,7 +474,7 @@ class TestDgllLayout:
     def test_three_dimensions_rejected(self, rng):
         W = random_connected_adjacency(rng, 5)
         with pytest.raises(DataError):
-            dgll_layout(W, np.zeros((5, 0)), 0.0, 1.0, np.eye(5),
+            dgll_layout(W, np.zeros((5, 0)), 0.0, 1.0, np.ones(5),
                         np.zeros((5, 3)), 3)
 
 

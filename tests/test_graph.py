@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from dynlayout.errors import DataError
 from dynlayout.graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot,
-                             build_membership_matrix, build_presence_matrix,
-                             validate_snapshot)
+                             build_membership_matrix, validate_snapshot)
 
 
 class TestValidateSnapshot:
@@ -54,29 +53,70 @@ class TestMembershipMatrix:
                 assert int(np.argmax(C[i])) + 1 == lab
 
 
+def _network_of(active_sets, n_reg=10):
+    registry = NodeRegistry(f"v{i}" for i in range(n_reg))
+    return DynamicNetwork(registry, [Snapshot(t=t, W=np.zeros((len(a), len(a))),
+                                              active=tuple(sorted(a)))
+                                     for t, a in enumerate(active_sets)])
+
+
+def _reference_shared_rows(active_t, active_prev):
+    """Set-based reference: (row at t, row at t-1) of every node at both."""
+    prev = set(active_prev)
+    return [(row, sorted(active_prev).index(idx))
+            for row, idx in enumerate(sorted(active_t)) if idx in prev]
+
+
 class TestPresenceMatrix:
+    """``DynamicNetwork.persistence``: the shared-row map of steps t-1 and t
+    and the presence vector e, the diagonal of the paper's E."""
+
     def test_partial_overlap(self):
-        E = build_presence_matrix([0, 1], [0])
-        assert np.array_equal(E, np.diag([1.0, 0.0]))
+        shared = _network_of([{0}, {0, 1}]).persistence(1)
+        assert (shared.rows.tolist(), shared.prev_rows.tolist()) == ([0], [0])
+        assert np.array_equal(shared.e, [1.0, 0.0])
 
     def test_empty_previous(self):
-        E = build_presence_matrix([0, 1, 2], [])
-        assert np.array_equal(E, np.zeros((3, 3)))
+        shared = _network_of([{3, 4}, {0, 1, 2}]).persistence(1)
+        assert shared.rows.size == 0 and shared.prev_rows.size == 0
+        assert np.array_equal(shared.e, np.zeros(3))
 
     def test_identical_sets(self):
-        E = build_presence_matrix([0, 1], [0, 1])
-        assert np.array_equal(E, np.eye(2))
+        shared = _network_of([{0, 1}, {0, 1}]).persistence(1)
+        assert (shared.rows.tolist(), shared.prev_rows.tolist()) == ([0, 1], [0, 1])
+        assert np.array_equal(shared.e, np.ones(2))
+
+    @given(st.lists(st.sets(st.integers(0, 9), min_size=1), min_size=1, max_size=5),
+           st.sampled_from(["random", "identical", "churn"]))
+    @settings(deadline=None)
+    def test_matches_set_reference(self, active_sets, shape):
+        if shape == "identical":
+            active_sets = [active_sets[0]] * len(active_sets)
+        elif shape == "churn":
+            # nodes leave, new ones enter and earlier ones re-enter
+            first = active_sets[0]
+            active_sets = [first if t % 2 == 0 else set(range(10)) - first or first
+                           for t in range(len(active_sets))]
+        net = _network_of(active_sets)
+        for t, snap in enumerate(net.snapshots):
+            rows, prev_rows, e = net.persistence(t)
+            active_t = np.asarray(snap.active)
+            prev = net.snapshots[t - 1].active if t > 0 else ()
+            expected = _reference_shared_rows(snap.active, prev)
+            assert list(zip(rows.tolist(), prev_rows.tolist())) == expected
+            assert np.all(e[rows] == 1.0)
+            assert not np.delete(e, rows).any()
+            if t > 0:
+                assert np.array_equal(active_t[rows], np.asarray(prev)[prev_rows])
+            else:
+                assert rows.size == 0 and not e.any()
 
     def test_empty_current_rejected(self):
+        registry = NodeRegistry(["a"])
+        net = DynamicNetwork(registry, [Snapshot(t=0, W=np.zeros((1, 1)), active=(0,)),
+                                        Snapshot(t=1, W=np.zeros((0, 0)), active=())])
         with pytest.raises(DataError):
-            build_presence_matrix([], [0])
-
-    @given(st.sets(st.integers(0, 9)), st.sets(st.integers(0, 9), min_size=1))
-    @settings(deadline=None)
-    def test_idempotent_and_diagonal(self, prev, cur):
-        E = build_presence_matrix(sorted(cur), prev)
-        assert np.array_equal(E @ E, E)
-        assert np.array_equal(E, np.diag(np.diagonal(E)))
+            net.persistence(1)
 
 
 class TestSnapshotAndNetwork:
@@ -106,8 +146,8 @@ class TestSnapshotAndNetwork:
         snaps = [Snapshot(t=0, W=np.zeros((2, 2)), active=(0, 1)),
                  Snapshot(t=1, W=np.zeros((2, 2)), active=(1, 2))]
         net = DynamicNetwork(registry, snaps)
-        assert np.array_equal(net.presence(0), np.zeros((2, 2)))
-        assert np.array_equal(net.presence(1), np.diag([1.0, 0.0]))
+        assert np.array_equal(net.persistence(0).e, np.zeros(2))
+        assert np.array_equal(net.persistence(1).e, [1.0, 0.0])
 
     def test_registry_is_sorted_and_bijective(self):
         registry = NodeRegistry(["b", "a", "a", "c"])

@@ -166,7 +166,21 @@ class TestLayoutExport:
         assert dio.import_layouts(path).steps == []
 
     def test_non_layout_json_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"foo": 1}', encoding="utf-8")
-        with pytest.raises(DataError):
-            dio.import_layouts(path)
+        node = '{"id": "a", "x": [1.0, 2.0], "group": null}'
+        cases = {
+            '{"foo": 1}': "missing 'steps'",
+            "[1, 2]": "missing 'steps'",
+            '{"steps": [': "not valid JSON",
+            f'{{"steps": [{{"t": 0, "nodes": [{node}]}}, {{"t": 1}}]}}':
+                "step 1: bad layout record: KeyError('nodes')",
+            '{"steps": [{"t": 0, "nodes": [{"id": "a", "x": ["abc"], "group": null}]}]}':
+                "step 0: bad layout record: ValueError(\"could not convert string to float",
+        }
+        for text, cause in cases.items():
+            path = tmp_path / "other.json"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError) as info:
+                dio.import_layouts(path)
+            assert str(info.value).startswith(str(path)) and cause in str(info.value)
+        with pytest.raises(DataError, match="cannot read input"):
+            dio.import_layouts(tmp_path / "missing.json")

@@ -19,7 +19,7 @@ from dynlayout.mds import (DEFAULT_EPSILON, DEFAULT_MAX_ITER, _Majorization, aug
 # Direct double-loop evaluation of the regularized objective and its
 # calculus gradient; shares no code with the implementation under test.
 
-def oracle_modified_stress(X, delta, V, C, alpha, beta, E, X_prev):
+def oracle_modified_stress(X, delta, V, C, alpha, beta, e, X_prev):
     n = V.shape[0]
     k = C.shape[1]
     value = 0.0
@@ -33,11 +33,11 @@ def oracle_modified_stress(X, delta, V, C, alpha, beta, E, X_prev):
             if C[i, l]:
                 value += alpha * np.sum((X[i] - X[n + l]) ** 2)
     for i in range(n):
-        value += beta * E[i, i] * np.sum((X[i] - X_prev[i]) ** 2)
+        value += beta * e[i] * np.sum((X[i] - X_prev[i]) ** 2)
     return value
 
 
-def oracle_gradient(X, delta, V, C, alpha, beta, E, X_prev):
+def oracle_gradient(X, delta, V, C, alpha, beta, e, X_prev):
     n = V.shape[0]
     k = C.shape[1]
     G = np.zeros_like(X)
@@ -55,19 +55,19 @@ def oracle_gradient(X, delta, V, C, alpha, beta, E, X_prev):
                 G[i] += 2 * alpha * (X[i] - X[n + l])
                 G[n + l] += 2 * alpha * (X[n + l] - X[i])
     for i in range(n):
-        G[i] += 2 * beta * E[i, i] * (X[i] - X_prev[i])
+        G[i] += 2 * beta * e[i] * (X[i] - X_prev[i])
     return G
 
 
-def oracle_minimize(X0, delta, V, C, alpha, beta, E, X_prev):
+def oracle_minimize(X0, delta, V, C, alpha, beta, e, X_prev):
     shape = X0.shape
 
     def fun(x):
         X = x.reshape(shape)
-        return oracle_modified_stress(X, delta, V, C, alpha, beta, E, X_prev)
+        return oracle_modified_stress(X, delta, V, C, alpha, beta, e, X_prev)
 
     def jac(x):
-        return oracle_gradient(x.reshape(shape), delta, V, C, alpha, beta, E,
+        return oracle_gradient(x.reshape(shape), delta, V, C, alpha, beta, e,
                                X_prev).ravel()
 
     out = scipy.optimize.minimize(fun, X0.ravel(), jac=jac, method="BFGS",
@@ -235,7 +235,7 @@ class TestSmacofStatic:
             layout, report = smacof_static(delta, V, X0, eps=1e-15, max_iter=20000)
             ours = stress(layout.X, delta, V)
             C = np.zeros((4, 0))
-            oracle = oracle_minimize(X0, delta, V, C, 0.0, 0.0, np.zeros((4, 4)),
+            oracle = oracle_minimize(X0, delta, V, C, 0.0, 0.0, np.zeros(4),
                                      np.zeros_like(X0))
             assert ours == pytest.approx(oracle, abs=1e-6)
 
@@ -291,13 +291,13 @@ class TestModifiedStress:
         delta, V = kk_problem(rng, 4)
         X = rng.standard_normal((4, 2))
         ms = modified_stress(X, delta, V, np.zeros((4, 0)), 0.0, 0.0,
-                             np.zeros((4, 4)), np.zeros_like(X))
+                             np.zeros(4), np.zeros_like(X))
         assert ms == pytest.approx(stress(X, delta, V))
 
     def test_grouping_term_only(self):
         X_aug = np.array([[0.0, 0.0], [1.0, 0.0]])  # node, representative
         value = modified_stress(X_aug, np.zeros((1, 1)), np.zeros((1, 1)),
-                                np.array([[1.0]]), 1.0, 0.0, np.zeros((1, 1)),
+                                np.array([[1.0]]), 1.0, 0.0, np.zeros(1),
                                 np.zeros((2, 2)))
         assert value == pytest.approx(1.0)
 
@@ -305,7 +305,7 @@ class TestModifiedStress:
         X = np.array([[1.0, 0.0]])
         X_prev = np.array([[0.0, 0.0]])
         value = modified_stress(X, np.zeros((1, 1)), np.zeros((1, 1)),
-                                np.zeros((1, 0)), 0.0, 2.0, np.eye(1), X_prev)
+                                np.zeros((1, 0)), 0.0, 2.0, np.ones(1), X_prev)
         assert value == pytest.approx(2.0)
 
 
@@ -315,28 +315,28 @@ class TestDmds:
         X0 = rng.uniform(-1, 1, size=(5, 2))
         static_layout, static_report = smacof_static(delta, V, X0)
         dmds_l, dmds_report = dmds_layout(delta, V, np.zeros((5, 0)), 0.0, 0.0,
-                                          np.zeros((5, 5)), np.zeros_like(X0), X0=X0)
+                                          np.zeros(5), np.zeros_like(X0), X0=X0)
         assert np.array_equal(static_layout.X, dmds_l.X)
         assert static_report.stress_trace == dmds_report.stress_trace
 
     def test_huge_beta_freezes_persisting_nodes(self, rng):
         delta, V = kk_problem(rng, 5)
         X_prev = rng.uniform(-1, 1, size=(5, 2))
-        E = np.eye(5)
-        layout, _ = dmds_layout(delta, V, np.zeros((5, 0)), 0.0, 1e6, E, X_prev)
+        e = np.ones(5)
+        layout, _ = dmds_layout(delta, V, np.zeros((5, 0)), 0.0, 1e6, e, X_prev)
         assert np.max(np.abs(layout.X - X_prev)) <= 1e-3
 
     def test_matches_generic_optimizer_oracle(self, rng):
         for _ in range(3):
             delta, V = kk_problem(rng, 4)
             C = np.array([[1.0, 0], [1.0, 0], [0, 1.0], [0, 1.0]])
-            E = np.diag([1.0, 1.0, 0.0, 1.0])
+            e = np.array([1.0, 1.0, 0.0, 1.0])
             X_prev = rng.uniform(-1, 1, size=(6, 2))
-            layout, _ = dmds_layout(delta, V, C, 1.0, 1.0, E, X_prev,
+            layout, _ = dmds_layout(delta, V, C, 1.0, 1.0, e, X_prev,
                                     eps=1e-15, max_iter=20000)
             ours = modified_stress(np.vstack([layout.X, layout.Y]), delta, V, C,
-                                   1.0, 1.0, E, X_prev)
-            oracle = oracle_minimize(X_prev, delta, V, C, 1.0, 1.0, E, X_prev)
+                                   1.0, 1.0, e, X_prev)
+            oracle = oracle_minimize(X_prev, delta, V, C, 1.0, 1.0, e, X_prev)
             assert ours == pytest.approx(oracle, abs=1e-6)
 
     def test_modified_stress_never_increases(self, rng):
@@ -345,20 +345,20 @@ class TestDmds:
             C = np.zeros((6, 2))
             C[:3, 0] = 1
             C[3:, 1] = 1
-            E = np.diag(rng.integers(0, 2, size=6).astype(float))
-            if not E.any():
-                E[0, 0] = 1.0
+            e = rng.integers(0, 2, size=6).astype(float)
+            if not e.any():
+                e[0] = 1.0
             X_prev = rng.uniform(-1, 1, size=(8, 2))
-            _, report = dmds_layout(delta, V, C, 0.5, 0.8, E, X_prev)
+            _, report = dmds_layout(delta, V, C, 0.5, 0.8, e, X_prev)
             trace = np.array(report.stress_trace)
             drops = trace[:-1] - trace[1:]
             assert np.all(drops >= -1e-12 * np.maximum(trace[:-1], 1.0))
 
     def test_system_matrix_positive_definite_with_presence(self, rng):
         delta, V = kk_problem(rng, 5)
-        E = np.diag([1.0, 0, 0, 0, 0])
+        e = np.array([1.0, 0, 0, 0, 0])
         X_prev = rng.uniform(-1, 1, size=(5, 2))
-        layout, report = dmds_layout(delta, V, np.zeros((5, 0)), 0.0, 0.5, E, X_prev)
+        layout, report = dmds_layout(delta, V, np.zeros((5, 0)), 0.0, 0.5, e, X_prev)
         assert layout.X.shape == (5, 2)  # factorization succeeded
 
 
@@ -366,30 +366,30 @@ class TestStabilizedMds:
     def test_beta_zero_reaches_static_fixed_point(self, rng):
         delta, V = kk_problem(rng, 5)
         X0 = rng.uniform(-1, 1, size=(5, 2))
-        layout, _ = stabilized_mds_online(delta, V, 0.0, np.zeros((5, 5)), X0,
+        layout, _ = stabilized_mds_online(delta, V, 0.0, np.zeros(5), X0,
                                           eps=1e-14, max_iter=20000)
         # at a fixed point one more majorization sweep does not move nodes
-        refreshed, report = stabilized_mds_online(delta, V, 0.0, np.zeros((5, 5)),
+        refreshed, report = stabilized_mds_online(delta, V, 0.0, np.zeros(5),
                                                   layout.X, eps=1e-14, max_iter=1)
         assert np.allclose(refreshed.X, layout.X, atol=1e-6)
 
     def test_agrees_with_dmds_without_groups(self, rng):
         for _ in range(5):
             delta, V = kk_problem(rng, 5)
-            E = np.eye(5)
+            e = np.ones(5)
             X_prev = rng.uniform(-1, 1, size=(5, 2))
-            a, _ = stabilized_mds_online(delta, V, 1.0, E, X_prev,
+            a, _ = stabilized_mds_online(delta, V, 1.0, e, X_prev,
                                          eps=1e-14, max_iter=50000)
-            b, _ = dmds_layout(delta, V, np.zeros((5, 0)), 0.0, 1.0, E, X_prev,
+            b, _ = dmds_layout(delta, V, np.zeros((5, 0)), 0.0, 1.0, e, X_prev,
                                eps=1e-14, max_iter=50000)
-            ms_a = modified_stress(a.X, delta, V, np.zeros((5, 0)), 0.0, 1.0, E, X_prev)
-            ms_b = modified_stress(b.X, delta, V, np.zeros((5, 0)), 0.0, 1.0, E, X_prev)
+            ms_a = modified_stress(a.X, delta, V, np.zeros((5, 0)), 0.0, 1.0, e, X_prev)
+            ms_b = modified_stress(b.X, delta, V, np.zeros((5, 0)), 0.0, 1.0, e, X_prev)
             assert ms_a == pytest.approx(ms_b, abs=1e-5)
 
     def test_huge_beta_freezes_layout(self, rng):
         delta, V = kk_problem(rng, 5)
         X_prev = rng.uniform(-1, 1, size=(5, 2))
-        layout, _ = stabilized_mds_online(delta, V, 1e8, np.eye(5), X_prev)
+        layout, _ = stabilized_mds_online(delta, V, 1e8, np.ones(5), X_prev)
         assert np.max(np.abs(layout.X - X_prev)) <= 1e-3
 
 
@@ -402,28 +402,28 @@ class TestTraceEndsAtReturnedLayout:
             C = np.zeros((7, 2))
             C[:4, 0] = 1
             C[4:, 1] = 1
-            E = np.diag([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+            e = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
             X_prev = rng.uniform(-1, 1, size=(9, 2))
-            layout, report = dmds_layout(delta, V, C, 0.7, 1.3, E, X_prev)
+            layout, report = dmds_layout(delta, V, C, 0.7, 1.3, e, X_prev)
             assert report.stress_trace[-1] == modified_stress(
-                np.vstack([layout.X, layout.Y]), delta, V, C, 0.7, 1.3, E, X_prev)
+                np.vstack([layout.X, layout.Y]), delta, V, C, 0.7, 1.3, e, X_prev)
 
     def test_smacof_static(self, rng):
         for s in (1, 2, 3):
             delta, V = kk_problem(rng, 6)
             layout, report = smacof_static(delta, V, rng.uniform(-1, 1, size=(6, s)))
             assert report.stress_trace[-1] == modified_stress(
-                layout.X, delta, V, np.zeros((6, 0)), 0.0, 0.0, np.zeros((6, 6)),
+                layout.X, delta, V, np.zeros((6, 0)), 0.0, 0.0, np.zeros(6),
                 np.zeros((6, s)))
 
     def test_stabilized(self, rng):
         for _ in range(10):
             delta, V = kk_problem(rng, 6)
-            E = np.diag(rng.integers(0, 2, size=6).astype(float))
+            e = rng.integers(0, 2, size=6).astype(float)
             X_prev = rng.uniform(-1, 1, size=(6, 2))
-            layout, report = stabilized_mds_online(delta, V, 0.9, E, X_prev)
+            layout, report = stabilized_mds_online(delta, V, 0.9, e, X_prev)
             assert report.stress_trace[-1] == modified_stress(
-                layout.X, delta, V, np.zeros((6, 0)), 0.0, 0.9, E, X_prev)
+                layout.X, delta, V, np.zeros((6, 0)), 0.0, 0.9, e, X_prev)
 
     def test_reused_buffers_hold_no_state_between_iterates(self, rng):
         # two components, so pairs across them are unreachable (V = 0,
@@ -453,11 +453,11 @@ class TestTraceEndsAtReturnedLayout:
 # solver's name in its iteration-cap warning)
 CAPPED_SOLVERS = {
     "dmds_layout": (lambda delta, V, X0, **kw: dmds_layout(
-        delta, V, np.zeros((len(X0), 0)), 0.0, 0.5, np.eye(len(X0)), np.zeros_like(X0),
+        delta, V, np.zeros((len(X0), 0)), 0.0, 0.5, np.ones(len(X0)), np.zeros_like(X0),
         X0=X0, **kw), "majorization"),
     "smacof_static": (smacof_static, "majorization"),
     "stabilized_mds_online": (lambda delta, V, X0, **kw: stabilized_mds_online(
-        delta, V, 0.5, np.eye(len(X0)), np.zeros_like(X0), X0=X0, **kw), "stabilized MDS"),
+        delta, V, 0.5, np.ones(len(X0)), np.zeros_like(X0), X0=X0, **kw), "stabilized MDS"),
 }
 
 

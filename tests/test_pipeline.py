@@ -180,6 +180,20 @@ class TestRunSequence:
         with pytest.raises(DataError):
             RegularizationConfig(groups="learn")
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", -1.0), ("alpha", float("inf")), ("alpha", float("nan")),
+        ("beta", -1.0), ("beta", float("-inf")), ("beta", float("nan")),
+        ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", float("inf")),
+        ("epsilon", float("nan"))])
+    def test_out_of_range_weight_rejected(self, field, value, small_sbm):
+        with pytest.raises(DataError, match=field):
+            RegularizationConfig(method="dgll", **{field: value})
+        if field != "epsilon":
+            # parameter_sweep builds its cells with dataclasses.replace
+            with pytest.raises(DataError, match=field):
+                parameter_sweep(small_sbm[0], "dmds", [value if field == "alpha" else 1.0],
+                                [value if field == "beta" else 1.0], [0])
+
 
 class TestBlasThreads:
     """A run holds every loaded OpenBLAS at one thread and gives the caller
