@@ -145,8 +145,8 @@ def dgll_objective(X_aug: np.ndarray, L_aug: np.ndarray, e_aug: np.ndarray,
     Xp = np.atleast_2d(np.asarray(X_prev_aug, dtype=float))
     value = float(np.trace(X.T @ L_aug @ X))
     if beta != 0:
-        e = np.asarray(e_aug, dtype=float)[:, None]
-        value += beta * float(np.sum(e * X * X) - 2.0 * np.sum(e * X * Xp))
+        XtE = (np.asarray(e_aug, dtype=float)[:, None] * X).T  # X^T diag(e_aug)
+        value += beta * float(np.trace(XtE @ X) - 2.0 * np.trace(XtE @ Xp))
     return value
 
 
