@@ -25,7 +25,10 @@ block-model networks of the acceptance protocol, the same three with nodes
 0-2 dropped at every odd step, and two n = 200 networks (without DGLL). It
 writes one SHA-256 per run, over X, Y, labels, the three costs, iterations
 and stress traces, or over the error text of a run that raised, together
-with the run's coordinates. ``--compare A B`` reads two such files, lists
+with the run's coordinates. Each network adds one clustering record
+(``<network>/cluster``): the SHA-256 of the labels and forgetting factors of
+``learn_group_sequence(network, 4, seed)``, with the factors as its
+coordinates. ``--compare A B`` reads two such files, lists
 each run whose digest differs with its largest coordinate change, and exits
 1 if any does. The bits depend on the BLAS build, so compare files made on
 one machine only, e.g. a parent commit's against a change's.
@@ -43,7 +46,8 @@ import numpy as np
 
 from dynlayout.cli import cli_main
 from dynlayout.graph import DynamicNetwork, GroupAssignment, Snapshot
-from dynlayout.pipeline import METHODS, RegularizationConfig, run_sequence
+from dynlayout.pipeline import (METHODS, RegularizationConfig, learn_group_sequence,
+                                run_sequence)
 from dynlayout.sbm import SbmConfig, sbm_sequence
 
 DATA = Path(__file__).resolve().parent
@@ -118,8 +122,8 @@ def _drop_at_odd_steps(network: DynamicNetwork, dropped) -> DynamicNetwork:
     return DynamicNetwork(network.registry, snaps)
 
 
-def digest_matrix():
-    """Yield (run name, network, config) for every run of the digest."""
+def digest_networks():
+    """(network name, network, seed, methods) for every network of the digest."""
     networks = []
     for seed in (1, 2, 3):
         net, _ = sbm_sequence(SbmConfig.two_rate(n=30, k=4, p_in=0.6, p_out=0.2, T=20,
@@ -133,7 +137,12 @@ def digest_matrix():
                                                  change_step=2, change_fraction=0.25,
                                                  seed=seed))
         networks.append((f"large{seed}", net, seed, tuple(m for m in METHODS if m != "dgll")))
-    for net_name, network, seed, methods in networks:
+    return networks
+
+
+def digest_matrix():
+    """Yield (run name, network, config) for every run of the digest."""
+    for net_name, network, seed, methods in digest_networks():
         for method in methods:
             for groups in ("none", "known", "learn"):
                 for dims in (1, 2):
@@ -169,6 +178,18 @@ def run_record(network: DynamicNetwork, config: RegularizationConfig) -> dict:
     except Exception as exc:  # the digest records a failed run, it does not stop
         return output_record(error=f"{type(exc).__name__}: {exc}")
     return output_record(sequence, report)
+
+
+def cluster_record(network: DynamicNetwork, seed: int) -> dict:
+    """Digest record of the on-line clustering of a network at k = 4: the
+    SHA-256 of its labels and forgetting factors (or of the error text),
+    with the factors as coordinates."""
+    try:
+        labels, alphas = learn_group_sequence(network, 4, seed)
+    except Exception as exc:  # recorded like a failed run
+        return output_record(error=f"{type(exc).__name__}: {exc}")
+    return {"sha256": hashlib.sha256(repr((labels, alphas)).encode()).hexdigest(),
+            "error": None, "coordinates": list(alphas)}
 
 
 def write_digest(records: dict, path) -> None:
@@ -214,6 +235,8 @@ def main(argv=None) -> int:
     if args.digest:
         records = {name: run_record(network, config)
                    for name, network, config in digest_matrix()}
+        records.update({f"{net_name}/cluster": cluster_record(network, seed)
+                        for net_name, network, seed, _ in digest_networks()})
         write_digest(records, args.digest)
         combined = hashlib.sha256("".join(r["sha256"] for r in records.values()).encode())
         failed = sum(r["error"] is not None for r in records.values())
