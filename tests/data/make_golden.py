@@ -83,15 +83,27 @@ GOLDEN_RUNS = {
                ("--k", "4", "--method", "bfp", "--seed", "1", "--dims", "2")),
     "ccdr-2d": (SBM_INPUT, "golden_ccdr_2d",
                 ("--k", "4", "--method", "ccdr", "--seed", "1", "--dims", "2")),
+    "mds-static-1d": (SBM_INPUT, "golden_mds_static_1d",
+                      ("--k", "4", "--method", "mds-static", "--seed", "1", "--dims", "1")),
+    "mds-stabilized-1d": (SBM_INPUT, "golden_mds_stabilized_1d",
+                          ("--k", "4", "--method", "mds-stabilized", "--seed", "1",
+                           "--dims", "1")),
+    "dmds-learn-2d": (SBM_INPUT, "golden_dmds_learn_2d",
+                      ("--groups", "learn", "--k", "4", "--method", "dmds", "--seed", "1",
+                       "--dims", "2")),
+    "dgll-learn-2d": (SBM_INPUT, "golden_dgll_learn_2d",
+                      ("--groups", "learn", "--k", "4", "--method", "dgll", "--seed", "1",
+                       "--dims", "2")),
 }
 
 
 def layout_argv(name: str, out_prefix) -> list[str]:
-    """The `dynlayout layout` arguments of golden run ``name``, with known
-    groups read from this directory and output written under ``out_prefix``."""
+    """The `dynlayout layout` arguments of golden run ``name``, with output
+    written under ``out_prefix`` and, unless its options choose ``--groups``,
+    known groups read from this directory."""
     inputs, _, options = GOLDEN_RUNS[name]
-    return ["layout", "--input", str(DATA / f"{inputs}.snapshots.tsv"),
-            "--groups", str(DATA / f"{inputs}.groups.tsv"), *options,
+    groups = () if "--groups" in options else ("--groups", str(DATA / f"{inputs}.groups.tsv"))
+    return ["layout", "--input", str(DATA / f"{inputs}.snapshots.tsv"), *groups, *options,
             "--out", str(out_prefix)]
 
 
