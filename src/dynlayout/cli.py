@@ -11,22 +11,20 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as dio
-from . import metrics as met
 from . import render as rnd
 from .errors import DataError, NumericalError
-from .gll import laplacian
 from .graph import DynamicNetwork
-from .pipeline import (MDS_METHODS, METHODS, RegularizationConfig, learn_group_sequence,
-                       mds_inputs, parameter_sweep, run_sequence, score_step)
+from .pipeline import (METHODS, RegularizationConfig, learn_group_sequence, parameter_sweep,
+                       run_sequence, score_sequence)
 from .sbm import SbmConfig, sbm_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+_DEFAULT = RegularizationConfig()
 
 
 class _UsageError(Exception):
@@ -61,19 +59,19 @@ def _add_input_options(p: argparse.ArgumentParser):
 
 
 def _add_layout_options(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=METHODS, default="dmds")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--dims", type=int, default=2)
+    p.add_argument("--method", choices=METHODS, default=_DEFAULT.method)
+    p.add_argument("--alpha", type=float, default=_DEFAULT.alpha)
+    p.add_argument("--beta", type=float, default=_DEFAULT.beta)
+    p.add_argument("--epsilon", type=float, default=_DEFAULT.epsilon)
+    p.add_argument("--dims", type=int, default=_DEFAULT.dims)
     p.add_argument("--groups", default="none",
                    help="'none', 'learn', or a groups TSV file path")
     p.add_argument("--k", type=int, default=None, help="group count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalized", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--seed", type=int, default=_DEFAULT.seed)
+    p.add_argument("--normalized", action=argparse.BooleanOptionalAction,
+                   default=_DEFAULT.normalized,
                    help="degree-normalized constraints (GLL family)")
-    p.add_argument("--lambda-grid", type=_float_list,
-                   default=[i / 20.0 for i in range(21)],
+    p.add_argument("--lambda-grid", type=_float_list, default=_DEFAULT.lambda_grid,
                    help="comma-separated blend weights (bfp)")
     p.add_argument("--similarity", choices=("linear", "inverse"), default=None,
                    help="convert similarity weights to dissimilarities (MDS family)")
@@ -104,7 +102,7 @@ def _cmd_layout(args) -> int:
     sequence, report = run_sequence(network, config)
     layout_path = Path(str(args.out) + ".layout.json")
     costs_path = Path(str(args.out) + ".costs.csv")
-    dio.export_layouts(sequence, layout_path, format="json")
+    dio.export_layouts(sequence, layout_path)
     dio.write_cost_csv(report, costs_path)
     print(f"wrote {layout_path} and {costs_path}")
     return EXIT_OK
@@ -157,29 +155,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_metrics(args) -> int:
     network = _load_network(args)
-    sequence = dio.import_layouts(args.layout)
-    if len(sequence.steps) != len(network.snapshots):
-        raise DataError("layout document and snapshot file have different step counts")
-    method = str(sequence.metadata.get("method", "dmds"))
-    is_mds = method in MDS_METHODS
-    similarity_mode = sequence.metadata.get("similarity_mode")
-    report = met.CostReport(method=method, params=dict(sequence.metadata))
-    for t, (step, snap) in enumerate(zip(sequence.steps, network.snapshots)):
-        if step.ids != tuple(network.registry.id_of(idx) for idx in snap.active):
-            raise DataError(f"step t={t}: layout node ids differ from the snapshot's "
-                            "active nodes in set or order")
-        if is_mds:
-            delta, V = mds_inputs(snap.W, similarity_mode)
-            static = met.static_cost_mds(step.X, delta, V)
-        else:
-            lap = laplacian(snap.W)
-            static = met.static_cost_gll(step.X, lap.L, lap.D)
-        known = snap.groups.labels if snap.groups is not None else step.labels
-        shared = network.persistence(t)
-        X_prev = np.zeros_like(step.X)
-        if t > 0:
-            X_prev[shared.rows] = sequence.steps[t - 1].X[shared.prev_rows]
-        report.steps.append(score_step(t, step.X, static, known, X_prev, shared.e))
+    report = score_sequence(network, dio.import_layouts(args.layout))
     dio.write_cost_csv(report, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -211,7 +187,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="learn time-varying groups")
     _add_input_options(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_DEFAULT.seed)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_cluster)
 

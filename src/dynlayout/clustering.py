@@ -15,6 +15,10 @@ import scipy.optimize
 from .errors import DataError
 from .numerics import gen_eig_smallest
 
+_KMEANS_RESTARTS = 100
+_KMEANS_MAX_ITER = 300
+_MAX_REFINE = 10  # factor/clustering rounds per evolutionary step
+
 
 def affect_smooth(psi_prev: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
     """Convex blend alpha * psi_prev + (1 - alpha) * W."""
@@ -77,12 +81,12 @@ def _furthest_first_centers(points: np.ndarray, k: int, first: int) -> np.ndarra
     return points[centers].copy()
 
 
-def kmeans(points: np.ndarray, k: int, seed, restarts: int = 100,
-           max_iter: int = 300) -> tuple[np.ndarray, float]:
+def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
     """Seeded Lloyd k-means with furthest-first initialization.
 
-    Runs ``restarts`` independent starts and keeps the labeling with the
-    lowest within-cluster sum of squares. Returns (labels in 1..k, wcss).
+    Runs ``_KMEANS_RESTARTS`` independent starts of at most ``_KMEANS_MAX_ITER``
+    Lloyd rounds and keeps the labeling with the lowest within-cluster sum
+    of squares. Returns (labels in 1..k, wcss).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -91,7 +95,7 @@ def kmeans(points: np.ndarray, k: int, seed, restarts: int = 100,
     rng = np.random.default_rng(seed)
     best_labels, best_wcss = None, np.inf
     tried = set()
-    for _ in range(restarts):
+    for _ in range(_KMEANS_RESTARTS):
         # a repeated first index repeats a whole restart exactly; drawing
         # it anyway keeps the random stream of the later restarts
         first = int(rng.integers(n))
@@ -100,7 +104,7 @@ def kmeans(points: np.ndarray, k: int, seed, restarts: int = 100,
         tried.add(first)
         centers = _furthest_first_centers(points, k, first)
         labels = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
+        for _ in range(_KMEANS_MAX_ITER):
             dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
             new_labels = np.argmin(dists, axis=1)
             for c in range(k):
@@ -163,14 +167,14 @@ def match_labels(reference, labels, k: int) -> np.ndarray:
     return label_permutation(reference, labels, k)[labels - 1]
 
 
-def affect_cluster_step(psi_prev, W, prev_labels, k: int, seed,
-                        max_refine: int = 10) -> tuple[np.ndarray, np.ndarray, float]:
+def affect_cluster_step(psi_prev, W, prev_labels, k: int,
+                        seed) -> tuple[np.ndarray, np.ndarray, float]:
     """One time step of the evolutionary clustering loop.
 
     With no history (psi_prev is None) the forgetting factor is 0 and the
     labels come from static clustering of W. Otherwise the factor estimate
     and the clustering are refined alternately until the partition stops
-    changing or ``max_refine`` rounds pass. Returns (labels, smoothed
+    changing or ``_MAX_REFINE`` rounds pass. Returns (labels, smoothed
     adjacency, factor).
     """
     W = np.asarray(W, dtype=float)
@@ -180,7 +184,7 @@ def affect_cluster_step(psi_prev, W, prev_labels, k: int, seed,
     labels = np.asarray(prev_labels, dtype=int)
     alpha = 0.0
     psi = W.copy()
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         alpha = affect_alpha(psi_prev, W, labels)
         psi = affect_smooth(psi_prev, W, alpha)
         new_labels = match_labels(labels, spectral_cluster(psi, k, seed), k)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -244,26 +243,11 @@ def sequence_to_json_dict(sequence: LayoutSequence) -> dict:
     return {**sequence.metadata, "steps": steps}
 
 
-def export_layouts(sequence: LayoutSequence, path, format: str = "json") -> None:
-    """Write a layout sequence as LayoutJson or long-form CSV."""
-    path = Path(path)
-    if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(sequence_to_json_dict(sequence), fh, indent=1)
-            fh.write("\n")
-    elif format == "csv":
-        dims = sequence.dims
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "id"] + [f"x{a + 1}" for a in range(dims)] + ["group"])
-            for step in sequence.steps:
-                for row, node_id in enumerate(step.ids):
-                    lab = step.labels[row] if step.labels is not None else None
-                    writer.writerow([step.t, node_id]
-                                    + [repr(float(v)) for v in step.X[row]]
-                                    + ["" if lab is None else lab])
-    else:
-        raise DataError(f"unknown export format {format!r}")
+def export_layouts(sequence: LayoutSequence, path) -> None:
+    """Write a layout sequence as a LayoutJson document."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(sequence_to_json_dict(sequence), fh, indent=1)
+        fh.write("\n")
 
 
 def import_layouts(path) -> LayoutSequence:

@@ -200,6 +200,7 @@ class EqConstrainedResult:
 
 # penalty weights of the continuation, each solve warm-started from the last
 _PENALTY_WEIGHTS = tuple(10.0 ** e for e in range(9))
+_POLISH_ROUNDS = 8  # Newton steps of the KKT polish, at most
 
 
 def minimize_eq_constrained(
@@ -259,7 +260,7 @@ def kkt_residuals(x, grad, g, jac) -> tuple[float, float]:
     return (float(np.max(np.abs(gv))) if gv.size else 0.0), kkt
 
 
-def _kkt_polish(x, mu, grad, g, jac, hess, tol, rounds: int = 8):
+def _kkt_polish(x, mu, grad, g, jac, hess, tol):
     # Newton on the KKT system [grad f + J^T mu; g] = 0; quadratic local
     # convergence squeezes residuals well below the requested tolerance.
     # Least squares takes the step, so a singular KKT matrix (a continuum
@@ -271,7 +272,7 @@ def _kkt_polish(x, mu, grad, g, jac, hess, tol, rounds: int = 8):
 
     n, m = x.shape[0], mu.shape[0]
     J, r, res = residual(x, mu)
-    for taken in range(rounds):
+    for taken in range(_POLISH_ROUNDS):
         if res <= 1e-3 * tol:
             return x, taken
         K = np.block([[hess(x, mu), J.T], [J, np.zeros((m, m))]])
@@ -281,4 +282,4 @@ def _kkt_polish(x, mu, grad, g, jac, hess, tol, rounds: int = 8):
         if res_new >= res:
             return x, taken
         x, mu, J, r, res = x_new, mu_new, J_new, r_new, res_new
-    return x, rounds
+    return x, _POLISH_ROUNDS

@@ -1,15 +1,19 @@
 """Per-time-step layout pipeline.
 
-Drives ingest -> (optional) clustering -> layout -> scoring for each
-snapshot, threading the cross-step state (previous positions, previous
-representative positions, clustering history) explicitly. A sequence is
-strictly on-line: the state at step t depends only on data up to t.
+Each step of ``run_sequence`` makes three decisions, each in one place:
+its groups (known labels, or the on-line clustering ``_learned_groups``),
+its solve (``_solve``: the configured method, its start positions and its
+static cost) and its score (``score_step``). ``score_sequence`` scores a
+stored layout sequence the same way. The cross-step state (previous
+positions, previous representative positions) is threaded explicitly, and
+the clustering history lives in the generator. A sequence is strictly
+on-line: the state at step t depends only on data up to t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -107,7 +111,10 @@ class LayoutSequence:
 
     @property
     def dims(self) -> int:
-        return int(self.metadata["dims"])
+        dims = self.metadata.get("dims")
+        if not isinstance(dims, int) or isinstance(dims, bool):
+            raise DataError(f"layout metadata needs an integer 'dims' field, got {dims!r}")
+        return dims
 
 
 # ---------------------------------------------------------------------------
@@ -122,66 +129,51 @@ def _known_labels(snap: Snapshot) -> Optional[tuple[Optional[int], ...]]:
     return snap.groups.labels if snap.groups is not None else None
 
 
-class ClusterTracker:
-    """On-line evolutionary-clustering state, aligned to whatever the
-    current active node set is."""
-
-    def __init__(self, k: int, seed: int):
-        self.k = k
-        self.seed = seed
-        self.psi_prev: Optional[np.ndarray] = None
-        self.labels_prev: Optional[np.ndarray] = None
-
-    def step(self, snap: Snapshot, t: int,
-             shared: Persistence) -> tuple[tuple[int, ...], float]:
-        """Cluster snapshot t, whose rows map to those of the snapshot
-        clustered before by ``shared``; returns (labels, forgetting factor)."""
-        seed = int(_rng_for(self.seed, t, 1).integers(2**31))
-        psi_prev = None
-        prev_labels = None
+def _learned_groups(network: DynamicNetwork, k: int,
+                    seed: int) -> Iterator[tuple[tuple[int, ...], float]]:
+    """On-line evolutionary clustering: yields (labels, forgetting factor)
+    for each snapshot in turn, carrying the smoothed adjacency and the labels
+    of the step before over the nodes present at both."""
+    psi = labels = None
+    for t, snap in enumerate(network.snapshots):
+        shared = network.persistence(t)
         rows, prev_rows = shared.rows, shared.prev_rows
-        if self.labels_prev is not None:
+        psi_prev = prev_labels = None
+        if labels is not None:
             # history entries for nodes without history default to the
             # current observation (blending them is then a no-op)
             psi_prev = snap.W.copy()
-            psi_prev[np.ix_(rows, rows)] = self.psi_prev[np.ix_(prev_rows, prev_rows)]
+            psi_prev[np.ix_(rows, rows)] = psi[np.ix_(prev_rows, prev_rows)]
             prev_labels = np.ones(snap.n, dtype=int)
-            prev_labels[rows] = self.labels_prev[prev_rows]
-        labels, psi, alpha = clus.affect_cluster_step(psi_prev, snap.W, prev_labels,
-                                                      self.k, seed)
+            prev_labels[rows] = labels[prev_rows]
+        step_seed = int(_rng_for(seed, t, 1).integers(2**31))
+        new_labels, psi, alpha = clus.affect_cluster_step(psi_prev, snap.W, prev_labels, k,
+                                                          step_seed)
         if rows.size:
-            labels = clus.label_permutation(self.labels_prev[prev_rows], labels[rows],
-                                            self.k)[labels - 1]
-        self.psi_prev = psi
-        self.labels_prev = labels
-        return tuple(int(v) for v in labels), float(alpha)
+            new_labels = clus.label_permutation(labels[prev_rows], new_labels[rows],
+                                                k)[new_labels - 1]
+        labels = new_labels
+        yield tuple(int(v) for v in labels), float(alpha)
 
 
 def learn_group_sequence(network: DynamicNetwork, k: int,
                          seed: int = 0) -> tuple[list[tuple[int, ...]], list[float]]:
     """Cluster every snapshot on-line; returns per-step labels and the
     per-step forgetting factors."""
-    tracker = ClusterTracker(k, seed)
-    all_labels, alphas = [], []
-    for t, snap in enumerate(network.snapshots):
-        labels, alpha = tracker.step(snap, t, network.persistence(t))
-        all_labels.append(labels)
-        alphas.append(alpha)
-    return all_labels, alphas
+    steps = list(_learned_groups(network, k, seed))
+    return [labels for labels, _ in steps], [alpha for _, alpha in steps]
 
 
 class _SequenceState:
     """Cross-step memory: the last known position of every registry node
     (row i is node i; ``seen`` marks the nodes laid out so far), the same
-    for every group representative (row j is group j + 1), and the
-    clustering history."""
+    for every group representative (row j is group j + 1)."""
 
     def __init__(self, n_nodes: int, n_groups: int, dims: int):
         self.last_X = np.zeros((n_nodes, dims))
         self.seen = np.zeros(n_nodes, dtype=bool)
         self.last_Y = np.zeros((n_groups, dims))
         self.seen_Y = np.zeros(n_groups, dtype=bool)
-        self.tracker: Optional[ClusterTracker] = None
 
     def update(self, active: np.ndarray, X: np.ndarray, kept: list[int], Y: np.ndarray):
         self.last_X[active] = X
@@ -190,26 +182,19 @@ class _SequenceState:
         self.seen_Y[kept] = True
 
 
-def _group_info(snap: Snapshot, state: _SequenceState, config: RegularizationConfig, t: int,
-                shared: Persistence):
+def _group_info(snap: Snapshot, config: RegularizationConfig,
+                learned: Optional[tuple[int, ...]]):
     """Labels used by the layout, labels used for scoring, and the group
-    count. Scoring always prefers the known groups when they exist."""
-    layout_labels: Optional[tuple[Optional[int], ...]] = None
-    k = 0
+    count; ``learned`` holds this step's learned labels when groups are
+    learned. Scoring always prefers the known groups when they exist."""
+    known = _known_labels(snap)
     if config.groups == "known":
-        layout_labels = _known_labels(snap)
-        if layout_labels is None:
+        if known is None:
             raise DataError("groups=known but the snapshot carries no groups")
-        k = snap.groups.k
-    elif config.groups == "learn":
-        if state.tracker is None:
-            state.tracker = ClusterTracker(config.k, config.seed)
-        layout_labels, _ = state.tracker.step(snap, t, shared)
-        k = config.k
-    eval_labels = _known_labels(snap)
-    if eval_labels is None:
-        eval_labels = layout_labels
-    return layout_labels, eval_labels, k
+        return known, known, snap.groups.k
+    if config.groups == "learn":
+        return learned, learned if known is None else known, config.k
+    return None, known, 0
 
 
 def _effective_membership(labels: Optional[Sequence[Optional[int]]], k: int,
@@ -298,61 +283,6 @@ def _augmented_prev(snap, state, X_prev, labels, kept, C, config, t):
     return X_nodes, np.vstack([X_nodes, Y_rows])
 
 
-# ---------------------------------------------------------------------------
-# the per-method solvers
-
-def _solve_mds(snap, state, config, t, e, X_prev, labels, C, kept, delta, V):
-    X_nodes, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
-    if config.method == "dmds":
-        return mds.dmds_layout(delta, V, C, config.alpha, config.beta, e, X_aug_prev,
-                               eps=config.epsilon)
-    if config.method == "mds-static":
-        return mds.smacof_static(delta, V, X_nodes, eps=config.epsilon)
-    return mds.stabilized_mds_online(delta, V, config.beta, e, X_nodes, eps=config.epsilon)
-
-
-def _solve_gll(network, snap, state, config, t, shared, X_prev, lap, labels, C, kept,
-               eval_labels):
-    s = config.dims
-    persist_mask = shared.e > 0
-    # eigen layouts align to the previous step on the nodes present at both
-    reference = X_prev if t > 0 and persist_mask.any() else None
-
-    if config.method == "spectral":
-        return gll.spectral_layout(lap, s, config.normalized, reference, persist_mask)
-
-    if config.method == "ccdr":
-        return gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized, reference,
-                               persist_mask)
-
-    if config.method == "bfp":
-        lap_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, shared))
-        lam_grid = config.lambda_grid if t > 0 else (0.0,)
-        candidates: dict[float, Layout] = {}
-
-        def composite(lam: float) -> float:
-            cand = gll.bfp_layout(lap_prev, lap, lam, reference, s, config.normalized,
-                                  persist_mask)
-            candidates[lam] = cand
-            static = metrics.static_cost_gll(cand.X, lap.L, lap.D)
-            centroid = metrics.centroid_cost(cand.X, eval_labels) \
-                if eval_labels is not None else None
-            temporal = metrics.temporal_cost(cand.X, X_prev, shared.e)
-            return static + config.alpha * (centroid or 0.0) + config.beta * temporal
-
-        lam_star = gll.bfp_lambda_select(lam_grid, composite)
-        return candidates[lam_star]
-
-    # dgll
-    _, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
-    rng = _rng_for(config.seed, t, 3)
-    solution = gll.dgll_layout(snap.W, C, config.alpha, config.beta, shared.e, X_aug_prev, s,
-                               normalized=config.normalized, rng=rng)
-    return solution.layout
-
-
-# ---------------------------------------------------------------------------
-
 def score_step(t: int, X: np.ndarray, static: float,
                eval_labels: Optional[Sequence[Optional[int]]], X_prev: np.ndarray,
                e: np.ndarray, iterations: Optional[int] = None,
@@ -368,6 +298,58 @@ def score_step(t: int, X: np.ndarray, static: float,
                              stress_trace=stress_trace)
 
 
+def _solve(network: DynamicNetwork, t: int, config: RegularizationConfig,
+           state: _SequenceState, shared: Persistence, X_prev: np.ndarray, labels,
+           eval_labels, C: np.ndarray, kept: list[int]):
+    """Lay out step t with the configured method; returns (layout, static
+    cost, solve report or None). The static cost is computed from the
+    inputs the solve built (distances and weights, or the Laplacian)."""
+    snap = network.snapshots[t]
+    method, s = config.method, config.dims
+    if method in MDS_METHODS or method == "dgll":
+        X_nodes, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
+    if method in MDS_METHODS:
+        delta, V = mds_inputs(snap.W, config.similarity_mode)
+        if method == "dmds":
+            layout, report = mds.dmds_layout(delta, V, C, config.alpha, config.beta, shared.e,
+                                             X_aug_prev, eps=config.epsilon)
+        elif method == "mds-static":
+            layout, report = mds.smacof_static(delta, V, X_nodes, eps=config.epsilon)
+        else:
+            layout, report = mds.stabilized_mds_online(delta, V, config.beta, shared.e, X_nodes,
+                                                       eps=config.epsilon)
+        return layout, metrics.static_cost_mds(layout.X, delta, V), report
+
+    lap = gll.laplacian(snap.W)
+    persist_mask = shared.e > 0
+    # eigen layouts align to the previous step on the nodes present at both
+    reference = X_prev if t > 0 and persist_mask.any() else None
+    if method == "dgll":
+        layout = gll.dgll_layout(snap.W, C, config.alpha, config.beta, shared.e, X_aug_prev, s,
+                                 normalized=config.normalized,
+                                 rng=_rng_for(config.seed, t, 3)).layout
+    elif method == "spectral":
+        layout = gll.spectral_layout(lap, s, config.normalized, reference, persist_mask)
+    elif method == "ccdr":
+        layout = gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized, reference,
+                                 persist_mask)
+    else:  # bfp: the blend weight whose layout has the lowest composite cost
+        lap_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, shared))
+        candidates: dict[float, Layout] = {}
+
+        def composite(lam: float) -> float:
+            cand = candidates[lam] = gll.bfp_layout(lap_prev, lap, lam, reference, s,
+                                                    config.normalized, persist_mask)
+            costs = score_step(t, cand.X, metrics.static_cost_gll(cand.X, lap.L, lap.D),
+                               eval_labels, X_prev, shared.e)
+            return (costs.static_cost + config.alpha * (costs.centroid_cost or 0.0)
+                    + config.beta * (costs.temporal_cost or 0.0))
+
+        layout = candidates[gll.bfp_lambda_select(config.lambda_grid if t > 0 else (0.0,),
+                                                  composite)]
+    return layout, metrics.static_cost_gll(layout.X, lap.L, lap.D), None
+
+
 def run_sequence(network: DynamicNetwork,
                  config: RegularizationConfig) -> tuple[LayoutSequence, metrics.CostReport]:
     """Lay out every snapshot with the configured method and score each
@@ -381,7 +363,8 @@ def run_sequence(network: DynamicNetwork,
     state = _SequenceState(len(network.registry), n_groups, config.dims)
     sequence = LayoutSequence(metadata=config.metadata())
     report = metrics.CostReport(method=config.method, params=config.metadata())
-    is_mds = config.method in MDS_METHODS
+    learned = _learned_groups(network, config.k, config.seed) \
+        if config.groups == "learn" else None
 
     with single_threaded_blas():
         for t, snap in enumerate(network.snapshots):
@@ -389,26 +372,14 @@ def run_sequence(network: DynamicNetwork,
                 shared = network.persistence(t)
                 active = np.asarray(snap.active)
                 X_prev = state.last_X[active]
-                layout_labels, eval_labels, k = _group_info(snap, state, config, t, shared)
-                if config.method in GROUPING_METHODS:
-                    C, kept = _effective_membership(layout_labels, k, snap.n)
-                else:
-                    C, kept = np.zeros((snap.n, 0)), []
-
-                iterations = None
-                trace = None
-                if is_mds:
-                    delta, V = mds_inputs(snap.W, config.similarity_mode)
-                    layout, solve_report = _solve_mds(snap, state, config, t, shared.e, X_prev,
-                                                      layout_labels, C, kept, delta, V)
-                    iterations = solve_report.iterations
-                    trace = solve_report.stress_trace
-                    static = metrics.static_cost_mds(layout.X, delta, V)
-                else:
-                    lap = gll.laplacian(snap.W)
-                    layout = _solve_gll(network, snap, state, config, t, shared, X_prev, lap,
-                                        layout_labels, C, kept, eval_labels)
-                    static = metrics.static_cost_gll(layout.X, lap.L, lap.D)
+                layout_labels, eval_labels, k = _group_info(
+                    snap, config, next(learned)[0] if learned is not None else None)
+                C, kept = _effective_membership(
+                    layout_labels, k if config.method in GROUPING_METHODS else 0, snap.n)
+                layout, static, solved = _solve(network, t, config, state, shared, X_prev,
+                                                layout_labels, eval_labels, C, kept)
+                iterations, trace = (None, None) if solved is None else \
+                    (solved.iterations, solved.stress_trace)
                 report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, shared.e,
                                                iterations, trace))
 
@@ -421,6 +392,36 @@ def run_sequence(network: DynamicNetwork,
             except DynlayoutError as exc:
                 raise type(exc)(f"step t={t}: {exc}") from exc
     return sequence, report
+
+
+def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics.CostReport:
+    """Cost record of a stored layout sequence: each step scored as
+    ``run_sequence`` scored it, with the static cost of the sequence's method
+    and the known groups (else the stored labels). Iterations are not
+    recomputed."""
+    if len(sequence.steps) != len(network.snapshots):
+        raise DataError("layout document and snapshot file have different step counts")
+    method = str(sequence.metadata.get("method", "dmds"))
+    similarity_mode = sequence.metadata.get("similarity_mode")
+    report = metrics.CostReport(method=method, params=dict(sequence.metadata))
+    for t, (step, snap) in enumerate(zip(sequence.steps, network.snapshots)):
+        if step.ids != tuple(network.registry.id_of(idx) for idx in snap.active):
+            raise DataError(f"step t={t}: layout node ids differ from the snapshot's "
+                            "active nodes in set or order")
+        if method in MDS_METHODS:
+            static = metrics.static_cost_mds(step.X, *mds_inputs(snap.W, similarity_mode))
+        else:
+            lap = gll.laplacian(snap.W)
+            static = metrics.static_cost_gll(step.X, lap.L, lap.D)
+        eval_labels = _known_labels(snap)
+        shared = network.persistence(t)
+        X_prev = np.zeros_like(step.X)
+        if t > 0:
+            X_prev[shared.rows] = sequence.steps[t - 1].X[shared.prev_rows]
+        report.steps.append(score_step(t, step.X, static,
+                                       step.labels if eval_labels is None else eval_labels,
+                                       X_prev, shared.e))
+    return report
 
 
 def _nanmean(values) -> float:

@@ -76,16 +76,11 @@ def render_frames(network: DynamicNetwork, sequence: LayoutSequence, out_dir,
             '<rect width="100%" height="100%" fill="white"/>',
         ]
         pts = [project(step.X[row]) for row in range(len(step.ids))]
-        for a in range(snap.n):
-            for b in range(a + 1, snap.n):
-                w = snap.W[a, b]
-                if w <= 0:
-                    continue
-                (xa, ya), (xb, yb) = pts[a], pts[b]
-                width = 0.4 + 2.1 * w / w_max
-                parts.append(f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" '
-                             f'y2="{_fmt(yb)}" stroke="#cccccc" '
-                             f'stroke-width="{_fmt(width)}"/>')
+        for a, b in zip(*np.nonzero(np.triu(snap.W, 1))):
+            (xa, ya), (xb, yb) = pts[a], pts[b]
+            width = 0.4 + 2.1 * snap.W[a, b] / w_max
+            parts.append(f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" '
+                         f'y2="{_fmt(yb)}" stroke="#cccccc" stroke-width="{_fmt(width)}"/>')
         if movement:
             for row, node_id in enumerate(step.ids):
                 if node_id not in prev_positions:

@@ -96,6 +96,23 @@ class TestExitCodes:
         assert err.startswith("data error: ")
         assert ("cannot read input" if command == "missing" else "doc.json: ") in err
 
+    @pytest.mark.parametrize("dims", [None, "2", 2.0, 1.5, True])
+    def test_render_without_integer_dims_is_data_error(self, dims, tmp_path, capsys):
+        # metrics reads no dims and still scores the same document
+        snaps = tmp_path / "path.tsv"
+        snaps.write_text("0\ta\tb\t1\n0\tb\tc\t1\n", encoding="utf-8")
+        nodes = [{"id": node, "x": [float(i), 0.5 * i], "group": None}
+                 for i, node in enumerate("abc")]
+        doc = {"method": "dmds", "steps": [{"t": 0, "nodes": nodes}]}
+        if dims is not None:
+            doc["dims"] = dims
+        layout = tmp_path / "doc.json"
+        layout.write_text(json.dumps(doc), encoding="utf-8")
+        base = ["--input", str(snaps), "--layout", str(layout)]
+        assert run(["render", *base, "--out", str(tmp_path / "frames")]) == 2
+        assert f"integer 'dims' field, got {dims!r}" in capsys.readouterr().err
+        assert run(["metrics", *base, "--out", str(tmp_path / "costs.csv")]) == 0
+
     @pytest.mark.parametrize("method", ["dmds", "mds-static"])
     def test_disconnected_snapshot_is_data_error(self, method, tmp_path, capsys):
         two_triangles = tmp_path / "two.tsv"

@@ -147,22 +147,15 @@ class TestLayoutExport:
 
     def test_json_round_trip(self, sequence, tmp_path):
         path = tmp_path / "run.layout.json"
-        dio.export_layouts(sequence, path, format="json")
+        dio.export_layouts(sequence, path)
         reloaded = dio.import_layouts(path)
         assert reloaded == sequence
-
-    def test_csv_row_count(self, sequence, tmp_path):
-        path = tmp_path / "run.csv"
-        dio.export_layouts(sequence, path, format="csv")
-        rows = path.read_text().strip().splitlines()
-        expected = sum(len(step.ids) for step in sequence.steps)
-        assert len(rows) == expected + 1  # header
 
     def test_empty_sequence_is_valid_document(self, tmp_path):
         from dynlayout.pipeline import LayoutSequence
         seq = LayoutSequence(metadata={"method": "dmds", "dims": 2})
         path = tmp_path / "empty.json"
-        dio.export_layouts(seq, path, format="json")
+        dio.export_layouts(seq, path)
         assert dio.import_layouts(path).steps == []
 
     def test_non_layout_json_rejected(self, tmp_path):

@@ -266,6 +266,14 @@ class TestLearnGroupSequence:
         assert alphas[0] == 0.0
         assert all(0.0 <= a <= 1.0 for a in alphas)
 
+    @pytest.mark.parametrize("method", ["dmds", "spectral"])
+    def test_run_sequence_lays_out_the_same_labels(self, method, small_sbm):
+        network, _ = small_sbm
+        labels, _ = learn_group_sequence(network, 2, seed=4)
+        sequence, _ = run_sequence(network, RegularizationConfig(method=method, groups="learn",
+                                                                 k=2, seed=4))
+        assert [step.labels for step in sequence.steps] == labels
+
 
 class TestParameterSweep:
     def test_single_cell_matches_single_run(self, small_sbm):

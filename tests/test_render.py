@@ -55,6 +55,35 @@ class TestRenderFrames:
         assert text.count("<circle") == 1
         assert "<line" not in text
 
+    def test_edge_lines_match_pair_loop(self, tmp_path):
+        # the double loop over all pairs that the index map replaced, kept as
+        # the reference, on a weighted graph with random positions
+        from dynlayout import render
+        from dynlayout.graph import DynamicNetwork, NodeRegistry, Snapshot
+        rng = np.random.default_rng(3)
+        n = 9
+        W = np.triu(rng.integers(0, 4, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+        W = (W + W.T).astype(float)
+        ids = tuple(f"v{i}" for i in range(n))
+        network = DynamicNetwork(NodeRegistry(ids), [Snapshot(t=0, W=W, active=range(n))])
+        seq = LayoutSequence(metadata={"dims": 2}, steps=[
+            LayoutStep(t=0, ids=ids, X=rng.normal(size=(n, 2)), labels=None, Y=None)])
+        text = render_frames(network, seq, tmp_path / "weighted")[0].read_text()
+        project = render._viewport(seq)
+        pts = [project(x) for x in seq.steps[0].X]
+        expected = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                if W[a, b] <= 0:
+                    continue
+                (xa, ya), (xb, yb) = pts[a], pts[b]
+                width = render._fmt(0.4 + 2.1 * W[a, b] / W.max())
+                expected.append(f'<line x1="{render._fmt(xa)}" y1="{render._fmt(ya)}" '
+                                f'x2="{render._fmt(xb)}" y2="{render._fmt(yb)}" '
+                                f'stroke="#cccccc" stroke-width="{width}"/>')
+        assert len(expected) > n
+        assert [line for line in text.splitlines() if "#cccccc" in line] == expected
+
     def test_movement_overlay_adds_only_ghosts_and_segments(self, run_2d, tmp_path):
         network, sequence = run_2d
         plain = render_frames(network, sequence, tmp_path / "plain", movement=False)
