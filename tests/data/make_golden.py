@@ -28,7 +28,8 @@ and stress traces, or over the error text of a run that raised, together
 with the run's coordinates. Each network adds one clustering record
 (``<network>/cluster``): the SHA-256 of the labels and forgetting factors of
 ``learn_group_sequence(network, 4, seed)``, with the factors as its
-coordinates. ``--compare A B`` reads two such files, lists
+coordinates; so does each protocol network of seeds 0-49
+(``protocol-seed<s>/cluster``). ``--compare A B`` reads two such files, lists
 each run whose digest differs with its largest coordinate change, and exits
 1 if any does. The bits depend on the BLAS build, so compare files made on
 one machine only, e.g. a parent commit's against a change's.
@@ -134,13 +135,18 @@ def _drop_at_odd_steps(network: DynamicNetwork, dropped) -> DynamicNetwork:
     return DynamicNetwork(network.registry, snaps)
 
 
+def protocol_network(seed: int) -> DynamicNetwork:
+    """The block-model network of the acceptance protocol at ``seed``."""
+    net, _ = sbm_sequence(SbmConfig.two_rate(n=30, k=4, p_in=0.6, p_out=0.2, T=20,
+                                             change_step=10, change_fraction=0.25, seed=seed))
+    return net
+
+
 def digest_networks():
     """(network name, network, seed, methods) for every network of the digest."""
     networks = []
     for seed in (1, 2, 3):
-        net, _ = sbm_sequence(SbmConfig.two_rate(n=30, k=4, p_in=0.6, p_out=0.2, T=20,
-                                                 change_step=10, change_fraction=0.25,
-                                                 seed=seed))
+        net = protocol_network(seed)
         networks += [(f"protocol{seed}", net, seed, METHODS),
                      (f"protocol{seed}-churn", _drop_at_odd_steps(net, {0, 1, 2}), seed,
                       METHODS)]
@@ -150,6 +156,13 @@ def digest_networks():
                                                  seed=seed))
         networks.append((f"large{seed}", net, seed, tuple(m for m in METHODS if m != "dgll")))
     return networks
+
+
+def cluster_networks():
+    """(network name, network, seed) for every clustering record: the digest
+    networks, then the acceptance protocol's networks of seeds 0-49."""
+    return ([(net_name, network, seed) for net_name, network, seed, _ in digest_networks()]
+            + [(f"protocol-seed{seed}", protocol_network(seed), seed) for seed in range(50)])
 
 
 def digest_matrix():
@@ -248,7 +261,7 @@ def main(argv=None) -> int:
         records = {name: run_record(network, config)
                    for name, network, config in digest_matrix()}
         records.update({f"{net_name}/cluster": cluster_record(network, seed)
-                        for net_name, network, seed, _ in digest_networks()})
+                        for net_name, network, seed in cluster_networks()})
         write_digest(records, args.digest)
         combined = hashlib.sha256("".join(r["sha256"] for r in records.values()).encode())
         failed = sum(r["error"] is not None for r in records.values())
