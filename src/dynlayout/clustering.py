@@ -71,57 +71,80 @@ def affect_alpha(psi_prev: np.ndarray, W: np.ndarray, labels) -> float:
     return float(np.clip(numer / denom, 0.0, 1.0))
 
 
-def _furthest_first_centers(points: np.ndarray, k: int, first: int) -> np.ndarray:
-    centers = [first]
-    dist = np.linalg.norm(points - points[first], axis=1)
-    while len(centers) < k:
-        nxt = int(np.argmax(dist))
-        centers.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
-    return points[centers].copy()
+def _furthest_first_centers(points: np.ndarray, k: int, firsts: np.ndarray) -> np.ndarray:
+    # (R, k, s) initial centers, one furthest-first chain per first index
+    chosen = np.empty((firsts.size, k), dtype=int)
+    chosen[:, 0] = firsts
+    dist = np.linalg.norm(points - points[firsts, None], axis=-1)
+    for j in range(1, k):
+        chosen[:, j] = np.argmax(dist, axis=1)
+        dist = np.minimum(dist, np.linalg.norm(points - points[chosen[:, j], None], axis=-1))
+    return points[chosen]
+
+
+def _member_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    # (R, k, s) means of each restart's clusters. For two or more columns
+    # the member sums run in index order, as ``points[labels == c].mean(axis=0)``
+    # adds them; NumPy sums a single column pairwise, so that case keeps
+    # the per-cluster mean.
+    R, n = labels.shape
+    s = points.shape[1]
+    if s == 1:
+        return np.array([[points[row == c].mean(axis=0) for c in range(k)] for row in labels])
+    key = np.arange(R)[:, None] * k + labels
+    counts = np.bincount(key.ravel(), minlength=R * k).reshape(R, k, 1)
+    sums = np.bincount((key[:, :, None] * s + np.arange(s)).ravel(),
+                       weights=np.broadcast_to(points, (R, n, s)).ravel(), minlength=R * k * s)
+    with np.errstate(invalid="ignore"):  # an emptied cluster's mean is NaN, as before
+        return sums.reshape(R, k, s) / counts
 
 
 def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
     """Seeded Lloyd k-means with furthest-first initialization.
 
-    Runs ``_KMEANS_RESTARTS`` independent starts of at most ``_KMEANS_MAX_ITER``
-    Lloyd rounds and keeps the labeling with the lowest within-cluster sum
-    of squares. Returns (labels in 1..k, wcss).
+    Draws ``_KMEANS_RESTARTS`` first indices; each distinct one starts a
+    restart of at most ``_KMEANS_MAX_ITER`` Lloyd rounds, and the first
+    restart with the lowest within-cluster sum of squares wins. The
+    restarts run in lockstep on one (restart, cluster, coordinate) array
+    of centers, and a restart whose labels stop changing is frozen; each
+    keeps the arithmetic of a restart run on its own, so the result is
+    the same, bit for bit, as running the restarts one after another.
+    Returns (labels in 1..k, wcss).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if k > n:
         raise DataError(f"cannot form {k} clusters from {n} points")
     rng = np.random.default_rng(seed)
-    best_labels, best_wcss = None, np.inf
-    tried = set()
-    for _ in range(_KMEANS_RESTARTS):
-        # a repeated first index repeats a whole restart exactly; drawing
-        # it anyway keeps the random stream of the later restarts
-        first = int(rng.integers(n))
-        if first in tried:
-            continue
-        tried.add(first)
-        centers = _furthest_first_centers(points, k, first)
-        labels = np.zeros(n, dtype=int)
-        for _ in range(_KMEANS_MAX_ITER):
-            dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-            new_labels = np.argmin(dists, axis=1)
+    # a repeated first index repeats a whole restart exactly; each is drawn
+    # as one scalar, which keeps the random stream of the later restarts
+    firsts = np.array(list(dict.fromkeys(int(rng.integers(n))
+                                         for _ in range(_KMEANS_RESTARTS))))
+    centers = _furthest_first_centers(points, k, firsts)
+    labels = np.zeros((firsts.size, n), dtype=int)
+    running = np.arange(firsts.size)
+    for _ in range(_KMEANS_MAX_ITER):
+        dists = np.linalg.norm(points[:, None, :] - centers[running, None], axis=-1)
+        new_labels = np.argmin(dists, axis=2)
+        counts = np.bincount((np.arange(running.size)[:, None] * k + new_labels).ravel(),
+                             minlength=running.size * k).reshape(-1, k)
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
             for c in range(k):
-                if not np.any(new_labels == c):
+                if not np.any(new_labels[a] == c):
                     # revive an empty cluster with the worst-fit point
-                    worst = int(np.argmax(dists[np.arange(n), new_labels]))
-                    new_labels[worst] = c
-                    centers[c] = points[worst]
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-            for c in range(k):
-                centers[c] = points[labels == c].mean(axis=0)
-        wcss = float(np.sum((points - centers[labels]) ** 2))
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
-    return best_labels + 1, best_wcss
+                    worst = int(np.argmax(dists[a, np.arange(n), new_labels[a]]))
+                    new_labels[a, worst] = c
+                    centers[running[a], c] = points[worst]
+        changed = (new_labels != labels[running]).any(axis=1)
+        running, new_labels = running[changed], new_labels[changed]
+        if running.size == 0:
+            break
+        labels[running] = new_labels
+        centers[running] = _member_means(points, new_labels, k)
+    wcss = ((points - centers[np.arange(firsts.size)[:, None], labels]) ** 2
+            ).reshape(firsts.size, -1).sum(axis=1)
+    best = int(np.nanargmin(wcss))
+    return labels[best] + 1, float(wcss[best])
 
 
 def spectral_cluster(psi: np.ndarray, k: int, seed) -> np.ndarray:

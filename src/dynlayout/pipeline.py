@@ -358,13 +358,21 @@ def run_sequence(network: DynamicNetwork,
     The steps run on single-threaded BLAS (``numerics.single_threaded_blas``),
     so the output does not depend on the machine's BLAS thread count; the
     caller's thread count is restored when the run returns or raises."""
+    learned = _learned_groups(network, config.k, config.seed) \
+        if config.groups == "learn" else None
+    return _run_sequence(network, config, learned)
+
+
+def _run_sequence(network: DynamicNetwork, config: RegularizationConfig,
+                  learned: Optional[Iterator[tuple[tuple[int, ...], float]]]
+                  ) -> tuple[LayoutSequence, metrics.CostReport]:
+    """``run_sequence`` with the learned groups read from ``learned``, one
+    item of ``_learned_groups`` per step, inside that step's error context."""
     n_groups = config.k if config.groups == "learn" else max(
         (snap.groups.k for snap in network.snapshots if snap.groups is not None), default=0)
     state = _SequenceState(len(network.registry), n_groups, config.dims)
     sequence = LayoutSequence(metadata=config.metadata())
     report = metrics.CostReport(method=config.method, params=config.metadata())
-    learned = _learned_groups(network, config.k, config.seed) \
-        if config.groups == "learn" else None
 
     with single_threaded_blas():
         for t, snap in enumerate(network.snapshots):
@@ -402,6 +410,9 @@ def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics
     if len(sequence.steps) != len(network.snapshots):
         raise DataError("layout document and snapshot file have different step counts")
     method = str(sequence.metadata.get("method", "dmds"))
+    if method not in METHODS:
+        raise DataError(f"layout document names unknown method {method!r}; "
+                        f"choose from {METHODS}")
     similarity_mode = sequence.metadata.get("similarity_mode")
     report = metrics.CostReport(method=method, params=dict(sequence.metadata))
     for t, (step, snap) in enumerate(zip(sequence.steps, network.snapshots)):
@@ -424,6 +435,13 @@ def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics
     return report
 
 
+def _recorded(items: Iterator, record: list) -> Iterator:
+    """Yield from ``items``, appending each item to ``record`` first."""
+    for item in items:
+        record.append(item)
+        yield item
+
+
 def _nanmean(values) -> float:
     arr = np.asarray(values, dtype=float)
     finite = arr[~np.isnan(arr)]
@@ -433,15 +451,25 @@ def _nanmean(values) -> float:
 def parameter_sweep(network: DynamicNetwork, method: str, alpha_grid: Sequence[float],
                     beta_grid: Sequence[float], seeds: Sequence[int],
                     base_config: Optional[RegularizationConfig] = None) -> list[dict]:
-    """Full-factorial (alpha, beta) evaluation, seed-averaged per cell."""
+    """Full-factorial (alpha, beta) evaluation, seed-averaged per cell.
+
+    Learned groups depend on the network, k and seed only, so each seed's
+    on-line clustering runs once, in its first cell, and later cells replay
+    its labels."""
     base = base_config or RegularizationConfig(method=method)
+    learned: dict[int, list] = {}  # seed -> the (labels, factor) steps clustered so far
     records = []
     for alpha in alpha_grid:
         for beta in beta_grid:
             stats = {"static": [], "centroid": [], "temporal": [], "iterations": []}
             for seed in seeds:
                 config = replace(base, method=method, alpha=alpha, beta=beta, seed=seed)
-                _, report = run_sequence(network, config)
+                groups = None
+                if config.groups == "learn":
+                    groups = iter(learned[seed]) if seed in learned else \
+                        _recorded(_learned_groups(network, config.k, seed),
+                                  learned.setdefault(seed, []))
+                _, report = _run_sequence(network, config, groups)
                 stats["static"].append(report.mean_static)
                 stats["centroid"].append(report.mean_centroid)
                 stats["temporal"].append(report.mean_temporal)

@@ -113,6 +113,18 @@ class TestExitCodes:
         assert f"integer 'dims' field, got {dims!r}" in capsys.readouterr().err
         assert run(["metrics", *base, "--out", str(tmp_path / "costs.csv")]) == 0
 
+    def test_metrics_of_unknown_method_is_data_error(self, sbm_fixture, tmp_path, capsys):
+        _, snaps, _ = sbm_fixture
+        out = tmp_path / "run"
+        assert run(["layout", "--input", str(snaps), "--out", str(out)]) == 0
+        layout = tmp_path / "run.layout.json"
+        doc = json.loads(layout.read_text(encoding="utf-8"))
+        doc["method"] = "banana"
+        layout.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["metrics", "--input", str(snaps), "--layout", str(layout),
+                    "--out", str(tmp_path / "costs.csv")]) == 2
+        assert "unknown method 'banana'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["dmds", "mds-static"])
     def test_disconnected_snapshot_is_data_error(self, method, tmp_path, capsys):
         two_triangles = tmp_path / "two.tsv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,7 +179,81 @@ class TestSpectralCluster:
             spectral_cluster(np.zeros((3, 3)), 4, seed=0)
 
 
+def sequential_kmeans(points, k, seed, restarts=100, max_iter=300):
+    """Reference: the restarts of ``kmeans`` run one after another, each a
+    furthest-first start and Lloyd rounds with empty-cluster revival."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    best_labels, best_wcss = None, np.inf
+    tried = set()
+    for _ in range(restarts):
+        first = int(rng.integers(n))
+        if first in tried:
+            continue
+        tried.add(first)
+        chosen = [first]
+        dist = np.linalg.norm(points - points[first], axis=1)
+        while len(chosen) < k:
+            nxt = int(np.argmax(dist))
+            chosen.append(nxt)
+            dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+        centers = points[chosen].copy()
+        labels = np.zeros(n, dtype=int)
+        for _ in range(max_iter):
+            dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+            new_labels = np.argmin(dists, axis=1)
+            for c in range(k):
+                if not np.any(new_labels == c):
+                    worst = int(np.argmax(dists[np.arange(n), new_labels]))
+                    new_labels[worst] = c
+                    centers[c] = points[worst]
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for c in range(k):
+                centers[c] = points[labels == c].mean(axis=0)
+        wcss = float(np.sum((points - centers[labels]) ** 2))
+        if wcss < best_wcss:
+            best_labels, best_wcss = labels, wcss
+    return best_labels + 1, best_wcss
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Point sets on a coarse grid (ties, duplicated rows) or in general
+    position, with k anywhere from 1 to n."""
+    n = draw(st.integers(1, 9))
+    s = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = (rng.integers(0, 3, size=(n, s)).astype(float) if draw(st.booleans())
+              else rng.standard_normal((n, s)))
+    if draw(st.booleans()):
+        points = points[rng.integers(0, n, size=n)]
+    return points, draw(st.integers(1, n)), draw(st.integers(0, 2**31 - 1))
+
+
 class TestKmeans:
+    @given(kmeans_inputs())
+    @settings(deadline=None, max_examples=100)
+    def test_matches_sequential_restarts(self, case):
+        points, k, seed = case
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a mean of an emptied cluster
+            labels, wcss = kmeans(points, k, seed)
+            ref_labels, ref_wcss = sequential_kmeans(points, k, seed)
+        assert np.array_equal(labels, ref_labels)
+        assert wcss == ref_wcss
+
+    def test_revival_matches_sequential_restarts(self):
+        # every furthest-first start picks the duplicated point twice, so
+        # one cluster starts empty and is revived in the first round
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        labels, wcss = kmeans(points, 3, seed=5)
+        assert set(labels) == {1, 2, 3}
+        ref_labels, ref_wcss = sequential_kmeans(points, 3, seed=5)
+        assert np.array_equal(labels, ref_labels) and wcss == ref_wcss
+
     def test_obvious_two_clusters(self):
         pts = np.array([[0.0, 0], [0.1, 0], [5.0, 5.0], [5.1, 5.0]])
         labels, wcss = kmeans(pts, 2, seed=0)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynlayout as dl
 from conftest import random_connected_adjacency
@@ -368,6 +371,97 @@ class TestDgllDerivatives:
         with pytest.raises(DataError):
             dgll_derivatives(np.zeros((4, 3)), lap.L, e_aug, beta,
                              np.zeros((4, 3)), M, np.zeros(3), target)
+
+
+def dgll_1d_oracle(L_aug, e_aug, beta, x_prev, M, target):
+    """Global minimum (objective, x) of x^T A x - 2 x^T b subject to
+    x^T M x = target, with A = L_aug + beta E and b = beta E x_prev (A positive
+    definite), in the eigenbasis of the pencil: M V = A V diag(theta) with
+    V^T A V = I. In z = V^{-1} x the objective is |z|^2 - 2 g^T z (g = V^T b)
+    and the constraint sum theta_i z_i^2 = target, so the minimizer is
+    z_i = g_i / (1 + mu theta_i), mu >= -1/theta_max the root of the secular
+    equation sum theta_i g_i^2 / (1 + mu theta_i)^2 = target. In the hard case
+    (g vanishes on the top eigenspace and the sum stays below target as mu
+    falls to -1/theta_max) mu = -1/theta_max and the missing scatter lies in
+    the top eigenspace (Gander, Golub & von Matt 1989; More 1993)."""
+    A = L_aug + beta * np.diag(e_aug)
+    theta, V = scipy.linalg.eigh(M, A)
+    g = V.T @ (beta * e_aug * x_prev)
+    top = theta >= theta[-1] * (1 - 1e-12)
+    # t = 1 + mu theta_max > 0; the left side of the secular equation falls in t
+    denominator = lambda t: 1 + (t - 1) * theta / theta[-1]  # noqa: E731
+    excess = lambda t: float(np.sum(theta * (g / denominator(t)) ** 2)) - target  # noqa: E731
+    rest = ~top
+    rest_scatter = float(np.sum(theta[rest] * (g[rest] / denominator(0.0)[rest]) ** 2))
+    if np.linalg.norm(g[top]) <= 1e-14 * np.linalg.norm(g) and rest_scatter <= target:
+        z = np.where(rest, g / np.where(rest, denominator(0.0), 1.0), 0.0)
+        z[np.flatnonzero(top)[0]] = np.sqrt((target - rest_scatter) / theta[-1])
+    else:
+        lo = hi = 1.0
+        while excess(lo) <= 0:
+            lo /= 2
+        while excess(hi) >= 0:
+            hi *= 2
+        t = scipy.optimize.brentq(excess, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                                  maxiter=1000)
+        z = g / denominator(t)
+    return float(z @ z - 2 * g @ z), V @ z
+
+
+@st.composite
+def anchored_dgll_instances(draw):
+    """Connected 1-D DGLL instances with at least one anchored node and
+    beta > 0, so that L_aug + beta E is positive definite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normalized = draw(st.booleans())
+    return random_dgll_instance(rng, draw(st.integers(3, 9)), draw(st.integers(0, 3)), s=1,
+                                normalized=normalized), normalized
+
+
+class TestDgllOneDimensionalOracle:
+    @staticmethod
+    def solve(W, C, beta, e, X_prev, lap, M, target, e_aug, normalized):
+        """(solver objective, oracle objective, tolerance scale), after
+        checking that both points are feasible."""
+        solution = dgll_layout(W, C, 1.0, beta, e, X_prev, 1, normalized=normalized, rng=0)
+        best, x_best = dgll_1d_oracle(lap.L, e_aug, beta, X_prev[:, 0], M, target)
+        assert x_best @ M @ x_best == pytest.approx(target, rel=1e-9)
+        x = solution.X_aug[:, 0]
+        assert abs(float(x @ M @ x) - target) <= 1e-8 * target
+        assert solution.constraint_residual <= 1e-8
+        return solution.objective, best, abs(best) + abs(float(x_best @ lap.L @ x_best))
+
+    @given(anchored_dgll_instances())
+    @settings(deadline=None, max_examples=60)
+    def test_oracle_bounds_the_solver(self, case):
+        instance, normalized = case
+        objective, best, scale = self.solve(*instance, normalized)
+        assert best <= objective + 1e-9 * scale
+
+    @pytest.mark.xfail(strict=True, reason="from a random start the 1-D solve can stop in a "
+                       "local minimum above the global one (CHANGES.md, FOUND)")
+    @given(anchored_dgll_instances())
+    @settings(deadline=None, max_examples=60)
+    def test_reaches_global_minimum(self, case):
+        instance, normalized = case
+        objective, best, scale = self.solve(*instance, normalized)
+        assert abs(objective - best) <= 1e-9 * scale
+
+    def test_hard_case(self, rng):
+        # x_prev is scaled down and cleared of the top pencil direction, so
+        # g vanishes there and the secular equation has no root: the
+        # minimizer puts its missing scatter on that direction
+        W, C, beta, e, X_prev, lap, M, target, e_aug = random_dgll_instance(rng, 7, 2, s=1)
+        A = lap.L + beta * np.diag(e_aug)
+        theta, V = scipy.linalg.eigh(M, A)
+        w = beta * e_aug * V[:, -1]
+        x_prev = 1e-3 * (X_prev[:, 0] - (w @ X_prev[:, 0]) / (w @ w) * w)
+        g = V.T @ (beta * e_aug * x_prev)
+        assert abs(g[-1]) <= 1e-14 * np.linalg.norm(g)
+        assert np.sum(theta[:-1] * (g[:-1] / (1 - theta[:-1] / theta[-1])) ** 2) < target
+        objective, best, scale = self.solve(W, C, beta, e, x_prev[:, None], lap, M, target,
+                                            e_aug, True)
+        assert abs(objective - best) <= 1e-9 * scale
 
 
 class TestDgllLayout:

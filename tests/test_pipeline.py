@@ -9,8 +9,10 @@ from dynlayout import gll, mds, numerics
 from dynlayout.errors import DataError, DisconnectedGraphError, NumericalError
 from dynlayout.graph import DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot
 from dynlayout.layout import align_to_reference
+from dynlayout import clustering as clus
 from dynlayout.pipeline import (GROUPING_METHODS, METHODS, RegularizationConfig,
-                                learn_group_sequence, parameter_sweep, run_sequence)
+                                learn_group_sequence, parameter_sweep, run_sequence,
+                                score_sequence)
 from dynlayout.sbm import SbmConfig, sbm_sequence
 
 TRIANGLE = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
@@ -195,6 +197,16 @@ class TestRunSequence:
                                 [value if field == "beta" else 1.0], [0])
 
 
+class TestScoreSequence:
+    def test_unknown_method_is_data_error(self, small_sbm):
+        network, _ = small_sbm
+        sequence, _ = run_sequence(network, RegularizationConfig(method="dmds", seed=1))
+        assert len(score_sequence(network, sequence).steps) == len(network.snapshots)
+        sequence.metadata["method"] = "banana"
+        with pytest.raises(DataError, match="unknown method 'banana'"):
+            score_sequence(network, sequence)
+
+
 class TestBlasThreads:
     """A run holds every loaded OpenBLAS at one thread and gives the caller
     its own thread counts back."""
@@ -294,6 +306,42 @@ class TestParameterSweep:
                                     base_config=base)
         assert len(records_a) == 4
         assert records_a == records_b
+
+    def test_learned_groups_clustered_once_per_seed(self, small_sbm, monkeypatch):
+        network, _ = small_sbm
+        base = RegularizationConfig(method="mds-static", groups="learn", k=2)
+        grid = ([0.5, 2.0], [0.5, 2.0])
+        per_cell = [record for alpha in grid[0] for beta in grid[1]
+                    for record in parameter_sweep(network, "mds-static", [alpha], [beta], [3],
+                                                  base_config=base)]
+        calls = []
+        step = clus.affect_cluster_step
+
+        def count(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(clus, "affect_cluster_step", count)
+        records = parameter_sweep(network, "mds-static", *grid, [3], base_config=base)
+        assert len(calls) == len(network.snapshots) == 4
+        assert records == per_cell
+
+    def test_clustering_error_in_sweep_names_step(self, small_sbm, monkeypatch):
+        network, _ = small_sbm
+        step = clus.affect_cluster_step
+
+        def fail_at_t2(psi_prev, W, prev_labels, k, seed):
+            if fail_at_t2.calls == 2:
+                raise DataError("clustering failed")
+            fail_at_t2.calls += 1
+            return step(psi_prev, W, prev_labels, k, seed)
+
+        fail_at_t2.calls = 0
+        monkeypatch.setattr(clus, "affect_cluster_step", fail_at_t2)
+        base = RegularizationConfig(method="mds-static", groups="learn", k=2)
+        with pytest.raises(DataError, match="^step t=2: clustering failed"):
+            parameter_sweep(network, "mds-static", [0.5, 2.0], [0.5, 2.0], [3],
+                            base_config=base)
 
 
 def late_group_network():
