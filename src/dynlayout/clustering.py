@@ -29,20 +29,24 @@ def _block_statistics(W: np.ndarray, labels: np.ndarray, k: int):
     # Sample mean/variance per (c, d) label block. Each distinct unordered
     # off-diagonal pair counts as one observation (W is symmetric, so the
     # mirrored entry is the same realization, not a second sample); blocks
-    # with fewer than 2 observations get variance 0.
+    # with fewer than 2 observations get variance 0. Every block is a slice
+    # of one copy of W sorted stably by label, so its entries keep the
+    # row-major order of W[np.ix_(rows, cols)].
     means = np.zeros((k, k))
     variances = np.zeros((k, k))
-    for c in range(1, k + 1):
-        rows = np.flatnonzero(labels == c)
-        for d in range(c, k + 1):
-            block = W[np.ix_(rows, np.flatnonzero(labels == d))]
-            entries = block[np.triu_indices(rows.size, 1)] if d == c else block.ravel()
+    order = np.argsort(labels, kind="stable")
+    W_sorted = W[np.ix_(order, order)]
+    bounds = np.searchsorted(labels[order], np.arange(1, k + 2))
+    for c in range(k):
+        rows = slice(bounds[c], bounds[c + 1])
+        for d in range(c, k):
+            block = W_sorted[rows, bounds[d]:bounds[d + 1]]
+            entries = block[~np.tri(*block.shape, dtype=bool)] if d == c else block.ravel()
             if entries.size == 0:
                 continue
-            means[c - 1, d - 1] = means[d - 1, c - 1] = entries.mean()
+            means[c, d] = means[d, c] = entries.mean()
             if entries.size >= 2:
-                v = entries.var(ddof=1)
-                variances[c - 1, d - 1] = variances[d - 1, c - 1] = v
+                variances[c, d] = variances[d, c] = entries.var(ddof=1)
     return means, variances
 
 
@@ -95,8 +99,7 @@ def _member_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     counts = np.bincount(key.ravel(), minlength=R * k).reshape(R, k, 1)
     sums = np.bincount((key[:, :, None] * s + np.arange(s)).ravel(),
                        weights=np.broadcast_to(points, (R, n, s)).ravel(), minlength=R * k * s)
-    with np.errstate(invalid="ignore"):  # an emptied cluster's mean is NaN, as before
-        return sums.reshape(R, k, s) / counts
+    return sums.reshape(R, k, s) / counts
 
 
 def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:

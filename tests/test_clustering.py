@@ -238,8 +238,8 @@ class TestKmeans:
     @settings(deadline=None, max_examples=100)
     def test_matches_sequential_restarts(self, case):
         points, k, seed = case
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # a mean of an emptied cluster
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of an emptied cluster
             labels, wcss = kmeans(points, k, seed)
             ref_labels, ref_wcss = sequential_kmeans(points, k, seed)
         assert np.array_equal(labels, ref_labels)
