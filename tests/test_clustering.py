@@ -221,15 +221,20 @@ def sequential_kmeans(points, k, seed, restarts=100, max_iter=300):
 
 @st.composite
 def kmeans_inputs(draw):
-    """Point sets on a coarse grid (ties, duplicated rows) or in general
-    position, with k anywhere from 1 to n."""
-    n = draw(st.integers(1, 9))
-    s = draw(st.integers(1, 3))
+    """Up to 9 points on a coarse grid, some rows duplicated (ties and
+    empty-cluster revival are common there), or up to 60 points in general
+    position (the 100 first-index draws then leave some points unused),
+    with k anywhere from 1 to n."""
+    s = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    points = (rng.integers(0, 3, size=(n, s)).astype(float) if draw(st.booleans())
-              else rng.standard_normal((n, s)))
     if draw(st.booleans()):
-        points = points[rng.integers(0, n, size=n)]
+        n = draw(st.integers(1, 9))
+        points = rng.integers(0, 3, size=(n, s)).astype(float)
+        if draw(st.booleans()):
+            points = points[rng.integers(0, n, size=n)]
+    else:
+        n = draw(st.integers(1, 60))
+        points = rng.standard_normal((n, s))
     return points, draw(st.integers(1, n)), draw(st.integers(0, 2**31 - 1))
 
 
@@ -244,6 +249,17 @@ class TestKmeans:
             ref_labels, ref_wcss = sequential_kmeans(points, k, seed)
         assert np.array_equal(labels, ref_labels)
         assert wcss == ref_wcss
+
+    def test_single_column_matches_sequential_restarts(self):
+        # NumPy sums a single column pairwise, not in index order; the
+        # within-cluster sums of squares show a center that is one ulp off
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            points = rng.standard_normal((int(rng.integers(20, 61)), 1))
+            k, seed = int(rng.integers(2, 8)), int(rng.integers(2**31))
+            labels, wcss = kmeans(points, k, seed)
+            ref_labels, ref_wcss = sequential_kmeans(points, k, seed)
+            assert np.array_equal(labels, ref_labels) and wcss == ref_wcss
 
     def test_revival_matches_sequential_restarts(self):
         # every furthest-first start picks the duplicated point twice, so

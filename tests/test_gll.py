@@ -388,9 +388,13 @@ def dgll_1d_oracle(L_aug, e_aug, beta, x_prev, M, target):
     theta, V = scipy.linalg.eigh(M, A)
     g = V.T @ (beta * e_aug * x_prev)
     top = theta >= theta[-1] * (1 - 1e-12)
-    # t = 1 + mu theta_max > 0; the left side of the secular equation falls in t
-    denominator = lambda t: 1 + (t - 1) * theta / theta[-1]  # noqa: E731
-    excess = lambda t: float(np.sum(theta * (g / denominator(t)) ** 2)) - target  # noqa: E731
+
+    def denominator(t):  # 1 + mu theta_i at t = 1 + mu theta_max > 0
+        return 1 + (t - 1) * theta / theta[-1]
+
+    def excess(t):  # the secular equation's left side minus target; falls in t
+        return float(np.sum(theta * (g / denominator(t)) ** 2)) - target
+
     rest = ~top
     rest_scatter = float(np.sum(theta[rest] * (g[rest] / denominator(0.0)[rest]) ** 2))
     if np.linalg.norm(g[top]) <= 1e-14 * np.linalg.norm(g) and rest_scatter <= target:
