@@ -18,6 +18,7 @@ from .numerics import gen_eig_smallest
 _KMEANS_RESTARTS = 100
 _KMEANS_MAX_ITER = 300
 _MAX_REFINE = 10  # factor/clustering rounds per evolutionary step
+_LOCKSTEP_ELEMENTS = 1 << 16  # bound on one k-means chunk's distance terms (512 KiB)
 
 
 def affect_smooth(psi_prev: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
@@ -87,14 +88,10 @@ def _furthest_first_centers(points: np.ndarray, k: int, firsts: np.ndarray) -> n
 
 
 def _member_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    # (R, k, s) means of each restart's clusters. For two or more columns
-    # the member sums run in index order, as ``points[labels == c].mean(axis=0)``
-    # adds them; NumPy sums a single column pairwise, so that case keeps
-    # the per-cluster mean.
+    # (R, k, s) means of each restart's clusters: member sums in index order,
+    # as ``points[labels == c].mean(axis=0)`` adds two or more columns
     R, n = labels.shape
     s = points.shape[1]
-    if s == 1:
-        return np.array([[points[row == c].mean(axis=0) for c in range(k)] for row in labels])
     key = np.arange(R)[:, None] * k + labels
     counts = np.bincount(key.ravel(), minlength=R * k).reshape(R, k, 1)
     sums = np.bincount((key[:, :, None] * s + np.arange(s)).ravel(),
@@ -102,27 +99,11 @@ def _member_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return sums.reshape(R, k, s) / counts
 
 
-def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
-    """Seeded Lloyd k-means with furthest-first initialization.
-
-    Draws ``_KMEANS_RESTARTS`` first indices; each distinct one starts a
-    restart of at most ``_KMEANS_MAX_ITER`` Lloyd rounds, and the first
-    restart with the lowest within-cluster sum of squares wins. The
-    restarts run in lockstep on one (restart, cluster, coordinate) array
-    of centers, and a restart whose labels stop changing is frozen; each
-    keeps the arithmetic of a restart run on its own, so the result is
-    the same, bit for bit, as running the restarts one after another.
-    Returns (labels in 1..k, wcss).
-    """
-    points = np.asarray(points, dtype=float)
+def _lockstep_lloyd(points: np.ndarray, k: int, firsts: np.ndarray):
+    # Lloyd rounds of the restarts started at ``firsts``, in lockstep; a
+    # restart whose labels stop changing is frozen. Returns (labels, wcss)
+    # per restart.
     n = points.shape[0]
-    if k > n:
-        raise DataError(f"cannot form {k} clusters from {n} points")
-    rng = np.random.default_rng(seed)
-    # a repeated first index repeats a whole restart exactly; each is drawn
-    # as one scalar, which keeps the random stream of the later restarts
-    firsts = np.array(list(dict.fromkeys(int(rng.integers(n))
-                                         for _ in range(_KMEANS_RESTARTS))))
     centers = _furthest_first_centers(points, k, firsts)
     labels = np.zeros((firsts.size, n), dtype=int)
     running = np.arange(firsts.size)
@@ -146,6 +127,36 @@ def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
         centers[running] = _member_means(points, new_labels, k)
     wcss = ((points - centers[np.arange(firsts.size)[:, None], labels]) ** 2
             ).reshape(firsts.size, -1).sum(axis=1)
+    return labels, wcss
+
+
+def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
+    """Seeded Lloyd k-means with furthest-first initialization.
+
+    Draws ``_KMEANS_RESTARTS`` first indices; each distinct one starts a
+    restart of at most ``_KMEANS_MAX_ITER`` Lloyd rounds, and the first
+    restart with the lowest within-cluster sum of squares wins. The
+    restarts run in lockstep on one (restart, cluster, coordinate) array
+    of centers, in chunks of restarts whose (restart, point, cluster,
+    coordinate) distance terms stay within ``_LOCKSTEP_ELEMENTS``. Each
+    keeps the arithmetic of a restart run on its own, so for points of
+    two or more columns (``spectral_cluster`` passes k >= 2 eigenvector
+    columns) the result is the same, bit for bit, as running the
+    restarts one after another. Returns (labels in 1..k, wcss).
+    """
+    points = np.asarray(points, dtype=float)
+    n, s = points.shape
+    if k > n:
+        raise DataError(f"cannot form {k} clusters from {n} points")
+    rng = np.random.default_rng(seed)
+    # a repeated first index repeats a whole restart exactly; each is drawn
+    # as one scalar, which keeps the random stream of the later restarts
+    firsts = np.array(list(dict.fromkeys(int(rng.integers(n))
+                                         for _ in range(_KMEANS_RESTARTS))))
+    chunk = max(1, _LOCKSTEP_ELEMENTS // (n * k * s))
+    runs = [_lockstep_lloyd(points, k, firsts[i:i + chunk])
+            for i in range(0, firsts.size, chunk)]
+    labels, wcss = map(np.concatenate, zip(*runs))
     best = int(np.nanargmin(wcss))
     return labels[best] + 1, float(wcss[best])
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynlayout import clustering
 from dynlayout.clustering import (_block_statistics, adjusted_rand_index, affect_alpha,
                                   affect_cluster_step, affect_smooth, kmeans, match_labels,
                                   spectral_cluster)
@@ -224,8 +225,8 @@ def kmeans_inputs(draw):
     """Up to 9 points on a coarse grid, some rows duplicated (ties and
     empty-cluster revival are common there), or up to 60 points in general
     position (the 100 first-index draws then leave some points unused),
-    with k anywhere from 1 to n."""
-    s = draw(st.integers(1, 4))
+    with 2 to 4 columns and k anywhere from 1 to n."""
+    s = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         n = draw(st.integers(1, 9))
@@ -250,13 +251,16 @@ class TestKmeans:
         assert np.array_equal(labels, ref_labels)
         assert wcss == ref_wcss
 
-    def test_single_column_matches_sequential_restarts(self):
-        # NumPy sums a single column pairwise, not in index order; the
-        # within-cluster sums of squares show a center that is one ulp off
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            points = rng.standard_normal((int(rng.integers(20, 61)), 1))
-            k, seed = int(rng.integers(2, 8)), int(rng.integers(2**31))
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunked_restarts_match_sequential_restarts(self, monkeypatch, chunk):
+        # a budget of ``chunk`` restarts' distance terms splits the
+        # lockstep run into chunks; the first lowest WCSS still wins
+        rng = np.random.default_rng(chunk)
+        for _ in range(10):
+            n, s = int(rng.integers(10, 40)), int(rng.integers(2, 5))
+            points = rng.integers(0, 4, size=(n, s)).astype(float)
+            k, seed = int(rng.integers(2, 6)), int(rng.integers(2**31))
+            monkeypatch.setattr(clustering, "_LOCKSTEP_ELEMENTS", chunk * n * k * s)
             labels, wcss = kmeans(points, k, seed)
             ref_labels, ref_wcss = sequential_kmeans(points, k, seed)
             assert np.array_equal(labels, ref_labels) and wcss == ref_wcss

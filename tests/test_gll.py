@@ -442,13 +442,12 @@ class TestDgllOneDimensionalOracle:
         objective, best, scale = self.solve(*instance, normalized)
         assert best <= objective + 1e-9 * scale
 
-    @pytest.mark.xfail(strict=True, reason="from a random start the 1-D solve can stop in a "
-                       "local minimum above the global one (CHANGES.md, FOUND)")
-    @given(anchored_dgll_instances())
-    @settings(deadline=None, max_examples=60)
-    def test_reaches_global_minimum(self, case):
-        instance, normalized = case
-        objective, best, scale = self.solve(*instance, normalized)
+    @pytest.mark.xfail(strict=True, reason="the 1-D solve can stop in a local minimum above "
+                       "the global one (CHANGES.md, FOUND)")
+    def test_reaches_global_minimum(self):
+        # an instance the solver leaves at 18.23 where the oracle reaches 10.17
+        instance = random_dgll_instance(np.random.default_rng(17), 6, 2, s=1)
+        objective, best, scale = self.solve(*instance, True)
         assert abs(objective - best) <= 1e-9 * scale
 
     def test_hard_case(self, rng):
