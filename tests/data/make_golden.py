@@ -8,9 +8,11 @@ Usage, from the repository root:
     PYTHONPATH=src python3 tests/data/make_golden.py --digest OUT
     PYTHONPATH=src python3 tests/data/make_golden.py --compare A B
 
-Without options it rewrites the block-model input of the DGLL runs
-(``golden_sbm.*.tsv``) and the ``.layout.json`` / ``.costs.csv`` output of
-every run in ``GOLDEN_RUNS``. With ``--check`` it writes the same files
+Without options it rewrites the inputs it generates (the block-model
+input ``golden_sbm.*.tsv``, the churned ``golden_churn.*.tsv`` and the
+preference records ``golden_rank.snapshots.tsv`` and
+``golden_count.snapshots.tsv``) and the ``.layout.json`` / ``.costs.csv``
+output of every run in ``GOLDEN_RUNS``. With ``--check`` it writes the same files
 into a temporary directory instead (the layout runs still read the
 committed inputs), compares each one byte for byte with the committed
 file, lists the ones that differ and exits 1 if any does; it rewrites
@@ -45,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dynlayout import io as dio
 from dynlayout.cli import cli_main
 from dynlayout.graph import DynamicNetwork, GroupAssignment, Snapshot
 from dynlayout.pipeline import (METHODS, RegularizationConfig, learn_group_sequence,
@@ -56,6 +59,9 @@ DATA = Path(__file__).resolve().parent
 SBM_INPUT = "golden_sbm"
 SBM_ARGS = ("simulate-sbm", "--n", "30", "--k", "4", "--steps", "8", "--change-step", "4",
             "--seed", "1")
+CHURN_INPUT = "golden_churn"
+RANK_INPUT = "golden_rank"
+COUNT_INPUT = "golden_count"
 
 # run name -> (input prefix, output prefix, `dynlayout layout` options)
 GOLDEN_RUNS = {
@@ -95,6 +101,17 @@ GOLDEN_RUNS = {
     "dgll-learn-2d": (SBM_INPUT, "golden_dgll_learn_2d",
                       ("--groups", "learn", "--k", "4", "--method", "dgll", "--seed", "1",
                        "--dims", "2")),
+    "dmds-churn-2d": (CHURN_INPUT, "golden_dmds_churn_2d",
+                      ("--k", "4", "--method", "dmds", "--seed", "1", "--dims", "2")),
+    "dgll-churn-2d": (CHURN_INPUT, "golden_dgll_churn_2d",
+                      ("--k", "4", "--method", "dgll", "--seed", "1", "--dims", "2")),
+    "dmds-rank-2d": (RANK_INPUT, "golden_dmds_rank_2d",
+                     ("--groups", "none", "--ingest-kind", "rank_matrix", "--m", "3",
+                      "--weighting", "rank_descending", "--method", "dmds", "--seed", "1",
+                      "--dims", "2")),
+    "dmds-count-2d": (COUNT_INPUT, "golden_dmds_count_2d",
+                      ("--groups", "none", "--ingest-kind", "count_matrix", "--m", "3",
+                       "--method", "dmds", "--seed", "1", "--dims", "2")),
 }
 
 
@@ -108,9 +125,45 @@ def layout_argv(name: str, out_prefix) -> list[str]:
             "--out", str(out_prefix)]
 
 
+def write_inputs(out_dir: Path) -> list[str]:
+    """Write the generated inputs other than the block model's under
+    ``out_dir``; returns the names of the files written.
+
+    The churned input is a block model (n = 24, k = 4, six nodes per
+    group) whose group 4 first appears at t = 2 and whose group 3 empties
+    from t = 4 on. The rank and count inputs hold directed preference
+    records over ten nodes and four steps: each present node scores five
+    peers, node q09 is absent at t = 1, and the first record is repeated
+    at the end with another value."""
+    net, _ = sbm_sequence(SbmConfig.two_rate(n=24, k=4, p_in=0.6, p_out=0.2, T=6,
+                                             seed=2, balanced=True))
+    first = net.snapshots[0]
+    members = {lab: {idx for idx, g in zip(first.active, first.groups.labels) if g == lab}
+               for lab in (3, 4)}
+    churned = _drop_nodes(net, lambda t: members[4] if t < 2 else
+                          members[3] if t >= 4 else set())
+    dio.write_snapshots(churned, out_dir / f"{CHURN_INPUT}.snapshots.tsv")
+    dio.write_groups(out_dir / f"{CHURN_INPUT}.groups.tsv", churned)
+    for name, ranked in ((RANK_INPUT, True), (COUNT_INPUT, False)):
+        rng = np.random.default_rng(3)
+        lines = []
+        for t in range(4):
+            present = [i for i in range(10) if not (t == 1 and i == 9)]
+            for u in present:
+                peers = rng.choice([v for v in present if v != u], size=5, replace=False)
+                values = range(1, 6) if ranked else rng.integers(1, 10, size=5)
+                lines += [f"{t}\tq{u:02d}\tq{v:02d}\t{w}" for v, w in zip(peers, values)]
+        lines.append(lines[0].rsplit("\t", 1)[0] + "\t4")
+        (out_dir / f"{name}.snapshots.tsv").write_text("\n".join(lines) + "\n",
+                                                      encoding="utf-8")
+    return [f"{CHURN_INPUT}.snapshots.tsv", f"{CHURN_INPUT}.groups.tsv",
+            f"{RANK_INPUT}.snapshots.tsv", f"{COUNT_INPUT}.snapshots.tsv"]
+
+
 def regenerate(out_dir: Path) -> list[str]:
-    """Run every golden command with its output under ``out_dir``; returns
-    the names of the files written."""
+    """Write the generated inputs and run every golden command, with the
+    output under ``out_dir``; returns the names of the files written."""
+    written = write_inputs(out_dir)
     commands = [([*SBM_ARGS, "--out", str(out_dir / SBM_INPUT)],
                  [f"{SBM_INPUT}.snapshots.tsv", f"{SBM_INPUT}.groups.tsv"])]
     commands += [(layout_argv(name, out_dir / out), [f"{out}.layout.json", f"{out}.costs.csv"])
@@ -118,21 +171,27 @@ def regenerate(out_dir: Path) -> list[str]:
     for argv, _ in commands:
         if cli_main(argv) != 0:
             raise SystemExit(f"failed: dynlayout {' '.join(argv)}")
-    return [name for _, files in commands for name in files]
+    return written + [name for _, files in commands for name in files]
 
 
-def _drop_at_odd_steps(network: DynamicNetwork, dropped) -> DynamicNetwork:
-    """The same network with the registry nodes ``dropped`` absent at every
-    odd step."""
+def _drop_nodes(network: DynamicNetwork, dropped_at) -> DynamicNetwork:
+    """The same network without the registry nodes ``dropped_at(t)`` at
+    each step t."""
     snaps = []
     for snap in network.snapshots:
-        keep = [row for row, idx in enumerate(snap.active)
-                if snap.t % 2 == 0 or idx not in dropped]
+        dropped = dropped_at(snap.t)
+        keep = [row for row, idx in enumerate(snap.active) if idx not in dropped]
         groups = None if snap.groups is None else GroupAssignment(
             tuple(snap.groups.labels[row] for row in keep), snap.groups.k)
         snaps.append(Snapshot(t=snap.t, W=snap.W[np.ix_(keep, keep)],
                               active=tuple(snap.active[row] for row in keep), groups=groups))
     return DynamicNetwork(network.registry, snaps)
+
+
+def _drop_at_odd_steps(network: DynamicNetwork, dropped) -> DynamicNetwork:
+    """The same network with the registry nodes ``dropped`` absent at every
+    odd step."""
+    return _drop_nodes(network, lambda t: dropped if t % 2 else set())
 
 
 def protocol_network(seed: int) -> DynamicNetwork:
