@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from . import io as dio
 from . import render as rnd
 from .errors import DataError, NumericalError
-from .graph import DynamicNetwork
+from .graph import DynamicNetwork, GroupAssignment
 from .pipeline import (METHODS, RegularizationConfig, learn_group_sequence, parameter_sweep,
                        run_sequence, score_sequence)
 from .sbm import SbmConfig, sbm_sequence
@@ -36,18 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from None
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
+def _list_of(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list {text!r}") from None
+    return parse
 
 
 def _add_input_options(p: argparse.ArgumentParser):
@@ -71,7 +66,7 @@ def _add_layout_options(p: argparse.ArgumentParser):
     p.add_argument("--normalized", action=argparse.BooleanOptionalAction,
                    default=_DEFAULT.normalized,
                    help="degree-normalized constraints (GLL family)")
-    p.add_argument("--lambda-grid", type=_float_list, default=_DEFAULT.lambda_grid,
+    p.add_argument("--lambda-grid", type=_list_of(float), default=_DEFAULT.lambda_grid,
                    help="comma-separated blend weights (bfp)")
     p.add_argument("--similarity", choices=("linear", "inverse"), default=None,
                    help="convert similarity weights to dissimilarities (MDS family)")
@@ -114,16 +109,10 @@ def _cmd_cluster(args) -> int:
         raise _UsageError("cluster: --k is required")
     labels_by_step, alphas = learn_group_sequence(network, args.k, args.seed)
     groups_path = Path(str(args.out) + ".groups.tsv")
-    with open(groups_path, "w", encoding="utf-8") as fh:
-        for snap, labels in zip(network.snapshots, labels_by_step):
-            for row, idx in enumerate(snap.active):
-                fh.write(f"{snap.t}\t{network.registry.id_of(idx)}\t{labels[row]}\n")
     alpha_path = Path(str(args.out) + ".alpha.csv")
-    with open(alpha_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "alpha"])
-        for t, alpha in enumerate(alphas):
-            writer.writerow([t, repr(float(alpha))])
+    dio.write_groups(groups_path, network.with_groups(
+        GroupAssignment(labels, args.k) for labels in labels_by_step))
+    dio.write_alpha_csv(alphas, alpha_path)
     print(f"wrote {groups_path} and {alpha_path}")
     return EXIT_OK
 
@@ -207,9 +196,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="grid-evaluate alpha and beta")
     _add_input_options(p)
     _add_layout_options(p)
-    p.add_argument("--alphas", type=_float_list, required=True)
-    p.add_argument("--betas", type=_float_list, required=True)
-    p.add_argument("--seeds", type=_int_list, default=[0])
+    p.add_argument("--alphas", type=_list_of(float), required=True)
+    p.add_argument("--betas", type=_list_of(float), required=True)
+    p.add_argument("--seeds", type=_list_of(int), default=[0])
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
@@ -224,8 +213,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("render", help="render SVG frames or a 1-D time plot")
     _add_input_options(p)
     p.add_argument("--layout", required=True, help="layout JSON document")
-    p.add_argument("--groups", default="none", help="'none' or a groups TSV file")
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--movement", action="store_true",
                    help="overlay previous positions and displacement segments")
     p.add_argument("--out", required=True, help="output directory (2-D) or file (1-D)")

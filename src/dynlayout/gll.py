@@ -259,7 +259,7 @@ def _feasible_random_start(rng, m: int, s: int, M: np.ndarray, target: float) ->
 
 
 def dgll_layout(W, C, alpha, beta, e, X_prev_aug, s, normalized: bool = True,
-                rng=None, tol: float = 1e-8) -> DgllSolution:
+                rng=None) -> DgllSolution:
     """Dynamic Laplacian layout for one time step (node presence vector e).
 
     Minimizes the blended quadratic objective subject to the centered
@@ -298,8 +298,7 @@ def dgll_layout(W, C, alpha, beta, e, X_prev_aug, s, normalized: bool = True,
             # the solve could not reach the constraint from this start
             start = _feasible_random_start(np.random.default_rng(rng), n + k, s, M, target)
         result = minimize_eq_constrained(problem.f, problem.grad, problem.g, problem.jac,
-                                         lambda x, mu: problem.hess(mu), start.T.reshape(-1),
-                                         tol=tol)
+                                         lambda x, mu: problem.hess(mu), start.T.reshape(-1))
         if not result.converged:
             raise NumericalError(
                 "constrained layout solver did not converge "

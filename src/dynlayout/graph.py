@@ -9,7 +9,7 @@ types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -231,6 +231,11 @@ class DynamicNetwork:
         e = np.zeros(active.size)
         e[rows] = 1.0
         return Persistence(_freeze(rows), _freeze(prev_rows), _freeze(e))
+
+    def with_groups(self, groups: Iterable[Optional[GroupAssignment]]) -> "DynamicNetwork":
+        """The same snapshots with ``groups``, one assignment (or None) per step."""
+        return DynamicNetwork(self.registry, [replace(snap, groups=g) for snap, g in
+                                              zip(self.snapshots, groups, strict=True)])
 
     def truncated(self, T: int) -> "DynamicNetwork":
         """The same network restricted to its first T snapshots."""

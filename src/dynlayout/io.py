@@ -41,16 +41,28 @@ def _read_text(path) -> str:
         raise DataError(f"cannot read input {path}: {exc}") from None
 
 
-def _parse_records(path) -> list[tuple[int, str, str, float, int]]:
-    records = []
+def _tsv_rows(path, fields: int):
+    """(line number, fields) of every record line of a TSV file: blank lines
+    and ``#`` comments are skipped, a line with another field count is a
+    DataError naming the line."""
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, "
+        if len(parts) != fields:
+            raise DataError(f"{path}:{lineno}: expected {fields} tab-separated fields, "
                             f"got {len(parts)}")
-        t_str, u, v, w_str = parts
+        yield lineno, parts
+
+
+def _write_tsv(path, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def _parse_records(path) -> list[tuple[int, str, str, float, int]]:
+    records = []
+    for lineno, (t_str, u, v, w_str) in _tsv_rows(path, 4):
         try:
             t = int(t_str)
         except ValueError:
@@ -71,67 +83,6 @@ def _parse_records(path) -> list[tuple[int, str, str, float, int]]:
     return records
 
 
-def _network_from_weight_maps(weights_by_t: dict[int, dict[tuple[str, str], float]],
-                              registry: NodeRegistry) -> DynamicNetwork:
-    times = sorted(weights_by_t)
-    if times != list(range(len(times))):
-        raise DataError(f"time steps must be 0..T-1 without gaps, found {times}")
-    snapshots = []
-    for t in times:
-        incident = sorted({u for pair in weights_by_t[t] for u in pair})
-        active = tuple(registry.index_of(u) for u in incident)
-        row_of = {idx: row for row, idx in enumerate(active)}
-        W = np.zeros((len(active), len(active)))
-        for (u, v), w in weights_by_t[t].items():
-            a = row_of[registry.index_of(u)]
-            b = row_of[registry.index_of(v)]
-            W[a, b] = W[b, a] = w
-        snapshots.append(Snapshot(t=t, W=W, active=active))
-    return DynamicNetwork(registry, snapshots)
-
-
-def parse_snapshots(path) -> DynamicNetwork:
-    """Parse an edge TSV file into a validated dynamic network."""
-    records = _parse_records(path)
-    registry = NodeRegistry(u for _, u, v, _, _ in records for u in (u, v))
-    weights_by_t: dict[int, dict[tuple[str, str], float]] = {}
-    for t, u, v, w, lineno in records:
-        key = (min(u, v), max(u, v))
-        per_t = weights_by_t.setdefault(t, {})
-        if key in per_t:
-            if per_t[key] != w:
-                logger.warning("%s:%d: duplicate edge (%s,%s) at t=%d; keeping max of "
-                               "%g and %g", path, lineno, u, v, t, per_t[key], w)
-            per_t[key] = max(per_t[key], w)
-        else:
-            per_t[key] = w
-    return _network_from_weight_maps(weights_by_t, registry)
-
-
-def write_snapshots(network: DynamicNetwork, path) -> None:
-    """Serialize to canonical snapshot TSV (sorted records, u < v)."""
-    lines = []
-    for snap in network.snapshots:
-        for a, b in zip(*np.nonzero(np.triu(snap.W, 1))):
-            u = network.registry.id_of(snap.active[a])
-            v = network.registry.id_of(snap.active[b])
-            u, v = min(u, v), max(u, v)
-            lines.append((snap.t, u, v, repr(float(snap.W[a, b]))))
-    lines.sort()
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, u, v, w in lines:
-            fh.write(f"{t}\t{u}\t{v}\t{w}\n")
-
-
-def _scores_from_records(records, registry: NodeRegistry) -> dict[int, np.ndarray]:
-    n = len(registry)
-    by_t: dict[int, np.ndarray] = {}
-    for t, u, v, w, _ in records:
-        S = by_t.setdefault(t, np.zeros((n, n)))
-        S[registry.index_of(u), registry.index_of(v)] = w
-    return by_t
-
-
 def ingest_snapshots(path, kind: str = "edge_tsv", m: Optional[int] = None,
                      weighting: str = "unit") -> DynamicNetwork:
     """Load a dynamic network from disk.
@@ -140,49 +91,67 @@ def ingest_snapshots(path, kind: str = "edge_tsv", m: Optional[int] = None,
     preference ranks (1 = most preferred); each node is connected to its m
     most preferred peers. count_matrix records are directed scores (higher
     = stronger); each node is connected to its m highest-scoring peers.
-    Both matrix kinds symmetrize by max.
+    Both matrix kinds symmetrize by max, and a repeated (t, u, v) record
+    keeps its last value. A snapshot holds the nodes left with an edge.
     """
     if kind not in INGEST_KINDS:
         raise DataError(f"unknown ingestion kind {kind!r}; choose from {INGEST_KINDS}")
-    if kind == "edge_tsv":
-        return parse_snapshots(path)
-    if m is None:
+    if kind != "edge_tsv" and m is None:
         raise DataError(f"{kind} ingestion requires m")
     records = _parse_records(path)
     registry = NodeRegistry(u for _, u, v, _, _ in records for u in (u, v))
-    by_t = _scores_from_records(records, registry)
+    by_t: dict[int, list] = {}
+    for record in records:
+        by_t.setdefault(record[0], []).append(record)
     times = sorted(by_t)
     if times != list(range(len(times))):
         raise DataError(f"time steps must be 0..T-1 without gaps, found {times}")
-    if kind == "rank_matrix":
-        # lower rank = more preferred; flip to scores so top-m picks them
-        max_rank = max(w for _, _, _, w, _ in records)
-        for t in times:
-            S = by_t[t]
-            nz = S > 0
-            S[nz] = max_rank + 1.0 - S[nz]
+    # lower rank = more preferred; flip to scores so top-m picks them
+    flip = max(w for _, _, _, w, _ in records) + 1.0 if kind == "rank_matrix" else None
+    n = len(registry)
     snapshots = []
     for t in times:
-        W = top_m_graph(by_t[t], m, weighting)
-        # keep only nodes that ended up with an edge, as in edge ingestion
+        W = np.zeros((n, n))
+        for _, u, v, w, lineno in by_t[t]:
+            a, b = registry.index_of(u), registry.index_of(v)
+            if kind != "edge_tsv":
+                W[a, b] = w
+                continue
+            if W[a, b] and W[a, b] != w:
+                logger.warning("%s:%d: duplicate edge (%s,%s) at t=%d; keeping max of "
+                               "%g and %g", path, lineno, u, v, t, W[a, b], w)
+            W[a, b] = W[b, a] = max(W[a, b], w)
+        if kind == "rank_matrix":
+            ranked = W > 0
+            W[ranked] = flip - W[ranked]
+        if kind != "edge_tsv":
+            W = top_m_graph(W, m, weighting)
         incident = np.flatnonzero(W.sum(axis=1) > 0)
-        active = tuple(int(i) for i in incident)
-        W = W[np.ix_(incident, incident)]
-        snapshots.append(Snapshot(t=t, W=W, active=active))
+        snapshots.append(Snapshot(t=t, W=W[np.ix_(incident, incident)],
+                                  active=tuple(int(i) for i in incident)))
     return DynamicNetwork(registry, snapshots)
+
+
+def parse_snapshots(path) -> DynamicNetwork:
+    """Parse an edge TSV file into a validated dynamic network."""
+    return ingest_snapshots(path)
+
+
+def write_snapshots(network: DynamicNetwork, path) -> None:
+    """Serialize to canonical snapshot TSV (sorted records, u < v)."""
+    rows = []
+    for snap in network.snapshots:
+        ids = [network.registry.id_of(idx) for idx in snap.active]
+        for a, b in zip(*np.nonzero(np.triu(snap.W, 1))):
+            rows.append((snap.t, *sorted((ids[a], ids[b])), repr(float(snap.W[a, b]))))
+    _write_tsv(path, sorted(rows))
 
 
 def parse_groups(path, network: DynamicNetwork, k: Optional[int] = None) -> DynamicNetwork:
     """Attach group labels from a groups TSV to a network's snapshots."""
-    by_t: dict[int, dict[str, int]] = {}
+    labels_at: dict[tuple[int, str], int] = {}
     max_label = 0
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        t_str, u, lab_str = parts
+    for lineno, (t_str, u, lab_str) in _tsv_rows(path, 3):
         try:
             t = int(t_str)
             lab = int(lab_str)
@@ -194,36 +163,31 @@ def parse_groups(path, network: DynamicNetwork, k: Optional[int] = None) -> Dyna
             raise DataError(f"{path}:{lineno}: unknown node id {u!r}")
         if not 0 <= t < len(network):
             raise DataError(f"{path}:{lineno}: time step {t} outside the network")
-        by_t.setdefault(t, {})[u] = lab
+        labels_at[t, u] = lab
         max_label = max(max_label, lab)
     k = k or max_label
     if max_label > k:
         raise DataError(f"{path}: label {max_label} exceeds k={k}")
-    snapshots = []
+    groups = []
     for snap in network.snapshots:
-        labels_map = by_t.get(snap.t, {})
-        labels = tuple(labels_map.get(network.registry.id_of(idx)) for idx in snap.active)
-        groups = GroupAssignment(labels=labels, k=k) if any(
-            lab is not None for lab in labels) else None
-        snapshots.append(Snapshot(t=snap.t, W=snap.W, active=snap.active, groups=groups))
-    return DynamicNetwork(network.registry, snapshots)
+        labels = tuple(labels_at.get((snap.t, network.registry.id_of(idx)))
+                       for idx in snap.active)
+        groups.append(GroupAssignment(labels=labels, k=k) if any(
+            lab is not None for lab in labels) else None)
+    return network.with_groups(groups)
 
 
 def write_groups(path, network: DynamicNetwork) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for snap in network.snapshots:
-            if snap.groups is None:
-                continue
-            for row, idx in enumerate(snap.active):
-                lab = snap.groups.labels[row]
-                if lab is not None:
-                    fh.write(f"{snap.t}\t{network.registry.id_of(idx)}\t{lab}\n")
+    _write_tsv(path, ((snap.t, network.registry.id_of(idx), lab)
+                      for snap in network.snapshots if snap.groups is not None
+                      for idx, lab in zip(snap.active, snap.groups.labels) if lab is not None))
 
 
 # ---------------------------------------------------------------------------
 # layout export / reload
 
-def sequence_to_json_dict(sequence: LayoutSequence) -> dict:
+def export_layouts(sequence: LayoutSequence, path) -> None:
+    """Write a layout sequence as a LayoutJson document."""
     steps = []
     for step in sequence.steps:
         nodes = []
@@ -240,19 +204,16 @@ def sequence_to_json_dict(sequence: LayoutSequence) -> dict:
             "representatives": None if step.Y is None else
             [[float(v) for v in row] for row in step.Y],
         })
-    return {**sequence.metadata, "steps": steps}
-
-
-def export_layouts(sequence: LayoutSequence, path) -> None:
-    """Write a layout sequence as a LayoutJson document."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sequence_to_json_dict(sequence), fh, indent=1)
+        json.dump({**sequence.metadata, "steps": steps}, fh, indent=1)
         fh.write("\n")
 
 
 def import_layouts(path) -> LayoutSequence:
     """Reload a LayoutJson document; a malformed one is a DataError naming
-    the file and, for a bad step record, the step."""
+    the file and, for a bad step record, the step. Every coordinate row
+    (``x`` and ``representatives``) must hold as many entries as the
+    integer ``dims`` field says, or, without one, as the first step's."""
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -260,6 +221,7 @@ def import_layouts(path) -> LayoutSequence:
     if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
         raise DataError(f"{path}: not a layout document (missing 'steps')")
     metadata = {key: value for key, value in doc.items() if key != "steps"}
+    width = doc.get("dims") if type(doc.get("dims")) is int else None
     steps = []
     for position, raw in enumerate(doc["steps"]):
         try:
@@ -271,34 +233,46 @@ def import_layouts(path) -> LayoutSequence:
             t = raw["t"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: step {position}: bad layout record: {exc!r}") from None
+        if type(t) is not int:
+            raise DataError(f"{path}: step {position}: time step {t!r} is not an integer")
+        for name, A in (("x", X), ("representatives", Y)):
+            if width is None and A is not None and A.ndim == 2:
+                width = A.shape[1]
+            if A is not None and A.shape[1:] != (width,):
+                raise DataError(f"{path}: step {position}: '{name}' is not a list of rows "
+                                f"of {width} coordinates")
         if all(lab is None for lab in labels):
             labels = None
         steps.append(LayoutStep(t=t, ids=ids, X=X, labels=labels, Y=Y))
     return LayoutSequence(metadata=metadata, steps=steps)
 
 
-def write_cost_csv(report, path) -> None:
-    """Per-step cost table; empty cells where a cost is undefined."""
+def _cell(value) -> str:
+    """CSV cell of a float: its shortest round-trip repr, empty when undefined."""
+    return "" if value is None else repr(float(value))
+
+
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "static_cost", "centroid_cost", "temporal_cost", "iterations"])
-        for step in report.steps:
-            writer.writerow([
-                step.t,
-                repr(float(step.static_cost)),
-                "" if step.centroid_cost is None else repr(float(step.centroid_cost)),
-                "" if step.temporal_cost is None else repr(float(step.temporal_cost)),
-                "" if step.iterations is None else step.iterations,
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_cost_csv(report, path) -> None:
+    """Per-step cost table; empty cells where a cost is undefined."""
+    _write_csv(path, ["t", "static_cost", "centroid_cost", "temporal_cost", "iterations"],
+               ([step.t, _cell(step.static_cost), _cell(step.centroid_cost),
+                 _cell(step.temporal_cost), "" if step.iterations is None else step.iterations]
+                for step in report.steps))
 
 
 def write_sweep_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "beta", "mean_static", "mean_centroid",
-                         "mean_temporal", "mean_iterations"])
-        for rec in records:
-            writer.writerow([repr(float(rec["alpha"])), repr(float(rec["beta"])),
-                             repr(float(rec["mean_static"])), repr(float(rec["mean_centroid"])),
-                             repr(float(rec["mean_temporal"])),
-                             repr(float(rec["mean_iterations"]))])
+    header = ["alpha", "beta", "mean_static", "mean_centroid", "mean_temporal",
+              "mean_iterations"]
+    _write_csv(path, header, ([_cell(rec[key]) for key in header] for rec in records))
+
+
+def write_alpha_csv(alphas, path) -> None:
+    """Per-step forgetting factors of the on-line clustering."""
+    _write_csv(path, ["t", "alpha"], ([t, _cell(alpha)] for t, alpha in enumerate(alphas)))

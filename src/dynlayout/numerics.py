@@ -200,6 +200,7 @@ class EqConstrainedResult:
 
 # penalty weights of the continuation, each solve warm-started from the last
 _PENALTY_WEIGHTS = tuple(10.0 ** e for e in range(9))
+_TOL = 1e-8  # bound on max(|g|) and on the stationarity residual at convergence
 _POLISH_ROUNDS = 8  # Newton steps of the KKT polish, at most
 
 
@@ -210,7 +211,6 @@ def minimize_eq_constrained(
     jac: Callable[[np.ndarray], np.ndarray],
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
-    tol: float = 1e-8,
 ) -> EqConstrainedResult:
     """Minimize f(x) subject to g(x) = 0 by quadratic-penalty continuation
     with a Newton-KKT polish.
@@ -219,8 +219,8 @@ def minimize_eq_constrained(
     f + rho/2 |g|^2 from the previous minimizer, and a Newton polish on
     the KKT system starts from it with multipliers rho*g. ``hess(x, mu)``
     must return the Hessian of the Lagrangian f + mu^T g at (x, mu).
-    Returns at the first polished point with max(|g|) <= tol and
-    stationarity residual <= tol; when no weight gives one, the result is
+    Returns at the first polished point with max(|g|) <= _TOL and
+    stationarity residual <= _TOL; when no weight gives one, the result is
     non-converged, never an exception.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -238,10 +238,10 @@ def minimize_eq_constrained(
         solve = scipy.optimize.minimize(penalized, x, jac=True, hess=penalized_hess,
                                         method="trust-exact")
         x = solve.x
-        x_pol, polish_steps = _kkt_polish(x, rho * np.atleast_1d(g(x)), grad, g, jac, hess, tol)
+        x_pol, polish_steps = _kkt_polish(x, rho * np.atleast_1d(g(x)), grad, g, jac, hess)
         iterations += solve.nit + polish_steps
         feas, kkt = kkt_residuals(x_pol, grad, g, jac)
-        if feas <= tol and kkt <= tol:
+        if feas <= _TOL and kkt <= _TOL:
             return EqConstrainedResult(x=x_pol, kkt_residual=kkt, feasibility_residual=feas,
                                        converged=True, iterations=iterations)
     feas, kkt = kkt_residuals(x, grad, g, jac)
@@ -260,9 +260,9 @@ def kkt_residuals(x, grad, g, jac) -> tuple[float, float]:
     return (float(np.max(np.abs(gv))) if gv.size else 0.0), kkt
 
 
-def _kkt_polish(x, mu, grad, g, jac, hess, tol):
+def _kkt_polish(x, mu, grad, g, jac, hess):
     # Newton on the KKT system [grad f + J^T mu; g] = 0; quadratic local
-    # convergence squeezes residuals well below the requested tolerance.
+    # convergence squeezes residuals well below the tolerance.
     # Least squares takes the step, so a singular KKT matrix (a continuum
     # of minimizers) still converges. Returns the point and the steps taken.
     def residual(x, mu):
@@ -273,7 +273,7 @@ def _kkt_polish(x, mu, grad, g, jac, hess, tol):
     n, m = x.shape[0], mu.shape[0]
     J, r, res = residual(x, mu)
     for taken in range(_POLISH_ROUNDS):
-        if res <= 1e-3 * tol:
+        if res <= 1e-3 * _TOL:
             return x, taken
         K = np.block([[hess(x, mu), J.T], [J, np.zeros((m, m))]])
         step = np.linalg.lstsq(K, -r, rcond=None)[0]

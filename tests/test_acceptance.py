@@ -337,7 +337,7 @@ class TestCriterion8DgllSolverContract:
                 e[0] = 1.0
             m = n + 1
             X_prev = rng.standard_normal((m, 2))
-            solution = gll.dgll_layout(W, C, 1.0, beta, e, X_prev, 2, tol=1e-8)
+            solution = gll.dgll_layout(W, C, 1.0, beta, e, X_prev, 2)
             worst_g = max(worst_g, solution.constraint_residual)
             worst_kkt = max(worst_kkt, solution.kkt_residual)
 

@@ -113,6 +113,48 @@ class TestExitCodes:
         assert f"integer 'dims' field, got {dims!r}" in capsys.readouterr().err
         assert run(["metrics", *base, "--out", str(tmp_path / "costs.csv")]) == 0
 
+    @pytest.mark.parametrize("case", ["rows-across-steps", "rows-within-step",
+                                      "representatives", "dims", "fractional-t", "string-t"])
+    @pytest.mark.parametrize("command", ["metrics", "render"])
+    def test_malformed_coordinates_are_data_error(self, case, command, tmp_path, capsys):
+        snaps = tmp_path / "path.tsv"
+        snaps.write_text("".join(f"{t}\t{u}\t{v}\t1\n" for t in (0, 1)
+                                 for u, v in (("a", "b"), ("b", "c"))), encoding="utf-8")
+        steps = [{"t": t, "nodes": [{"id": node, "x": [float(i), 0.5 * t], "group": 1}
+                                    for i, node in enumerate("abc")],
+                  "representatives": [[0.0, 0.0]]} for t in (0, 1)]
+        doc = {"method": "dmds", "dims": 2, "steps": steps}
+        bad = steps[1]
+        if case == "rows-across-steps":
+            del doc["dims"]
+            for node in bad["nodes"]:
+                node["x"].append(1.0)
+        elif case == "rows-within-step":
+            bad["nodes"][2]["x"].append(1.0)
+        elif case == "representatives":
+            bad["representatives"] = [[0.0, 0.0, 0.0]]
+        elif case == "dims":
+            for step in steps:
+                step["representatives"] = None
+                for node in step["nodes"]:
+                    del node["x"][1]
+            bad = steps[0]
+        else:
+            bad["t"] = 1.5 if case == "fractional-t" else "1"
+        layout = tmp_path / "doc.json"
+        layout.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / ("costs.csv" if command == "metrics" else "frames")
+        assert run([command, "--input", str(snaps), "--layout", str(layout),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {layout}: step {steps.index(bad)}: ")
+
+    def test_render_takes_no_groups(self, sbm_fixture, tmp_path):
+        # frame colors come from the layout document's labels
+        _, snaps, groups = sbm_fixture
+        assert run(["render", "--input", str(snaps), "--layout", str(tmp_path / "x.json"),
+                    "--groups", str(groups), "--out", str(tmp_path / "frames")]) == 1
+
     def test_metrics_of_unknown_method_is_data_error(self, sbm_fixture, tmp_path, capsys):
         _, snaps, _ = sbm_fixture
         out = tmp_path / "run"

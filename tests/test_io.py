@@ -1,9 +1,16 @@
 import logging
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlayout import io as dio
+from dynlayout.distances import top_m_graph
 from dynlayout.errors import DataError
+from dynlayout.graph import DynamicNetwork, NodeRegistry, Snapshot
 from dynlayout.pipeline import RegularizationConfig, run_sequence
 from dynlayout.sbm import SbmConfig, sbm_sequence
 
@@ -132,6 +139,131 @@ class TestRankMatrixIngestion:
         path.write_text("0\ta\tb\t5\n", encoding="utf-8")
         with pytest.raises(DataError, match="requires m"):
             dio.ingest_snapshots(path, kind="count_matrix")
+
+
+def reference_ingest(path, kind="edge_tsv", m=None, weighting="unit") -> DynamicNetwork:
+    """Reference: the two builders ``ingest_snapshots`` replaced. Edges went
+    through per-step weight maps over the incident nodes; the matrix kinds
+    filled one registry-sized score matrix per step, all held at once."""
+    if kind not in dio.INGEST_KINDS:
+        raise DataError(f"unknown ingestion kind {kind!r}; choose from {dio.INGEST_KINDS}")
+    if kind == "edge_tsv":
+        records = dio._parse_records(path)
+        registry = NodeRegistry(u for _, u, v, _, _ in records for u in (u, v))
+        weights_by_t = {}
+        for t, u, v, w, lineno in records:
+            key = (min(u, v), max(u, v))
+            per_t = weights_by_t.setdefault(t, {})
+            if key in per_t:
+                if per_t[key] != w:
+                    logging.getLogger("dynlayout.io").warning(
+                        "%s:%d: duplicate edge (%s,%s) at t=%d; keeping max of %g and %g",
+                        path, lineno, u, v, t, per_t[key], w)
+                per_t[key] = max(per_t[key], w)
+            else:
+                per_t[key] = w
+        times = sorted(weights_by_t)
+        if times != list(range(len(times))):
+            raise DataError(f"time steps must be 0..T-1 without gaps, found {times}")
+        snapshots = []
+        for t in times:
+            incident = sorted({u for pair in weights_by_t[t] for u in pair})
+            active = tuple(registry.index_of(u) for u in incident)
+            row_of = {idx: row for row, idx in enumerate(active)}
+            W = np.zeros((len(active), len(active)))
+            for (u, v), w in weights_by_t[t].items():
+                a = row_of[registry.index_of(u)]
+                b = row_of[registry.index_of(v)]
+                W[a, b] = W[b, a] = w
+            snapshots.append(Snapshot(t=t, W=W, active=active))
+        return DynamicNetwork(registry, snapshots)
+    if m is None:
+        raise DataError(f"{kind} ingestion requires m")
+    records = dio._parse_records(path)
+    registry = NodeRegistry(u for _, u, v, _, _ in records for u in (u, v))
+    n = len(registry)
+    by_t = {}
+    for t, u, v, w, _ in records:
+        S = by_t.setdefault(t, np.zeros((n, n)))
+        S[registry.index_of(u), registry.index_of(v)] = w
+    times = sorted(by_t)
+    if times != list(range(len(times))):
+        raise DataError(f"time steps must be 0..T-1 without gaps, found {times}")
+    if kind == "rank_matrix":
+        max_rank = max(w for _, _, _, w, _ in records)
+        for t in times:
+            S = by_t[t]
+            nz = S > 0
+            S[nz] = max_rank + 1.0 - S[nz]
+    snapshots = []
+    for t in times:
+        W = top_m_graph(by_t[t], m, weighting)
+        incident = np.flatnonzero(W.sum(axis=1) > 0)
+        snapshots.append(Snapshot(t=t, W=W[np.ix_(incident, incident)],
+                                  active=tuple(int(i) for i in incident)))
+    return DynamicNetwork(registry, snapshots)
+
+
+@st.composite
+def ingest_inputs(draw):
+    """(kind, m, weighting, records) over at most six nodes and four steps:
+    nodes absent at some steps, a pair repeated within a step with equal or
+    other weights, the same pair at other steps, and now and then a gap."""
+    kind = draw(st.sampled_from(dio.INGEST_KINDS))
+    nodes = draw(st.lists(st.sampled_from("abcdef"), min_size=4, max_size=6, unique=True))
+    steps = draw(st.integers(1, 4))
+    weights = st.integers(1, 5) if kind == "rank_matrix" else \
+        st.sampled_from([1.0, 2.0, 2.5, 0.125])
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+        lambda pair: pair[0] != pair[1])
+    records = draw(st.lists(st.tuples(st.integers(0, steps - 1), pairs, weights),
+                            min_size=4, max_size=24))
+    records += [(t, (v, u), w) for t, (u, v), w in
+                draw(st.lists(st.sampled_from(records), max_size=4))]
+    records = draw(st.permutations(records))
+    m = draw(st.sampled_from([2, 3, 1, 6, None]))
+    weighting = draw(st.sampled_from(["unit", "rank_descending"]))
+    return kind, m, weighting, [f"{t}\t{u}\t{v}\t{w}" for t, (u, v), w in records]
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _load(builder, path, kind, m, weighting):
+    """(error text or None, registry ids, per-step (active, W bytes),
+    duplicate warnings) of one load."""
+    handler = _Collect()
+    logger = logging.getLogger("dynlayout.io")
+    logger.addHandler(handler)
+    try:
+        network = builder(path, kind=kind, m=m, weighting=weighting)
+    except DataError as exc:
+        return str(exc), None, None, None
+    finally:
+        logger.removeHandler(handler)
+    steps = [(snap.active, snap.W.shape, snap.W.tobytes()) for snap in network.snapshots]
+    return None, network.registry.ids, steps, sorted(handler.messages)
+
+
+class TestIngestionMatchesReference:
+    @given(ingest_inputs())
+    @settings(deadline=None, max_examples=300)
+    def test_same_networks_errors_and_warnings(self, case):
+        # warnings are compared as a sorted list: the builder walks the
+        # records step by step, so warnings of different steps come in step
+        # order, not file order
+        kind, m, weighting, lines = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.tsv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            got = _load(dio.ingest_snapshots, path, kind, m, weighting)
+            assert got == _load(reference_ingest, path, kind, m, weighting)
 
 
 @pytest.fixture(scope="module")
