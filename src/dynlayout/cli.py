@@ -35,13 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _list_of(kind):
-    """argparse type: a comma-separated list of ``kind`` values."""
+def _list_of(kind, name: str):
+    """argparse type: a comma-separated list of ``kind`` values, called
+    ``name`` values in the usage error."""
     def parse(text: str) -> list:
         try:
             return [kind(v) for v in text.split(",") if v.strip() != ""]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list {text!r}") from None
+            raise argparse.ArgumentTypeError(f"bad {name} list {text!r}") from None
     return parse
 
 
@@ -66,8 +67,8 @@ def _add_layout_options(p: argparse.ArgumentParser):
     p.add_argument("--normalized", action=argparse.BooleanOptionalAction,
                    default=_DEFAULT.normalized,
                    help="degree-normalized constraints (GLL family)")
-    p.add_argument("--lambda-grid", type=_list_of(float), default=_DEFAULT.lambda_grid,
-                   help="comma-separated blend weights (bfp)")
+    p.add_argument("--lambda-grid", type=_list_of(float, "number"),
+                   default=_DEFAULT.lambda_grid, help="comma-separated blend weights (bfp)")
     p.add_argument("--similarity", choices=("linear", "inverse"), default=None,
                    help="convert similarity weights to dissimilarities (MDS family)")
 
@@ -196,9 +197,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="grid-evaluate alpha and beta")
     _add_input_options(p)
     _add_layout_options(p)
-    p.add_argument("--alphas", type=_list_of(float), required=True)
-    p.add_argument("--betas", type=_list_of(float), required=True)
-    p.add_argument("--seeds", type=_list_of(int), default=[0])
+    p.add_argument("--alphas", type=_list_of(float, "number"), required=True)
+    p.add_argument("--betas", type=_list_of(float, "number"), required=True)
+    p.add_argument("--seeds", type=_list_of(int, "integer"), default=[0])
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 

@@ -108,12 +108,16 @@ def ingest_snapshots(path, kind: str = "edge_tsv", m: Optional[int] = None,
         raise DataError(f"time steps must be 0..T-1 without gaps, found {times}")
     # lower rank = more preferred; flip to scores so top-m picks them
     flip = max(w for _, _, _, w, _ in records) + 1.0 if kind == "rank_matrix" else None
-    n = len(registry)
     snapshots = []
     for t in times:
-        W = np.zeros((n, n))
+        # every node an edge names keeps an edge (weights are positive, no
+        # self-loops); top_m_graph checks m against the whole registry
+        nodes = sorted({registry.index_of(x) for _, u, v, _, _ in by_t[t] for x in (u, v)}) \
+            if kind == "edge_tsv" else range(len(registry))
+        row_of = {idx: row for row, idx in enumerate(nodes)}
+        W = np.zeros((len(nodes), len(nodes)))
         for _, u, v, w, lineno in by_t[t]:
-            a, b = registry.index_of(u), registry.index_of(v)
+            a, b = row_of[registry.index_of(u)], row_of[registry.index_of(v)]
             if kind != "edge_tsv":
                 W[a, b] = w
                 continue
@@ -124,11 +128,11 @@ def ingest_snapshots(path, kind: str = "edge_tsv", m: Optional[int] = None,
         if kind == "rank_matrix":
             ranked = W > 0
             W[ranked] = flip - W[ranked]
-        if kind != "edge_tsv":
+        if kind != "edge_tsv":  # keep the nodes left with an edge
             W = top_m_graph(W, m, weighting)
-        incident = np.flatnonzero(W.sum(axis=1) > 0)
-        snapshots.append(Snapshot(t=t, W=W[np.ix_(incident, incident)],
-                                  active=tuple(int(i) for i in incident)))
+            nodes = np.flatnonzero(W.sum(axis=1) > 0)
+            W = W[np.ix_(nodes, nodes)]
+        snapshots.append(Snapshot(t=t, W=W, active=tuple(int(i) for i in nodes)))
     return DynamicNetwork(registry, snapshots)
 
 

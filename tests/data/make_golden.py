@@ -188,12 +188,6 @@ def _drop_nodes(network: DynamicNetwork, dropped_at) -> DynamicNetwork:
     return DynamicNetwork(network.registry, snaps)
 
 
-def _drop_at_odd_steps(network: DynamicNetwork, dropped) -> DynamicNetwork:
-    """The same network with the registry nodes ``dropped`` absent at every
-    odd step."""
-    return _drop_nodes(network, lambda t: dropped if t % 2 else set())
-
-
 def protocol_network(seed: int) -> DynamicNetwork:
     """The block-model network of the acceptance protocol at ``seed``."""
     net, _ = sbm_sequence(SbmConfig.two_rate(n=30, k=4, p_in=0.6, p_out=0.2, T=20,
@@ -206,9 +200,9 @@ def digest_networks():
     networks = []
     for seed in (1, 2, 3):
         net = protocol_network(seed)
+        churned = _drop_nodes(net, lambda t: {0, 1, 2} if t % 2 else set())
         networks += [(f"protocol{seed}", net, seed, METHODS),
-                     (f"protocol{seed}-churn", _drop_at_odd_steps(net, {0, 1, 2}), seed,
-                      METHODS)]
+                     (f"protocol{seed}-churn", churned, seed, METHODS)]
     for seed in (1, 2):
         net, _ = sbm_sequence(SbmConfig.two_rate(n=200, k=4, p_in=0.15, p_out=0.03, T=3,
                                                  change_step=2, change_fraction=0.25,

@@ -63,6 +63,13 @@ class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self):
         assert run(["layout"]) == 1
 
+    @pytest.mark.parametrize("option, wording", [
+        ("--alphas", "bad number list 'x'"), ("--seeds", "bad integer list 'x'")])
+    def test_bad_list_is_usage_error(self, option, wording, capsys):
+        argv = ["sweep", "--input", "in.tsv", "--out", "o.csv", "--alphas", "1", "--betas", "1"]
+        assert run([*argv, option, "x"]) == 1
+        assert wording in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("0\ta\tb\t-1\n", encoding="utf-8")
@@ -270,7 +277,7 @@ class TestGoldenFixture:
 
         network, _ = sbm_sequence(SbmConfig.two_rate(n=12, k=2, p_in=0.8, p_out=0.15, T=3,
                                                      seed=7))
-        network = make_golden._drop_at_odd_steps(network, {0, 1, 2})
+        network = make_golden._drop_nodes(network, lambda t: {0, 1, 2} if t % 2 else set())
         config = RegularizationConfig(method="dmds", groups="known")
         first = make_golden.run_record(network, config)
         assert make_golden.run_record(network, config) == first

@@ -265,6 +265,17 @@ class TestIngestionMatchesReference:
             got = _load(dio.ingest_snapshots, path, kind, m, weighting)
             assert got == _load(reference_ingest, path, kind, m, weighting)
 
+    def test_large_registry_few_nodes_per_step(self, tmp_path):
+        # 30 steps, each a ring over its own 100 of 3,000 ids, with a repeated
+        # edge; a step's matrix must stay the size of the nodes it names
+        lines = [f"{t}\tn{100 * t + i:04d}\tn{100 * t + (i + 1) % 100:04d}\t1.5"
+                 for t in range(30) for i in range(100)] + ["7\tn0701\tn0700\t2.0"]
+        path = tmp_path / "records.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = _load(dio.ingest_snapshots, path, "edge_tsv", None, "unit")
+        assert len(got[1]) == 3000 and len(got[3]) == 1
+        assert got == _load(reference_ingest, path, "edge_tsv", None, "unit")
+
 
 @pytest.fixture(scope="module")
 def sequence():
