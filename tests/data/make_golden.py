@@ -24,7 +24,10 @@ CHANGES.md.
 ``--digest OUT`` runs ``run_sequence`` over ``digest_matrix()``: every
 method x groups mode (none, known, learn) x ``--dims`` 1 and 2 on three
 block-model networks of the acceptance protocol, the same three with nodes
-0-2 dropped at every odd step, and two n = 200 networks (without DGLL). It
+0-2 dropped at every odd step, and two n = 200 networks (without DGLL), all
+at alpha = beta = 1; and ``dgll`` with known groups at alpha, beta in
+{0.1, 10} x {0.1, 10} and ``--dims`` 1 and 2 on the three protocol
+networks, whose harder penalty problems take many more trust-region steps. It
 writes one SHA-256 per run, over X, Y, labels, the three costs, iterations
 and stress traces, or over the error text of a run that raised, together
 with the run's coordinates. Each network adds one clustering record
@@ -228,6 +231,15 @@ def digest_matrix():
                                                   dims=dims, seed=seed, groups=groups,
                                                   k=4 if groups == "learn" else None)
                     yield f"{net_name}/{method}/{groups}/{dims}d", network, config
+        if net_name.startswith("protocol") and not net_name.endswith("-churn"):
+            # the penalty weights away from 1 make the harder DGLL solves
+            for alpha in (0.1, 10.0):
+                for beta in (0.1, 10.0):
+                    for dims in (1, 2):
+                        config = RegularizationConfig(method="dgll", alpha=alpha, beta=beta,
+                                                      dims=dims, seed=seed, groups="known")
+                        yield (f"{net_name}/dgll/known/{dims}d/alpha{alpha:g}-beta{beta:g}",
+                               network, config)
 
 
 def output_record(sequence=None, report=None, error: str | None = None) -> dict:
