@@ -7,6 +7,11 @@ tools. The one iterative kernel, ``minimize_eq_constrained``, solves
 DGLL's constrained step by quadratic-penalty continuation with exact
 trust-region steps and a Newton-KKT polish.
 
+The trust-region steps are scipy 1.17.1's ``trust-exact`` (Moré &
+Sorensen's subproblem solve, after Conn, Gould & Toint 2000) ported here
+with its defaults, LAPACK/BLAS calls and checks, so they give scipy's bits
+without its wrapper layers.
+
 At these sizes a multi-threaded BLAS costs time rather than saving it,
 and its thread count can change the last bits of a result, so a layout
 run holds every loaded OpenBLAS at one thread (``single_threaded_blas``).
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import DataError, NotPositiveDefiniteError
 
@@ -117,7 +122,8 @@ def spd_factor(A: np.ndarray) -> SpdFactorization:
     return SpdFactorization(c_and_lower=(c, lower))
 
 
-_potrs = scipy.linalg.get_lapack_funcs("potrs", dtype=np.float64)
+_potrf, _potrs, _trtrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"),
+                                                       dtype=np.float64)
 
 
 def spd_solve(factor: SpdFactorization, b: np.ndarray) -> np.ndarray:
@@ -223,23 +229,14 @@ def minimize_eq_constrained(
     stationarity residual <= _TOL; when no weight gives one, the result is
     non-converged, never an exception.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).flatten()
     iterations = 0
     for rho in _PENALTY_WEIGHTS:
-        def penalized(z, rho=rho):
-            gz = np.atleast_1d(g(z))
-            value = f(z) + 0.5 * rho * float(gz @ gz)
-            return value, np.asarray(grad(z)) + rho * (np.atleast_2d(jac(z)).T @ gz)
-
-        def penalized_hess(z, rho=rho):
-            J = np.atleast_2d(jac(z))
-            return hess(z, rho * np.atleast_1d(g(z))) + rho * (J.T @ J)
-
-        solve = scipy.optimize.minimize(penalized, x, jac=True, hess=penalized_hess,
-                                        method="trust-exact")
-        x = solve.x
-        x_pol, polish_steps = _kkt_polish(x, rho * np.atleast_1d(g(x)), grad, g, jac, hess)
-        iterations += solve.nit + polish_steps
+        model, steps = _trust_region_exact(
+            functools.partial(_PenaltyModel, rho=rho, f=f, grad=grad, g=g, jac=jac, hess=hess), x)
+        x = model.x
+        x_pol, polish_steps = _kkt_polish(x, rho * model.gz, grad, g, jac, hess)
+        iterations += steps + polish_steps
         feas, kkt = kkt_residuals(x_pol, grad, g, jac)
         if feas <= _TOL and kkt <= _TOL:
             return EqConstrainedResult(x=x_pol, kkt_residual=kkt, feasibility_residual=feas,
@@ -247,6 +244,176 @@ def minimize_eq_constrained(
     feas, kkt = kkt_residuals(x, grad, g, jac)
     return EqConstrainedResult(x=x, kkt_residual=kkt, feasibility_residual=feas,
                                converged=False, iterations=iterations)
+
+
+# The trust-region code below is ported from scipy 1.17.1 (optimize/
+# _trustregion.py, _trustregion_exact.py; (c) 2001-2002 Enthought, Inc.,
+# 2003- SciPy Developers; BSD-3-Clause), with scipy's LAPACK/BLAS calls in
+# scipy's order and its finiteness checks (ValueError).
+_lange = scipy.linalg.get_lapack_funcs("lange", dtype=np.float64, ilp64="preferred")
+_nrm2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
+_chk = np.asarray_chkfinite
+# a subproblem's damping update weight, stopping tolerances and round cap
+_THETA, _K_EASY, _K_HARD, _SUBPROBLEM_MAXITER = 0.01, 0.1, 0.2, 25
+
+
+def _solve_triangular(U: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    # scipy.linalg.solve_triangular, U upper: U^T's system if U is C-ordered
+    U, b = _chk(U), _chk(b)
+    x, info = (_trtrs(U, b, lower=False, trans=trans) if U.flags.f_contiguous
+               else _trtrs(U.T, b, lower=True, trans=not trans))
+    if info:  # a zero on the diagonal (> 0) ends the trust-region solve
+        raise (np.linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK trtrs info {info}")
+    return x
+
+
+def _estimate_smallest_singular_value(U: np.ndarray) -> tuple[float, np.ndarray]:
+    # Cline, Moler, Stewart & Wilkinson (1979): signs e making the solution w
+    # of U^T w = e large, then U v = w; s_min ~ |w| / |v|, its vector v / |v|
+    n = U.shape[0]
+    p, w, UT = np.zeros(n), np.empty(n), U.T
+    for k in range(n):
+        wp, wm = (1-p[k]) / UT[k, k], (-1-p[k]) / UT[k, k]
+        pp, pm = p[k+1:] + UT[k+1:, k]*wp, p[k+1:] + UT[k+1:, k]*wm
+        # np.add.reduce(np.abs(.)) sums the 1-norm as scipy's norm(., 1) does
+        if abs(wp) + np.add.reduce(np.abs(pp)) >= abs(wm) + np.add.reduce(np.abs(pm)):
+            w[k], p[k+1:] = wp, pp
+        else:
+            w[k], p[k+1:] = wm, pm
+    v = _solve_triangular(U, w)
+    v_norm = _nrm2(_chk(v))
+    return _nrm2(_chk(w)) / v_norm, v / v_norm
+
+
+class _PenaltyModel:
+    """f + rho/2 |g|^2 at x, its gradient and Hessian from one g(x) and one
+    jac(x), and its trust-region subproblem solve (``IterativeSubproblem``)."""
+
+    def __init__(self, x, rho, f, grad, g, jac, hess):
+        self.x, self.gz, J = x, np.atleast_1d(g(x)), np.atleast_2d(jac(x))
+        self.jac = np.asarray(grad(x)) + rho * (J.T @ self.gz)
+        self.hess = H = hess(x, rho * self.gz) + rho * (J.T @ J)
+        self.fun = f(x) + 0.5 * rho * float(self.gz @ self.gz)
+        self.previous_tr_radius, self.lambda_lb = -1, None
+        hess_inf, hess_fro = _lange("1", _chk(H).T), np.linalg.norm(H, "fro")  # H is C-ordered
+        H_diag, H_row_sums = np.diag(H), np.sum(np.abs(H), axis=1)
+        # damping bound shifts from the Gershgorin bounds (Conn, Gould & Toint)
+        self.ub_shift = min(-np.min(H_diag + np.abs(H_diag) - H_row_sums), hess_fro, hess_inf)
+        self.lb_shift = min(np.max(H_diag - np.abs(H_diag) + H_row_sums), hess_fro, hess_inf)
+        # a smaller gradient makes back substitution unreliable
+        self.close_to_zero = len(H) * np.finfo(float).eps * hess_inf
+
+    @functools.cached_property
+    def jac_mag(self) -> float:  # checked only where scipy needed it
+        return _nrm2(_chk(self.jac))
+
+    def solve(self, tr_radius):
+        """(step, whether it ends on the boundary) within radius tr_radius."""
+        lambda_ub = max(0, self.jac_mag/tr_radius + self.ub_shift)
+        lambda_lb = max(0, -min(self.hess.diagonal()), self.jac_mag/tr_radius - self.lb_shift)
+        if tr_radius < self.previous_tr_radius:
+            lambda_lb = max(self.lambda_lb, lambda_lb)
+        lambda_current = 0 if lambda_lb == 0 else max(
+            np.sqrt(lambda_lb * lambda_ub), lambda_lb + _THETA*(lambda_ub-lambda_lb))
+        n = len(self.hess)
+        hits_boundary, already_factorized = True, False
+        for _ in range(_SUBPROBLEM_MAXITER):
+            if already_factorized:
+                already_factorized = False
+            else:
+                H = self.hess+lambda_current*np.eye(n)
+                U, info = _potrf(H, lower=False, overwrite_a=False, clean=True)
+            if info == 0 and self.jac_mag > self.close_to_zero:
+                p, solve_info = _potrs(_chk(U), _chk(-self.jac), lower=False)
+                if solve_info != 0:
+                    raise ValueError(f"illegal value in argument {-solve_info} of LAPACK potrs")
+                p_norm = _nrm2(_chk(p))
+                if p_norm <= tr_radius and lambda_current == 0:
+                    hits_boundary = False
+                    break
+                w_norm = _nrm2(_chk(_solve_triangular(U, p, trans=1)))
+                delta_lambda = (p_norm/w_norm)**2 * (p_norm-tr_radius)/tr_radius
+                lambda_new = lambda_current + delta_lambda
+                if p_norm < tr_radius:  # inside the boundary
+                    s_min, z_min = _estimate_smallest_singular_value(U)
+                    # the shorter of the two steps along z_min to the boundary
+                    a, b = np.dot(z_min, z_min), 2 * np.dot(p, z_min)
+                    c = np.dot(p, p) - tr_radius**2
+                    aux = b + math.copysign(math.sqrt(b*b - 4*a*c), b)
+                    step_len = min(sorted([-aux / (2*a), -2*c / aux]), key=abs)
+                    quadratic_term = np.dot(p, np.dot(H, p))
+                    relative_error = ((step_len**2 * s_min**2)
+                                      / (quadratic_term + lambda_current*tr_radius**2))
+                    if relative_error <= _K_HARD:
+                        p += step_len * z_min
+                        break
+                    lambda_ub = lambda_current
+                    lambda_lb = max(lambda_lb, lambda_current - s_min**2)
+                    H = self.hess + lambda_new*np.eye(n)
+                    # scipy drops this factor and reuses the old U; the bits depend on it
+                    _, info = _potrf(H, lower=False, overwrite_a=False, clean=True)
+                    if info == 0:
+                        lambda_current, already_factorized = lambda_new, True
+                    else:
+                        lambda_lb = max(lambda_lb, lambda_new)
+                        lambda_current = max(np.sqrt(np.abs(lambda_lb * lambda_ub)),
+                                             lambda_lb + _THETA*(lambda_ub-lambda_lb))
+                elif abs(p_norm - tr_radius) / tr_radius <= _K_EASY:  # outside it
+                    break
+                else:
+                    lambda_lb, lambda_current = lambda_current, lambda_new
+            elif info == 0:  # a gradient below close_to_zero
+                if lambda_current == 0:
+                    p, hits_boundary = np.zeros(n), False
+                    break
+                s_min, z_min = _estimate_smallest_singular_value(U)
+                p = tr_radius * z_min
+                if tr_radius**2 * s_min**2 <= _K_HARD * lambda_current * tr_radius**2:
+                    break
+                lambda_ub = lambda_current
+                lambda_lb = max(lambda_lb, lambda_current - s_min**2)
+                lambda_current = max(np.sqrt(lambda_lb * lambda_ub),
+                                     lambda_lb + _THETA*(lambda_ub-lambda_lb))
+            else:  # leading minor k of H is not positive definite: delta added to
+                k = info  # H[k-1, k-1] makes it singular, with v in its null space
+                v = np.zeros(n)
+                v[k-1] = 1
+                if k != 1:
+                    v[:k-1] = _solve_triangular(U[:k-1, :k-1], -U[:k-1, k-1])
+                delta = np.sum(U[:k-1, k-1]**2) - H[k-1, k-1]
+                lambda_lb = max(lambda_lb, lambda_current + delta/_nrm2(_chk(v))**2)
+                lambda_current = max(np.sqrt(np.abs(lambda_lb * lambda_ub)),
+                                     lambda_lb + _THETA*(lambda_ub-lambda_lb))
+        self.lambda_lb, self.previous_tr_radius = lambda_lb, tr_radius
+        return p, hits_boundary
+
+
+def _trust_region_exact(model, x):
+    """scipy's ``_minimize_trust_region`` with its defaults, from x, with
+    ``model(point)`` the _PenaltyModel there: (last accepted model, steps)."""
+    trust_radius, max_trust_radius, eta, gtol = 1.0, 1000.0, 0.15, 1e-4
+    m, k = model(x), 0
+    while m.jac_mag >= gtol:
+        try:
+            p, hits_boundary = m.solve(trust_radius)
+        except np.linalg.LinAlgError:
+            break
+        predicted_value = m.fun + np.dot(m.jac, p) + 0.5 * np.dot(p, np.dot(m.hess, p))
+        m_proposed = model(m.x + p)
+        predicted_reduction = m.fun - predicted_value
+        if predicted_reduction <= 0:
+            break
+        rho = (m.fun - m_proposed.fun) / predicted_reduction
+        if rho < 0.25:
+            trust_radius *= 0.25
+        elif rho > 0.75 and hits_boundary:
+            trust_radius = min(2*trust_radius, max_trust_radius)
+        if rho > eta:
+            m = m_proposed
+        k += 1
+        if m.jac_mag < gtol or k >= 200 * len(x):
+            break
+    return m, k
 
 
 def kkt_residuals(x, grad, g, jac) -> tuple[float, float]:

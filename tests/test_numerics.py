@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_connected_adjacency
+from test_gll import random_dgll_instance
 from dynlayout.errors import DataError, NotPositiveDefiniteError
-from dynlayout import numerics
+from dynlayout import gll, numerics
 from dynlayout.numerics import (_canonical_signs, gen_eig_smallest, minimize_eq_constrained,
                                 single_threaded_blas, spd_factor, spd_solve, sym_eig_smallest)
 
@@ -256,6 +257,138 @@ class TestConstrainedMinimizer:
         )
         assert not res.converged
         assert res.x.shape == (2,)
+
+
+def scipy_minimize_eq_constrained(f, grad, g, jac, hess, x0):
+    """The penalty continuation on ``scipy.optimize.minimize(method=
+    "trust-exact")``, as ``minimize_eq_constrained`` ran before its
+    trust-region steps were ported into ``numerics``: the reference the
+    port must match bit for bit."""
+    x = np.asarray(x0, dtype=float).copy()
+    iterations = 0
+    for rho in numerics._PENALTY_WEIGHTS:
+        def penalized(z, rho=rho):
+            gz = np.atleast_1d(g(z))
+            value = f(z) + 0.5 * rho * float(gz @ gz)
+            return value, np.asarray(grad(z)) + rho * (np.atleast_2d(jac(z)).T @ gz)
+
+        def penalized_hess(z, rho=rho):
+            J = np.atleast_2d(jac(z))
+            return hess(z, rho * np.atleast_1d(g(z))) + rho * (J.T @ J)
+
+        solve = scipy.optimize.minimize(penalized, x, jac=True, hess=penalized_hess,
+                                        method="trust-exact")
+        x = solve.x
+        x_pol, polish_steps = numerics._kkt_polish(x, rho * np.atleast_1d(g(x)), grad, g,
+                                                   jac, hess)
+        iterations += solve.nit + polish_steps
+        feas, kkt = numerics.kkt_residuals(x_pol, grad, g, jac)
+        if feas <= numerics._TOL and kkt <= numerics._TOL:
+            return numerics.EqConstrainedResult(x=x_pol, kkt_residual=kkt,
+                                                feasibility_residual=feas, converged=True,
+                                                iterations=iterations)
+    feas, kkt = numerics.kkt_residuals(x, grad, g, jac)
+    return numerics.EqConstrainedResult(x=x, kkt_residual=kkt, feasibility_residual=feas,
+                                        converged=False, iterations=iterations)
+
+
+def assert_same_solve(args):
+    """Both versions reach the same bits, step count and residuals."""
+    ours, ref = minimize_eq_constrained(*args), scipy_minimize_eq_constrained(*args)
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert (ours.iterations, ours.converged) == (ref.iterations, ref.converged)
+    assert (ours.kkt_residual, ours.feasibility_residual) == \
+        (ref.kkt_residual, ref.feasibility_residual)
+
+
+@pytest.fixture
+def branch_counts(monkeypatch):
+    """Count the subproblem branches the port takes: a factorization that
+    stops at a leading minor (an indefinite shifted Hessian), and the
+    singular-value estimate, in an interior step with a positive shift or
+    for a gradient below ``close_to_zero``."""
+    counts = {"indefinite": 0, "interior": 0, "small_gradient": 0}
+    potrf, estimate = numerics._potrf, numerics._estimate_smallest_singular_value
+    solve, solving = numerics._PenaltyModel.solve, []
+
+    def counted_potrf(*args, **kwargs):
+        U, info = potrf(*args, **kwargs)
+        counts["indefinite"] += info > 0
+        return U, info
+
+    def counted_estimate(U):
+        model = solving[-1]
+        counts["small_gradient" if model.jac_mag <= model.close_to_zero else "interior"] += 1
+        return estimate(U)
+
+    def tracked_solve(self, tr_radius):
+        solving.append(self)
+        return solve(self, tr_radius)
+
+    monkeypatch.setattr(numerics, "_potrf", counted_potrf)
+    monkeypatch.setattr(numerics, "_estimate_smallest_singular_value", counted_estimate)
+    monkeypatch.setattr(numerics._PenaltyModel, "solve", tracked_solve)
+    return counts
+
+
+class TestTrustRegionPort:
+    """``minimize_eq_constrained`` against the same continuation on scipy's
+    ``trust-exact``, which its trust-region steps are ported from."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans())
+    @settings(deadline=None, max_examples=100)
+    def test_dgll_solves_match_scipy_bit_for_bit(self, seed, s, feasible_start):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(3, 10)), int(rng.integers(0, 4))
+        W, C, beta, e, X_prev, lap, M, target, e_aug = random_dgll_instance(rng, n, k, s)
+        if feasible_start:
+            X_prev = gll._feasible_random_start(rng, n + k, s, M, target)
+        problem = gll._DgllProblem(lap.L, e_aug, beta, X_prev, M, target, s)
+        assert_same_solve((problem.f, problem.grad, problem.g, problem.jac,
+                           lambda x, mu: problem.hess(mu), X_prev.T.reshape(-1)))
+
+    def test_indefinite_hessian(self, branch_counts):
+        # Q has a positive diagonal but a negative eigenvalue and the
+        # gradient is small, so the first shift is 0 and potrf stops at the
+        # second leading minor
+        Q = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        c = np.array([1e-2, 0.0, 0.0])
+        assert_same_solve((lambda x: float(0.5 * x @ Q @ x + c @ x), lambda x: Q @ x + c,
+                           lambda x: np.array([x @ x - 1.0]), lambda x: 2 * x[None, :],
+                           lambda x, mu: Q + 2 * mu[0] * np.eye(3), np.array([0.0, 0.0, 1.0])))
+        assert branch_counts["indefinite"] > 0
+
+    def test_interior_step_with_positive_shift(self, branch_counts):
+        # a saddle of the penalized function close to the start: the step
+        # stays inside the region while the shift is positive
+        Q = np.diag([1.0, -1.0, 0.0])
+        assert_same_solve((lambda x: float(0.5 * x @ Q @ x), lambda x: Q @ x,
+                           lambda x: np.array([x @ x - 1.0]), lambda x: 2 * x[None, :],
+                           lambda x, mu: Q + 2 * mu[0] * np.eye(3),
+                           np.array([1e-3, 1e-3, 1.0])))
+        assert branch_counts["interior"] > 0
+
+    def test_gradient_below_close_to_zero(self, branch_counts):
+        # a gradient of 3e-4 is above gtol = 1e-4 but below n eps |H|_inf
+        # with |H|_inf = 1e12: the step follows the singular-value estimate
+        Q = np.diag([1e12, -1e12, 0.0])
+        c = np.array([3e-4, 0.0, 0.0])
+        assert_same_solve((lambda x: float(0.5 * x @ Q @ x + c @ x), lambda x: Q @ x + c,
+                           lambda x: np.array([x @ x - 1.0]), lambda x: 2 * x[None, :],
+                           lambda x, mu: Q + 2 * mu[0] * np.eye(3), np.array([0.0, 0.0, 1.0])))
+        assert branch_counts["small_gradient"] > 0
+
+    def test_nan_hessian_raises_in_both(self):
+        # the start is the solution, so no step is taken: only the check on
+        # the Hessian itself can raise
+        a = np.array([1.0, 2.0])
+        args = (lambda x: float((x - a) @ (x - a)), lambda x: 2 * (x - a),
+                lambda x: np.array([x[0] - 1.0]), lambda x: np.array([[1.0, 0.0]]),
+                lambda x, mu: np.array([[2.0, np.nan], [np.nan, 2.0]]), a.copy())
+        with pytest.raises(ValueError):
+            scipy_minimize_eq_constrained(*args)
+        with pytest.raises(ValueError):
+            minimize_eq_constrained(*args)
 
 
 class TestSingleThreadedBlas:
