@@ -402,13 +402,23 @@ def _run_sequence(network: DynamicNetwork, config: RegularizationConfig,
     return sequence, report
 
 
+def check_layout_nodes(network: DynamicNetwork, sequence: LayoutSequence) -> None:
+    """Raise DataError unless the stored layout sequence has one step per
+    snapshot and each step lists the snapshot's active node ids in order."""
+    if len(sequence.steps) != len(network.snapshots):
+        raise DataError("layout document and snapshot file have different step counts")
+    for t, (step, snap) in enumerate(zip(sequence.steps, network.snapshots)):
+        if step.ids != tuple(network.registry.id_of(idx) for idx in snap.active):
+            raise DataError(f"step t={t}: layout node ids differ from the snapshot's "
+                            "active nodes in set or order")
+
+
 def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics.CostReport:
     """Cost record of a stored layout sequence: each step scored as
     ``run_sequence`` scored it, with the static cost of the sequence's method
     and the known groups (else the stored labels). Iterations are not
     recomputed."""
-    if len(sequence.steps) != len(network.snapshots):
-        raise DataError("layout document and snapshot file have different step counts")
+    check_layout_nodes(network, sequence)
     method = str(sequence.metadata.get("method", "dmds"))
     if method not in METHODS:
         raise DataError(f"layout document names unknown method {method!r}; "
@@ -416,9 +426,6 @@ def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics
     similarity_mode = sequence.metadata.get("similarity_mode")
     report = metrics.CostReport(method=method, params=dict(sequence.metadata))
     for t, (step, snap) in enumerate(zip(sequence.steps, network.snapshots)):
-        if step.ids != tuple(network.registry.id_of(idx) for idx in snap.active):
-            raise DataError(f"step t={t}: layout node ids differ from the snapshot's "
-                            "active nodes in set or order")
         if method in MDS_METHODS:
             static = metrics.static_cost_mds(step.X, *mds_inputs(snap.W, similarity_mode))
         else:

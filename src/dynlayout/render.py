@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import DynamicNetwork
-from .pipeline import LayoutSequence
+from .pipeline import LayoutSequence, check_layout_nodes
 
 PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
            "#a65628", "#f781bf", "#999999", "#66c2a5", "#ffd92f")
@@ -58,8 +58,7 @@ def render_frames(network: DynamicNetwork, sequence: LayoutSequence, out_dir,
     if sequence.dims != 2:
         raise DataError("frame rendering needs 2-D layouts; "
                         "use the time plot for 1-D sequences")
-    if len(sequence.steps) != len(network.snapshots):
-        raise DataError("layout sequence and network have different lengths")
+    check_layout_nodes(network, sequence)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     project = _viewport(sequence)

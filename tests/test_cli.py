@@ -156,6 +156,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {layout}: step {steps.index(bad)}: ")
 
+    @pytest.mark.parametrize("case", ["reversed", "node-dropped"])
+    def test_layout_of_other_nodes_is_data_error(self, case, tmp_path, capsys):
+        # reversed rows would draw edges between the wrong nodes and a
+        # dropped node would leave an edge without an end; both commands
+        # reject the document and name the step
+        snaps = tmp_path / "path.tsv"
+        snaps.write_text("".join(f"{t}\t{u}\t{v}\t1\n" for t in (0, 1)
+                                 for u, v in (("a", "b"), ("b", "c"))), encoding="utf-8")
+        layout = tmp_path / "run.layout.json"
+        assert run(["layout", "--input", str(snaps), "--groups", "none", "--method",
+                    "mds-static", "--out", str(tmp_path / "run")]) == 0
+        doc = json.loads(layout.read_text(encoding="utf-8"))
+        for step in doc["steps"]:
+            step["nodes"] = step["nodes"][::-1] if case == "reversed" else step["nodes"][:2]
+        layout.write_text(json.dumps(doc), encoding="utf-8")
+        base = ["--input", str(snaps), "--layout", str(layout)]
+        for command, out in (("render", "frames"), ("metrics", "costs.csv")):
+            assert run([command, *base, "--out", str(tmp_path / out)]) == 2
+            assert ("step t=0: layout node ids differ from the snapshot's active nodes in "
+                    "set or order") in capsys.readouterr().err
+        assert not (tmp_path / "frames").exists()
+
     def test_render_takes_no_groups(self, sbm_fixture, tmp_path):
         # frame colors come from the layout document's labels
         _, snaps, groups = sbm_fixture
