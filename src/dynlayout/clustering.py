@@ -10,7 +10,6 @@ changing.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DataError
 from .numerics import gen_eig_smallest
@@ -184,6 +183,60 @@ def spectral_cluster(psi: np.ndarray, k: int, seed) -> np.ndarray:
     return labels
 
 
+def _assignment(cost: np.ndarray) -> list[int]:
+    """The column of each row in a minimum-cost assignment of a square,
+    finite cost matrix.
+
+    Crouse's shortest augmenting path (IEEE TAES 52(4), 2016), ported
+    from SciPy 1.17.1's ``linear_sum_assignment`` step for step, so that
+    ties resolve to the same assignment bit for bit.
+    """
+    cost = np.asarray(cost, dtype=float).tolist()
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from row cur to an unassigned column
+        spc = [float("inf")] * n
+        rows, cols = [], []
+        remaining = list(range(n - 1, -1, -1))  # reversed: identity for a constant matrix
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink == -1:
+            rows.append(i)
+            index, lowest = -1, float("inf")
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then augment along the path
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def label_permutation(reference, labels, k: int) -> np.ndarray:
     """The renaming of labels 1..k that maximizes their overlap with a
     reference labeling of the same nodes: label b becomes ``perm[b - 1]``."""
@@ -191,9 +244,8 @@ def label_permutation(reference, labels, k: int) -> np.ndarray:
     ref_onehot = (np.asarray(reference, dtype=int)[:, None] == names).astype(float)
     lab_onehot = (np.asarray(labels, dtype=int)[:, None] == names).astype(float)
     overlap = ref_onehot.T @ lab_onehot
-    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
     perm = np.empty(k, dtype=int)
-    perm[cols] = rows + 1
+    perm[_assignment(-overlap)] = names
     return perm
 
 

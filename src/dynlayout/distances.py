@@ -27,14 +27,20 @@ def shortest_path_distances(W_dissim: np.ndarray) -> DistanceMatrix:
     edge weights (zero entries mean "no edge").
 
     Runs one priority-queue single-source pass per node; unreachable pairs
-    are flagged infinite in the mask.
+    are flagged infinite in the mask. An edge present one way keeps its
+    weight and one present both ways takes the smaller, as csgraph's
+    undirected mode reads a matrix; the passes then run in its cheaper
+    directed mode, with the same bits.
     """
     W = np.asarray(W_dissim, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise DataError(f"adjacency must be square, got shape {W.shape}")
     if np.any(W < 0):
         raise DataError("edge weights must be positive")
-    delta = _csgraph_shortest_path(scipy.sparse.csr_matrix(W), method="D", directed=False)
+    lo, hi = np.minimum(W, W.T), np.maximum(W, W.T)
+    undirected = np.where(lo > 0, lo, hi)
+    delta = _csgraph_shortest_path(scipy.sparse.csr_matrix(undirected), method="D",
+                                   directed=True)
     reachable = np.isfinite(delta)
     return DistanceMatrix(delta=delta, reachable=reachable)
 

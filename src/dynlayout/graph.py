@@ -103,9 +103,22 @@ def has_temporal_anchor(beta: float, e: np.ndarray) -> bool:
 
 def require_connected(W: np.ndarray, what: str) -> None:
     """Raise DisconnectedGraphError, with the component count, when the
-    graph of weight matrix W has more than one component."""
-    n_comp, _ = connected_components(scipy.sparse.csr_matrix(W), directed=False)
-    if n_comp > 1:
+    graph of weight matrix W (an edge wherever W or W.T is nonzero) has
+    more than one component.
+
+    Connectivity is decided by breadth-first reachability from node 0 on
+    the dense adjacency; components are counted only to report a failure.
+    """
+    adjacent = np.asarray(W) != 0
+    adjacent |= adjacent.T
+    reached = np.zeros(adjacent.shape[0], dtype=bool)
+    reached[:1] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    if not reached.all():
+        n_comp, _ = connected_components(scipy.sparse.csr_matrix(W), directed=False)
         raise DisconnectedGraphError(f"{what} needs a connected graph; found {n_comp} components")
 
 

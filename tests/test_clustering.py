@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlayout import clustering
-from dynlayout.clustering import (_block_statistics, adjusted_rand_index, affect_alpha,
-                                  affect_cluster_step, affect_smooth, kmeans, match_labels,
-                                  spectral_cluster)
+from dynlayout.clustering import (_assignment, _block_statistics, adjusted_rand_index,
+                                  affect_alpha, affect_cluster_step, affect_smooth, kmeans,
+                                  match_labels, spectral_cluster)
 from dynlayout.errors import DataError
 from dynlayout.sbm import sbm_sample
 
@@ -304,6 +305,42 @@ class TestMatchLabels:
         ref = np.array([1, 1, 2, 2, 3, 3])
         renamed = np.array([2, 2, 3, 3, 1, 1])
         assert np.array_equal(match_labels(ref, renamed, 3), ref)
+
+
+@st.composite
+def tie_heavy_costs(draw):
+    """Square cost matrices, k = 1..10, whose entries repeat often: small
+    integers, floats rounded to one decimal, constants, and the negated
+    overlap counts (with their -0.0) that label matching passes."""
+    k = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["int", "rounded", "constant", "overlap"]))
+    if kind == "constant":
+        return np.full((k, k), draw(st.sampled_from([0.0, -0.0, 1.0, -2.5])))
+    entries = {"int": st.integers(-3, 3).map(float),
+               "rounded": st.floats(-2, 2).map(lambda x: round(x, 1)),
+               "overlap": st.integers(0, 4).map(lambda x: -float(x))}[kind]
+    return np.array(draw(st.lists(entries, min_size=k * k, max_size=k * k))).reshape(k, k)
+
+
+class TestAssignment:
+    @given(tie_heavy_costs())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_scipy_bit_for_bit(self, cost):
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        assert np.array_equal(rows, np.arange(cost.shape[0]))
+        assert _assignment(cost) == cols.tolist()
+
+    def test_label_permutation_keeps_scipy_result(self, rng):
+        for _ in range(200):
+            k = int(rng.integers(2, 6))
+            ref, cur = rng.integers(1, k + 1, size=(2, 15))
+            names = np.arange(1, k + 1)
+            overlap = ((ref[:, None] == names).T.astype(float)
+                       @ (cur[:, None] == names).astype(float))
+            rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
+            expected = np.empty(k, dtype=int)
+            expected[cols] = rows + 1
+            assert np.array_equal(clustering.label_permutation(ref, cur, k), expected)
 
 
 class TestAffectClusterStep:

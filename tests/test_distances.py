@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import shortest_path
 
 from conftest import floyd_warshall_reference, random_connected_adjacency
 from dynlayout.distances import (kk_weights, shortest_path_distances,
@@ -35,6 +37,21 @@ class TestShortestPaths:
                 dm = shortest_path_distances(W)
                 expected = floyd_warshall_reference(W)
                 assert np.allclose(dm.delta, expected)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matches_csgraph_undirected_bit_for_bit(self, rng, symmetric):
+        # weights on a coarse grid, half the time, make equal-length paths common
+        for trial in range(150):
+            n = int(rng.integers(1, 20))
+            W = rng.uniform(0.25, 2.0, (n, n))
+            if trial % 2:
+                W = np.round(W * 4) / 4
+            W *= rng.random((n, n)) < rng.uniform(0.1, 0.6)
+            np.fill_diagonal(W, 0.0)
+            if symmetric:
+                W = np.triu(W, 1) + np.triu(W, 1).T
+            expected = shortest_path(scipy.sparse.csr_matrix(W), method="D", directed=False)
+            assert shortest_path_distances(W).delta.tobytes() == expected.tobytes()
 
 
 class TestKkWeights:

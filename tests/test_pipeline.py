@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -70,6 +75,31 @@ class TestRunSequence:
         assert all(step.labels is not None for step in sequence.steps)
         # centroid cost is evaluated against the known groups
         assert all(s.centroid_cost is not None for s in report.steps)
+
+    def test_learned_groups_run_never_loads_scipy_optimize(self):
+        # a fresh interpreter, as a loaded module would hide the import
+        script = textwrap.dedent("""
+            import sys
+            import dynlayout.cli
+            from dynlayout import clustering
+            from dynlayout.pipeline import RegularizationConfig, run_sequence
+            from dynlayout.sbm import SbmConfig, sbm_sequence
+
+            calls = []
+            permutation = clustering.label_permutation
+            clustering.label_permutation = lambda *a: calls.append(a) or permutation(*a)
+            network, _ = sbm_sequence(SbmConfig.two_rate(
+                n=14, k=2, p_in=0.7, p_out=0.15, T=4, change_step=2,
+                change_fraction=0.25, seed=11))
+            run_sequence(network, RegularizationConfig(method="dmds", groups="learn",
+                                                       k=2, seed=3))
+            print(len(calls), "scipy.optimize" in sys.modules)
+        """)
+        src = os.path.dirname(os.path.dirname(clus.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert int(out[0]) >= 3 and out[1] == "False"
 
     def test_eval_groups_used_for_ungrouped_methods(self, small_sbm):
         network, _ = small_sbm
