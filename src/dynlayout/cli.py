@@ -67,8 +67,6 @@ def _add_layout_options(p: argparse.ArgumentParser):
     p.add_argument("--normalized", action=argparse.BooleanOptionalAction,
                    default=_DEFAULT.normalized,
                    help="degree-normalized constraints (GLL family)")
-    p.add_argument("--lambda-grid", type=_list_of(float, "number"),
-                   default=_DEFAULT.lambda_grid, help="comma-separated blend weights (bfp)")
     p.add_argument("--similarity", choices=("linear", "inverse"), default=None,
                    help="convert similarity weights to dissimilarities (MDS family)")
 
@@ -87,8 +85,7 @@ def _build_config(args) -> RegularizationConfig:
     return RegularizationConfig(
         method=args.method, alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
         dims=args.dims, seed=args.seed, normalized=args.normalized,
-        groups=groups_mode, k=args.k,
-        lambda_grid=tuple(args.lambda_grid), similarity_mode=args.similarity,
+        groups=groups_mode, k=args.k, similarity_mode=args.similarity,
     )
 
 

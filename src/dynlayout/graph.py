@@ -9,7 +9,7 @@ types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -59,22 +59,26 @@ class NodeRegistry:
         return self._ids[index]
 
 
+def _check_labels(labels: Sequence[Optional[int]], k: int) -> None:
+    """Raise DataError unless k >= 0 and every label is None or in {1..k}."""
+    if k < 0:
+        raise DataError(f"group count must be >= 0, got {k}")
+    for i, lab in enumerate(labels):
+        if lab is not None and not (1 <= lab <= k):
+            raise DataError(f"label {lab} for node {i} outside {{1..{k}}}")
+
+
 def build_membership_matrix(labels: Sequence[Optional[int]], k: int) -> np.ndarray:
     """Build the n x k binary group membership matrix C.
 
     ``labels[i]`` is the group of node i in {1..k}, or None when unknown;
     unknown memberships yield all-zero rows.
     """
-    if k < 0:
-        raise DataError(f"group count must be >= 0, got {k}")
-    n = len(labels)
-    C = np.zeros((n, k))
+    _check_labels(labels, k)
+    C = np.zeros((len(labels), k))
     for i, lab in enumerate(labels):
-        if lab is None:
-            continue
-        if not (1 <= lab <= k):
-            raise DataError(f"label {lab} for node {i} outside {{1..{k}}}")
-        C[i, lab - 1] = 1.0
+        if lab is not None:
+            C[i, lab - 1] = 1.0
     return C
 
 
@@ -146,25 +150,14 @@ def validate_snapshot(W: np.ndarray) -> list[str]:
 
 @dataclass(frozen=True)
 class GroupAssignment:
-    """Per-node group labeling with its 0/1 membership matrix."""
+    """Per-node group labeling: each label in {1..k}, or None when unknown."""
 
     labels: tuple[Optional[int], ...]
     k: int
-    C: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        C = build_membership_matrix(self.labels, self.k)
+        _check_labels(self.labels, self.k)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "C", _freeze(C))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAssignment)
-            and self.k == other.k
-            and self.labels == other.labels
-        )
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -249,7 +242,3 @@ class DynamicNetwork:
         """The same snapshots with ``groups``, one assignment (or None) per step."""
         return DynamicNetwork(self.registry, [replace(snap, groups=g) for snap, g in
                                               zip(self.snapshots, groups, strict=True)])
-
-    def truncated(self, T: int) -> "DynamicNetwork":
-        """The same network restricted to its first T snapshots."""
-        return DynamicNetwork(self.registry, self.snapshots[:T])

@@ -165,7 +165,7 @@ def _factor_layout_system(A: np.ndarray, V_aug: np.ndarray, e_aug: np.ndarray,
         factor = spd_factor(A_free)
     except NotPositiveDefiniteError:
         factor = None
-    if factor is None or np.any(np.diagonal(factor.c_and_lower[0]) ** 2
+    if factor is None or np.any(np.diagonal(factor) ** 2
                                 <= _ROUNDOFF * np.diagonal(A_free).max(initial=0.0)):
         # the anchored nodes join the weight graph through one extra point
         ties = e_aug[:, None] if temporal else np.zeros((A.shape[0], 0))

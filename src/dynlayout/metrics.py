@@ -66,6 +66,13 @@ def temporal_cost(X: np.ndarray, X_prev: np.ndarray, e: np.ndarray) -> float:
     return float(np.sum(e * np.einsum("ij,ij->i", moved, moved)) / count)
 
 
+def mean_of_present(values) -> float:
+    """Mean of the values that are neither None nor NaN; NaN when none is."""
+    arr = np.array([v for v in values if v is not None], dtype=float)
+    arr = arr[~np.isnan(arr)]
+    return float(arr.mean()) if arr.size else float("nan")
+
+
 def cumulative_movement(trajectory: Sequence[Optional[np.ndarray]]) -> float:
     """Total squared per-step displacement of one node over the steps where
     it persists (both endpoints present)."""
@@ -102,22 +109,18 @@ class CostReport:
     params: dict = field(default_factory=dict)
     steps: list[StepCosts] = field(default_factory=list)
 
-    def _mean(self, values) -> float:
-        vals = [v for v in values if v is not None]
-        return float(np.mean(vals)) if vals else float("nan")
-
     @property
     def mean_static(self) -> float:
-        return self._mean(s.static_cost for s in self.steps)
+        return mean_of_present(s.static_cost for s in self.steps)
 
     @property
     def mean_centroid(self) -> float:
-        return self._mean(s.centroid_cost for s in self.steps)
+        return mean_of_present(s.centroid_cost for s in self.steps)
 
     @property
     def mean_temporal(self) -> float:
-        return self._mean(s.temporal_cost for s in self.steps)
+        return mean_of_present(s.temporal_cost for s in self.steps)
 
     @property
     def mean_iterations(self) -> float:
-        return self._mean(s.iterations for s in self.steps)
+        return mean_of_present(s.iterations for s in self.steps)

@@ -100,40 +100,33 @@ def single_threaded_blas():
                 _blas_scope["saved"] = ()
 
 
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Opaque Cholesky factor of a symmetric positive-definite matrix,
-    reusable across right-hand sides."""
-
-    c_and_lower: tuple
-
-
-def spd_factor(A: np.ndarray) -> SpdFactorization:
-    """Cholesky-factor a symmetric positive-definite matrix.
+def spd_factor(A: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor U (A = U^T U) of a symmetric positive-definite
+    matrix, reusable across right-hand sides with ``spd_solve``. Only its
+    upper triangle is meaningful.
 
     Raises NotPositiveDefiniteError otherwise, which upstream signals a
     disconnected or un-anchored system.
     """
     A = np.asarray(A, dtype=float)
     try:
-        c, lower = scipy.linalg.cho_factor(A)
+        U, _ = scipy.linalg.cho_factor(A, lower=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from None
-    return SpdFactorization(c_and_lower=(c, lower))
+    return U
 
 
 _potrf, _potrs, _trtrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"),
                                                        dtype=np.float64)
 
 
-def spd_solve(factor: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Back-substitute a previously computed Cholesky factor.
+def spd_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Back-substitute an upper Cholesky factor from ``spd_factor``.
 
     The factor was checked for non-finite entries when it was made, so
     only the right-hand side is checked here (ValueError).
     """
-    c, lower = factor.c_and_lower
-    x, info = _potrs(c, np.asarray_chkfinite(b, dtype=float), lower=lower)
+    x, info = _potrs(factor, np.asarray_chkfinite(b, dtype=float), lower=False)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     return x

@@ -1,19 +1,20 @@
 """Per-time-step layout pipeline.
 
 Each step of ``run_sequence`` makes three decisions, each in one place:
-its groups (known labels, or the on-line clustering ``_learned_groups``),
-its solve (``_solve``: the configured method, its start positions and its
-static cost) and its score (``score_step``). ``score_sequence`` scores a
-stored layout sequence the same way. The cross-step state (previous
-positions, previous representative positions) is threaded explicitly, and
-the clustering history lives in the generator. A sequence is strictly
-on-line: the state at step t depends only on data up to t.
+its groups (``_step_groups``: known labels, or those that the on-line
+clustering ``learn_group_sequence`` learned for the step), its solve
+(``_solve``: the configured method, its start positions and its static
+cost) and its score (``score_step``). ``score_sequence`` scores a stored
+layout sequence the same way. The cross-step state (previous positions,
+previous representative positions) is threaded explicitly. A sequence is
+strictly on-line: the state at step t depends only on data up to t.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +31,8 @@ GLL_METHODS = ("dgll", "spectral", "ccdr", "bfp")
 METHODS = MDS_METHODS + GLL_METHODS
 GROUPING_METHODS = ("dmds", "dgll", "ccdr")
 
-_DEFAULT_LAMBDA_GRID = tuple(i / 20.0 for i in range(21))
+# the blend weights bfp chooses among after the first step
+_LAMBDA_GRID = tuple(i / 20.0 for i in range(21))
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class RegularizationConfig:
     normalized: bool = True
     groups: str = "none"  # none | known | learn
     k: Optional[int] = None
-    lambda_grid: tuple[float, ...] = _DEFAULT_LAMBDA_GRID
     similarity_mode: Optional[str] = None  # None | linear | inverse
 
     def __post_init__(self):
@@ -104,11 +105,6 @@ class LayoutSequence:
     metadata: dict
     steps: list[LayoutStep] = field(default_factory=list)
 
-    def __eq__(self, other):
-        if not isinstance(other, LayoutSequence):
-            return NotImplemented
-        return self.metadata == other.metadata and self.steps == other.steps
-
     @property
     def dims(self) -> int:
         dims = self.metadata.get("dims")
@@ -125,43 +121,49 @@ def _rng_for(seed: int, t: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, t, stream])
 
 
-def _known_labels(snap: Snapshot) -> Optional[tuple[Optional[int], ...]]:
-    return snap.groups.labels if snap.groups is not None else None
-
-
-def _learned_groups(network: DynamicNetwork, k: int,
-                    seed: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """On-line evolutionary clustering: yields (labels, forgetting factor)
-    for each snapshot in turn, carrying the smoothed adjacency and the labels
-    of the step before over the nodes present at both."""
-    psi = labels = None
-    for t, snap in enumerate(network.snapshots):
-        shared = network.persistence(t)
-        rows, prev_rows = shared.rows, shared.prev_rows
-        psi_prev = prev_labels = None
-        if labels is not None:
-            # history entries for nodes without history default to the
-            # current observation (blending them is then a no-op)
-            psi_prev = snap.W.copy()
-            psi_prev[np.ix_(rows, rows)] = psi[np.ix_(prev_rows, prev_rows)]
-            prev_labels = np.ones(snap.n, dtype=int)
-            prev_labels[rows] = labels[prev_rows]
-        step_seed = int(_rng_for(seed, t, 1).integers(2**31))
-        new_labels, psi, alpha = clus.affect_cluster_step(psi_prev, snap.W, prev_labels, k,
-                                                          step_seed)
-        if rows.size:
-            new_labels = clus.label_permutation(labels[prev_rows], new_labels[rows],
-                                                k)[new_labels - 1]
-        labels = new_labels
-        yield tuple(int(v) for v in labels), float(alpha)
+@contextmanager
+def _naming_step(t: int):
+    """Re-raise a package error raised in the block with step t named."""
+    try:
+        yield
+    except DynlayoutError as exc:
+        raise type(exc)(f"step t={t}: {exc}") from exc
 
 
 def learn_group_sequence(network: DynamicNetwork, k: int,
                          seed: int = 0) -> tuple[list[tuple[int, ...]], list[float]]:
-    """Cluster every snapshot on-line; returns per-step labels and the
-    per-step forgetting factors."""
-    steps = list(_learned_groups(network, k, seed))
-    return [labels for labels, _ in steps], [alpha for _, alpha in steps]
+    """On-line evolutionary clustering of every snapshot in turn; returns
+    the per-step labels and the per-step forgetting factors.
+
+    Each step carries the smoothed adjacency and the labels of the step
+    before over the nodes present at both, and renames its labels to match
+    those. Runs on single-threaded BLAS, as ``run_sequence`` does; a
+    failure is re-raised with its step named."""
+    psi = labels = None
+    labels_by_step, alphas = [], []
+    with single_threaded_blas():
+        for t, snap in enumerate(network.snapshots):
+            with _naming_step(t):
+                shared = network.persistence(t)
+                rows, prev_rows = shared.rows, shared.prev_rows
+                psi_prev = prev_labels = None
+                if labels is not None:
+                    # history entries for nodes without history default to the
+                    # current observation (blending them is then a no-op)
+                    psi_prev = snap.W.copy()
+                    psi_prev[np.ix_(rows, rows)] = psi[np.ix_(prev_rows, prev_rows)]
+                    prev_labels = np.ones(snap.n, dtype=int)
+                    prev_labels[rows] = labels[prev_rows]
+                step_seed = int(_rng_for(seed, t, 1).integers(2**31))
+                new_labels, psi, alpha = clus.affect_cluster_step(psi_prev, snap.W, prev_labels,
+                                                                  k, step_seed)
+                if rows.size:
+                    new_labels = clus.label_permutation(labels[prev_rows], new_labels[rows],
+                                                        k)[new_labels - 1]
+                labels = new_labels
+                labels_by_step.append(tuple(int(v) for v in labels))
+                alphas.append(float(alpha))
+    return labels_by_step, alphas
 
 
 class _SequenceState:
@@ -182,31 +184,30 @@ class _SequenceState:
         self.seen_Y[kept] = True
 
 
-def _group_info(snap: Snapshot, config: RegularizationConfig,
-                learned: Optional[tuple[int, ...]]):
-    """Labels used by the layout, labels used for scoring, and the group
-    count; ``learned`` holds this step's learned labels when groups are
-    learned. Scoring always prefers the known groups when they exist."""
-    known = _known_labels(snap)
+def _step_groups(snap: Snapshot, config: RegularizationConfig,
+                 learned: Optional[tuple[int, ...]]):
+    """The groups of one step: the labels the layout uses, the labels it is
+    scored against (the known groups when the snapshot has them, as in
+    ``score_sequence``), the membership matrix of the groups that have
+    members at this step with the columns it kept, and the group count.
+    ``learned`` holds this step's learned labels when groups are learned.
+    Only grouping methods get members; empty groups would make the
+    augmented system singular."""
+    known = snap.groups.labels if snap.groups is not None else None
     if config.groups == "known":
         if known is None:
             raise DataError("groups=known but the snapshot carries no groups")
-        return known, known, snap.groups.k
-    if config.groups == "learn":
-        return learned, learned if known is None else known, config.k
-    return None, known, 0
-
-
-def _effective_membership(labels: Optional[Sequence[Optional[int]]], k: int,
-                          n: int) -> tuple[np.ndarray, list[int]]:
-    """Membership matrix restricted to the groups that actually have
-    members at this step (empty groups would make the augmented system
-    singular)."""
-    if labels is None or k == 0:
-        return np.zeros((n, 0)), []
-    C_full = build_membership_matrix(labels, k)
-    kept = [col for col in range(k) if C_full[:, col].sum() > 0]
-    return C_full[:, kept], kept
+        labels, k = known, snap.groups.k
+    elif config.groups == "learn":
+        labels, k = learned, config.k
+    else:
+        labels, k = None, 0
+    eval_labels = labels if known is None else known
+    if labels is None or config.method not in GROUPING_METHODS:
+        return labels, eval_labels, np.zeros((snap.n, 0)), [], k
+    C = build_membership_matrix(labels, k)
+    kept = [col for col in range(k) if C[:, col].sum() > 0]
+    return labels, eval_labels, C[:, kept], kept, k
 
 
 def _init_positions(snap: Snapshot, X_prev: np.ndarray, labels, state: _SequenceState,
@@ -345,7 +346,7 @@ def _solve(network: DynamicNetwork, t: int, config: RegularizationConfig,
             return (costs.static_cost + config.alpha * (costs.centroid_cost or 0.0)
                     + config.beta * (costs.temporal_cost or 0.0))
 
-        layout = candidates[gll.bfp_lambda_select(config.lambda_grid if t > 0 else (0.0,),
+        layout = candidates[gll.bfp_lambda_select(_LAMBDA_GRID if t > 0 else (0.0,),
                                                   composite)]
     return layout, metrics.static_cost_gll(layout.X, lap.L, lap.D), None
 
@@ -353,52 +354,49 @@ def _solve(network: DynamicNetwork, t: int, config: RegularizationConfig,
 def run_sequence(network: DynamicNetwork,
                  config: RegularizationConfig) -> tuple[LayoutSequence, metrics.CostReport]:
     """Lay out every snapshot with the configured method and score each
-    step. Engine failures are re-raised with the failing step attached.
+    step, after learning the groups of every step when they are learned.
+    Engine failures are re-raised with the failing step attached.
 
-    The steps run on single-threaded BLAS (``numerics.single_threaded_blas``),
+    The run holds single-threaded BLAS (``numerics.single_threaded_blas``),
     so the output does not depend on the machine's BLAS thread count; the
     caller's thread count is restored when the run returns or raises."""
-    learned = _learned_groups(network, config.k, config.seed) \
-        if config.groups == "learn" else None
-    return _run_sequence(network, config, learned)
+    with single_threaded_blas():
+        learned = learn_group_sequence(network, config.k, config.seed)[0] \
+            if config.groups == "learn" else None
+        return _run_sequence(network, config, learned)
 
 
 def _run_sequence(network: DynamicNetwork, config: RegularizationConfig,
-                  learned: Optional[Iterator[tuple[tuple[int, ...], float]]]
+                  learned: Optional[list[tuple[int, ...]]]
                   ) -> tuple[LayoutSequence, metrics.CostReport]:
-    """``run_sequence`` with the learned groups read from ``learned``, one
-    item of ``_learned_groups`` per step, inside that step's error context."""
+    """``run_sequence`` with the learned labels of every step given (None
+    unless groups are learned); the caller holds single-threaded BLAS."""
     n_groups = config.k if config.groups == "learn" else max(
         (snap.groups.k for snap in network.snapshots if snap.groups is not None), default=0)
     state = _SequenceState(len(network.registry), n_groups, config.dims)
     sequence = LayoutSequence(metadata=config.metadata())
     report = metrics.CostReport(method=config.method, params=config.metadata())
 
-    with single_threaded_blas():
-        for t, snap in enumerate(network.snapshots):
-            try:
-                shared = network.persistence(t)
-                active = np.asarray(snap.active)
-                X_prev = state.last_X[active]
-                layout_labels, eval_labels, k = _group_info(
-                    snap, config, next(learned)[0] if learned is not None else None)
-                C, kept = _effective_membership(
-                    layout_labels, k if config.method in GROUPING_METHODS else 0, snap.n)
-                layout, static, solved = _solve(network, t, config, state, shared, X_prev,
-                                                layout_labels, eval_labels, C, kept)
-                iterations, trace = (None, None) if solved is None else \
-                    (solved.iterations, solved.stress_trace)
-                report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, shared.e,
-                                               iterations, trace))
+    for t, snap in enumerate(network.snapshots):
+        with _naming_step(t):
+            shared = network.persistence(t)
+            active = np.asarray(snap.active)
+            X_prev = state.last_X[active]
+            layout_labels, eval_labels, C, kept, k = _step_groups(
+                snap, config, learned[t] if learned is not None else None)
+            layout, static, solved = _solve(network, t, config, state, shared, X_prev,
+                                            layout_labels, eval_labels, C, kept)
+            iterations, trace = (None, None) if solved is None else \
+                (solved.iterations, solved.stress_trace)
+            report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, shared.e,
+                                           iterations, trace))
 
-                state.update(active, layout.X, kept, layout.Y)
-                display = layout_labels if layout_labels is not None else eval_labels
-                sequence.steps.append(LayoutStep(
-                    t=t, ids=tuple(network.registry.id_of(i) for i in snap.active),
-                    X=layout.X, labels=display, Y=state.last_Y[:k].copy() if kept else None,
-                ))
-            except DynlayoutError as exc:
-                raise type(exc)(f"step t={t}: {exc}") from exc
+            state.update(active, layout.X, kept, layout.Y)
+            display = layout_labels if layout_labels is not None else eval_labels
+            sequence.steps.append(LayoutStep(
+                t=t, ids=tuple(network.registry.id_of(i) for i in snap.active),
+                X=layout.X, labels=display, Y=state.last_Y[:k].copy() if kept else None,
+            ))
     return sequence, report
 
 
@@ -431,28 +429,15 @@ def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics
         else:
             lap = gll.laplacian(snap.W)
             static = metrics.static_cost_gll(step.X, lap.L, lap.D)
-        eval_labels = _known_labels(snap)
+        known = snap.groups.labels if snap.groups is not None else None
         shared = network.persistence(t)
         X_prev = np.zeros_like(step.X)
         if t > 0:
             X_prev[shared.rows] = sequence.steps[t - 1].X[shared.prev_rows]
         report.steps.append(score_step(t, step.X, static,
-                                       step.labels if eval_labels is None else eval_labels,
+                                       step.labels if known is None else known,
                                        X_prev, shared.e))
     return report
-
-
-def _recorded(items: Iterator, record: list) -> Iterator:
-    """Yield from ``items``, appending each item to ``record`` first."""
-    for item in items:
-        record.append(item)
-        yield item
-
-
-def _nanmean(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    finite = arr[~np.isnan(arr)]
-    return float(finite.mean()) if finite.size else float("nan")
 
 
 def parameter_sweep(network: DynamicNetwork, method: str, alpha_grid: Sequence[float],
@@ -461,31 +446,25 @@ def parameter_sweep(network: DynamicNetwork, method: str, alpha_grid: Sequence[f
     """Full-factorial (alpha, beta) evaluation, seed-averaged per cell.
 
     Learned groups depend on the network, k and seed only, so each seed's
-    on-line clustering runs once, in its first cell, and later cells replay
+    on-line clustering runs once, in its first cell, and later cells reuse
     its labels."""
     base = base_config or RegularizationConfig(method=method)
-    learned: dict[int, list] = {}  # seed -> the (labels, factor) steps clustered so far
+    learned: dict[int, list[tuple[int, ...]]] = {}  # seed -> its learned labels per step
     records = []
-    for alpha in alpha_grid:
-        for beta in beta_grid:
-            stats = {"static": [], "centroid": [], "temporal": [], "iterations": []}
-            for seed in seeds:
-                config = replace(base, method=method, alpha=alpha, beta=beta, seed=seed)
-                groups = None
-                if config.groups == "learn":
-                    groups = iter(learned[seed]) if seed in learned else \
-                        _recorded(_learned_groups(network, config.k, seed),
-                                  learned.setdefault(seed, []))
-                _, report = _run_sequence(network, config, groups)
-                stats["static"].append(report.mean_static)
-                stats["centroid"].append(report.mean_centroid)
-                stats["temporal"].append(report.mean_temporal)
-                stats["iterations"].append(report.mean_iterations)
-            records.append({
-                "alpha": alpha, "beta": beta,
-                "mean_static": _nanmean(stats["static"]),
-                "mean_centroid": _nanmean(stats["centroid"]),
-                "mean_temporal": _nanmean(stats["temporal"]),
-                "mean_iterations": _nanmean(stats["iterations"]),
-            })
+    with single_threaded_blas():
+        for alpha in alpha_grid:
+            for beta in beta_grid:
+                stats = {"static": [], "centroid": [], "temporal": [], "iterations": []}
+                for seed in seeds:
+                    config = replace(base, method=method, alpha=alpha, beta=beta, seed=seed)
+                    if config.groups == "learn" and seed not in learned:
+                        learned[seed] = learn_group_sequence(network, config.k, seed)[0]
+                    _, report = _run_sequence(network, config, learned.get(seed))
+                    stats["static"].append(report.mean_static)
+                    stats["centroid"].append(report.mean_centroid)
+                    stats["temporal"].append(report.mean_temporal)
+                    stats["iterations"].append(report.mean_iterations)
+                records.append({"alpha": alpha, "beta": beta,
+                                **{f"mean_{name}": metrics.mean_of_present(values)
+                                   for name, values in stats.items()}})
     return records

@@ -336,6 +336,20 @@ class TestClusterCommand:
         assert alpha_lines[0] == "t,alpha"
         assert len(alpha_lines) == 5
 
+    @pytest.mark.parametrize("command", [["cluster"], ["layout", "--groups", "learn"]],
+                             ids=["cluster", "layout"])
+    def test_failing_step_is_named(self, command, tmp_path, capsys):
+        # four nodes on a ring at t=0, two at t=1: too few for three clusters
+        edges = [(0, "a", "b"), (0, "b", "c"), (0, "c", "d"), (0, "a", "d"), (1, "a", "b")]
+        snaps = tmp_path / "shrinking.tsv"
+        snaps.write_text("".join(f"{t}\t{u}\t{v}\t1\n" for t, u, v in edges),
+                         encoding="utf-8")
+        code = run([*command, "--input", str(snaps), "--k", "3",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "data error: step t=1: cannot form 3 clusters from 2 nodes\n"
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, sbm_fixture, tmp_path):

@@ -194,4 +194,5 @@ class TestSnapshotAndNetwork:
 
     def test_group_assignment_matches_labels(self):
         groups = GroupAssignment(labels=(1, None, 2), k=2)
-        assert np.array_equal(groups.C, [[1, 0], [0, 0], [0, 1]])
+        assert np.array_equal(build_membership_matrix(groups.labels, groups.k),
+                              [[1, 0], [0, 0], [0, 1]])

@@ -35,7 +35,7 @@ def small_sbm():
 class TestRunSequence:
     def test_single_step_has_no_temporal_row(self, small_sbm):
         network, _ = small_sbm
-        single = network.truncated(1)
+        single = DynamicNetwork(network.registry, network.snapshots[:1])
         for method in METHODS:
             config = RegularizationConfig(
                 method=method, groups="known" if method in GROUPING_METHODS else "none",
@@ -63,7 +63,8 @@ class TestRunSequence:
                 method=method, groups="known" if method in GROUPING_METHODS else "none",
                 seed=9)
             full_seq, full_rep = run_sequence(network, config)
-            trunc_seq, trunc_rep = run_sequence(network.truncated(3), config)
+            trunc_seq, trunc_rep = run_sequence(
+                DynamicNetwork(network.registry, network.snapshots[:3]), config)
             for t in range(3):
                 assert np.array_equal(full_seq.steps[t].X, trunc_seq.steps[t].X)
                 assert full_rep.steps[t].static_cost == trunc_rep.steps[t].static_cost
