@@ -27,7 +27,11 @@ block-model networks of the acceptance protocol, the same three with nodes
 0-2 dropped at every odd step, and two n = 200 networks (without DGLL), all
 at alpha = beta = 1; and ``dgll`` with known groups at alpha, beta in
 {0.1, 10} x {0.1, 10} and ``--dims`` 1 and 2 on the three protocol
-networks, whose harder penalty problems take many more trust-region steps. It
+networks, whose harder penalty problems take many more trust-region steps;
+and ``spectral``, ``ccdr``, ``bfp`` and ``dgll`` x groups mode x ``--dims``
+1 and 2 with the unnormalized Laplacian (``normalized=False``: unit node
+weights in the scatter constraint) on the six protocol networks, plain and
+churned. It
 writes one SHA-256 per run, over X, Y, labels, the three costs, iterations
 and stress traces, or over the error text of a run that raised, together
 with the run's coordinates. Each network adds one clustering record
@@ -53,8 +57,8 @@ import numpy as np
 from dynlayout import io as dio
 from dynlayout.cli import cli_main
 from dynlayout.graph import DynamicNetwork, GroupAssignment, Snapshot
-from dynlayout.pipeline import (METHODS, RegularizationConfig, learn_group_sequence,
-                                run_sequence)
+from dynlayout.pipeline import (GLL_METHODS, METHODS, RegularizationConfig,
+                                learn_group_sequence, run_sequence)
 from dynlayout.sbm import SbmConfig, sbm_sequence
 
 DATA = Path(__file__).resolve().parent
@@ -239,6 +243,17 @@ def digest_matrix():
                         config = RegularizationConfig(method="dgll", alpha=alpha, beta=beta,
                                                       dims=dims, seed=seed, groups="known")
                         yield (f"{net_name}/dgll/known/{dims}d/alpha{alpha:g}-beta{beta:g}",
+                               network, config)
+        if net_name.startswith("protocol"):
+            # the unnormalized Laplacian problems (the plain scatter constraint)
+            for method in GLL_METHODS:
+                for groups in ("none", "known", "learn"):
+                    for dims in (1, 2):
+                        config = RegularizationConfig(method=method, alpha=1.0, beta=1.0,
+                                                      dims=dims, seed=seed, groups=groups,
+                                                      k=4 if groups == "learn" else None,
+                                                      normalized=False)
+                        yield (f"{net_name}/{method}/{groups}/{dims}d/unnormalized",
                                network, config)
 
 
