@@ -103,8 +103,6 @@ def _cmd_layout(args) -> int:
 
 def _cmd_cluster(args) -> int:
     network = _load_network(args)
-    if not args.k:
-        raise _UsageError("cluster: --k is required")
     labels_by_step, alphas = learn_group_sequence(network, args.k, args.seed)
     groups_path = Path(str(args.out) + ".groups.tsv")
     alpha_path = Path(str(args.out) + ".alpha.csv")

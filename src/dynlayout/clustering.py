@@ -170,11 +170,9 @@ def spectral_cluster(psi: np.ndarray, k: int, seed) -> np.ndarray:
         raise DataError(f"cannot form {k} clusters from {n} nodes")
     if k < 2:
         raise DataError("clustering needs k >= 2")
-    degrees = psi.sum(axis=1)
     # isolated nodes get a vanishing degree so the transform stays defined
-    D = np.diag(np.maximum(degrees, 1e-12))
-    L = np.diag(np.maximum(degrees, 1e-12)) - psi
-    U = gen_eig_smallest(L, D, k).vectors
+    d = np.maximum(psi.sum(axis=1), 1e-12)
+    _, U = gen_eig_smallest(np.diag(d) - psi, d, k)
     norms = np.linalg.norm(U, axis=1)
     rows = norms > 0
     U = U.copy()

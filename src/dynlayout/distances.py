@@ -106,10 +106,12 @@ def top_m_graph(scores: np.ndarray, m: int, weighting: str = "unit") -> np.ndarr
         raise DataError(f"m must satisfy 0 < m < n, got m={m}, n={n}")
     if weighting not in ("rank_descending", "unit"):
         raise DataError(f"unknown weighting {weighting!r}")
+    eligible = S > 0
+    np.fill_diagonal(eligible, False)
+    # a stable sort of -S keeps equal scores in ascending index order
+    picks = np.argsort(np.where(eligible, -S, np.inf), axis=1, kind="stable")[:, :m]
+    rows = np.arange(n)[:, None]
+    weights = np.arange(m, 0, -1.0) if weighting == "rank_descending" else np.ones(m)
     W = np.zeros((n, n))
-    for i in range(n):
-        candidates = [(-S[i, j], j) for j in range(n) if j != i and S[i, j] > 0]
-        candidates.sort()
-        for pos, (_, j) in enumerate(candidates[:m]):
-            W[i, j] = float(m - pos) if weighting == "rank_descending" else 1.0
+    W[rows, picks] = np.where(eligible[rows, picks], weights, 0.0)
     return np.maximum(W, W.T)

@@ -20,18 +20,12 @@ from .numerics import (gen_eig_smallest, kkt_residuals, minimize_eq_constrained,
                        sym_eig_smallest)
 
 
-@dataclass(frozen=True)
-class LaplacianPair:
-    """Graph Laplacian L = D - W with its diagonal degree matrix."""
-
-    L: np.ndarray
-    D: np.ndarray
-
-
-def laplacian(W: np.ndarray) -> LaplacianPair:
+def laplacian(W: np.ndarray) -> np.ndarray:
+    """Graph Laplacian L = D - W, D the diagonal degree matrix. W has no
+    self-loops, so L's diagonal holds the degrees and its trace the total
+    degree."""
     W = np.asarray(W, dtype=float)
-    D = np.diag(W.sum(axis=1))
-    return LaplacianPair(L=D - W, D=D)
+    return np.diag(W.sum(axis=1)) - W
 
 
 def energy(X: np.ndarray, L: np.ndarray) -> float:
@@ -41,44 +35,43 @@ def energy(X: np.ndarray, L: np.ndarray) -> float:
     return float(np.trace(X.T @ L @ X))
 
 
-def _scaled_eig_layout(lap: LaplacianPair, s: int, normalized: bool, what: str,
+def _scaled_eig_layout(L: np.ndarray, s: int, normalized: bool, what: str,
                        reference: np.ndarray | None = None,
                        mask: np.ndarray | None = None) -> np.ndarray:
-    """Scaled eigen layout of a connected graph given by its Laplacian pair,
+    """Scaled eigen layout of a connected graph given by its Laplacian,
     sign/axis aligned to ``reference`` on the rows that ``mask`` marks when
     a reference is given; ``what`` names the layout in the error for a
     disconnected graph."""
-    require_connected(lap.D - lap.L, what)
-    n = lap.L.shape[0]
+    require_connected(L, what)  # L's off-diagonal is -W
+    n = L.shape[0]
     if s + 1 > n:
         raise DataError(f"need at least {s + 1} nodes for a {s}-D spectral layout, got {n}")
     if normalized:
-        res = gen_eig_smallest(lap.L, lap.D, s + 1)
-        scale = np.sqrt(np.trace(lap.D))
+        _, vectors = gen_eig_smallest(L, np.diagonal(L), s + 1)
+        scale = np.sqrt(np.trace(L))
     else:
-        res = sym_eig_smallest(lap.L, s + 1)
+        _, vectors = sym_eig_smallest(L, s + 1)
         scale = np.sqrt(n)
-    X = scale * res.vectors[:, 1:s + 1]
+    X = scale * vectors[:, 1:s + 1]
     return X if reference is None else align_to_reference(X, reference, mask)
 
 
-def spectral_layout(lap: LaplacianPair, s: int, normalized: bool = True,
+def spectral_layout(L: np.ndarray, s: int, normalized: bool = True,
                     reference: np.ndarray | None = None,
                     mask: np.ndarray | None = None) -> Layout:
-    """Static layout of the graph with Laplacian pair ``lap`` (see
-    ``laplacian``) from the s smallest nontrivial (generalized) Laplacian
-    eigenvectors, scaled so the layout has unit (degree-) weighted variance
-    per dimension, and aligned to ``reference`` (on the rows ``mask``
-    marks) when one is given."""
-    X = _scaled_eig_layout(lap, s, normalized, "spectral layout", reference, mask)
+    """Static layout of the graph with Laplacian ``L`` (see ``laplacian``)
+    from the s smallest nontrivial (generalized) Laplacian eigenvectors,
+    scaled so the layout has unit (degree-) weighted variance per
+    dimension, and aligned to ``reference`` (on the rows ``mask`` marks)
+    when one is given."""
+    X = _scaled_eig_layout(L, s, normalized, "spectral layout", reference, mask)
     return Layout(X=X, Y=np.zeros((0, s)))
 
 
-def centering_matrix(D: np.ndarray) -> np.ndarray:
-    """M = D - D 1 1^T D / tr(D); the quadratic form x^T M x / tr(D) is the
-    degree-weighted variance of x."""
-    D = np.asarray(D, dtype=float)
-    d = np.diagonal(D)
+def centering_matrix(d: np.ndarray) -> np.ndarray:
+    """M = diag(d) - d d^T / sum(d) for node weights d (the degrees); the
+    quadratic form x^T M x / sum(d) is the d-weighted variance of x."""
+    d = np.asarray(d, dtype=float)
     total = d.sum()
     if total <= 0:
         raise DataError("centering needs positive total degree")
@@ -98,7 +91,7 @@ def ccdr_layout(W: np.ndarray, C: np.ndarray, alpha: float, s: int,
     return Layout(X=X_aug[:n], Y=X_aug[n:])
 
 
-def bfp_layout(lap_prev: LaplacianPair, lap_curr: LaplacianPair, lam: float,
+def bfp_layout(L_prev: np.ndarray, L_curr: np.ndarray, lam: float,
                X_prev: np.ndarray | None, s: int, normalized: bool = True,
                mask: np.ndarray | None = None) -> Layout:
     """Spectral layout of the blended Laplacian lam*L[t-1] + (1-lam)*L[t],
@@ -106,10 +99,8 @@ def bfp_layout(lap_prev: LaplacianPair, lap_curr: LaplacianPair, lam: float,
     rows of X_prev that ``mask`` marks (all rows when it is None)."""
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"blend weight must be in [0, 1], got {lam}")
-    L = lam * lap_prev.L + (1.0 - lam) * lap_curr.L
-    D = lam * lap_prev.D + (1.0 - lam) * lap_curr.D
-    X = _scaled_eig_layout(LaplacianPair(L=L, D=D), s, normalized, "blended-Laplacian layout",
-                           X_prev, mask)
+    L = lam * L_prev + (1.0 - lam) * L_curr
+    X = _scaled_eig_layout(L, s, normalized, "blended-Laplacian layout", X_prev, mask)
     return Layout(X=X, Y=np.zeros((0, s)))
 
 
@@ -274,20 +265,20 @@ def dgll_layout(W, C, alpha, beta, e, X_prev_aug, s, normalized: bool = True,
     """
     C = np.asarray(C, dtype=float)
     n, k = C.shape
-    lap = laplacian(augment(W, C, alpha))
-    D_for_M = lap.D if normalized else np.eye(n + k)
-    if np.count_nonzero(np.diagonal(D_for_M)) <= s:
+    L = laplacian(augment(W, C, alpha))
+    d = np.diagonal(L) if normalized else np.ones(n + k)
+    if np.count_nonzero(d) <= s:
         # the scatter constraint needs s independent directions
         raise DataError(f"need more than {s} points with positive weight for a {s}-D "
                         "constrained layout")
-    M = centering_matrix(D_for_M)
-    target = float(np.trace(D_for_M))
+    M = centering_matrix(d)
+    target = float(d.sum())
     e_aug = np.pad(np.asarray(e, dtype=float), (0, k))
     X_prev_aug = np.atleast_2d(np.asarray(X_prev_aug, dtype=float))
-    problem = _DgllProblem(lap.L, e_aug, beta, X_prev_aug, M, target, s)
+    problem = _DgllProblem(L, e_aug, beta, X_prev_aug, M, target, s)
 
     if not has_temporal_anchor(beta, e_aug):
-        X = _scaled_eig_layout(lap, s, normalized, "eigen solve of the dynamic layout problem")
+        X = _scaled_eig_layout(L, s, normalized, "eigen solve of the dynamic layout problem")
         x = X.T.reshape(-1)
         feasibility, kkt = kkt_residuals(x, problem.grad, problem.g, problem.jac)
     else:

@@ -27,9 +27,9 @@ def static_cost_mds(X: np.ndarray, delta: np.ndarray, V: np.ndarray) -> float:
     return stress(X, delta, V) / pairs
 
 
-def static_cost_gll(X: np.ndarray, L: np.ndarray, D: np.ndarray) -> float:
-    """Layout energy divided by the total degree."""
-    total = float(np.trace(D))
+def static_cost_gll(X: np.ndarray, L: np.ndarray) -> float:
+    """Layout energy divided by the total degree, the trace of Laplacian L."""
+    total = float(np.trace(L))
     if total == 0:
         return 0.0
     return energy(X, L) / total

@@ -139,45 +139,38 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(peak < 0, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Ascending eigenvalues with matching (D-)orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eig_smallest(A: np.ndarray, m: int) -> EigenResult:
-    """The m smallest eigenpairs of a symmetric matrix, ascending. Only
-    those m pairs are computed, not the full spectrum."""
+def sym_eig_smallest(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m smallest eigenpairs of a symmetric matrix as (values,
+    vectors), values ascending. Only those m pairs are computed, not the
+    full spectrum."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if not 1 <= m <= n:
         raise DataError(f"requested {m} eigenpairs from a {n}x{n} matrix")
     values, vectors = scipy.linalg.eigh(A, subset_by_index=[0, m - 1])
-    return EigenResult(values=values, vectors=_canonical_signs(vectors))
+    return values, _canonical_signs(vectors)
 
 
-def gen_eig_smallest(L: np.ndarray, D: np.ndarray, m: int) -> EigenResult:
-    """The m smallest generalized eigenpairs of (L, D) for diagonal positive
-    D, via the symmetric transform D^{-1/2} L D^{-1/2}. Only those m pairs
-    are computed, not the full spectrum.
+def gen_eig_smallest(L: np.ndarray, d: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m smallest generalized eigenpairs of (L, diag(d)) for positive
+    weights d, as (values, vectors), via the symmetric transform
+    D^{-1/2} L D^{-1/2}. Only those m pairs are computed, not the full
+    spectrum.
 
     Returned vectors are D-orthonormal: U^T D U = I.
     """
     L = np.asarray(L, dtype=float)
-    D = np.asarray(D, dtype=float)
+    d = np.asarray(d, dtype=float)
     n = L.shape[0]
     if not 1 <= m <= n:
         raise DataError(f"requested {m} eigenpairs from a {n}x{n} matrix")
-    d = np.diagonal(D)
     if np.any(d <= 0):
         raise DataError("generalized eigenproblem needs strictly positive degrees")
     d_isqrt = 1.0 / np.sqrt(d)
     B = (L * d_isqrt[:, None]) * d_isqrt[None, :]
     B = (B + B.T) / 2.0
     values, vectors = scipy.linalg.eigh(B, subset_by_index=[0, m - 1])
-    return EigenResult(values=values, vectors=_canonical_signs(vectors * d_isqrt[:, None]))
+    return values, _canonical_signs(vectors * d_isqrt[:, None])
 
 
 @dataclass(frozen=True)

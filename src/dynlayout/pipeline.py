@@ -55,7 +55,7 @@ class RegularizationConfig:
             raise DataError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.groups not in ("none", "known", "learn"):
             raise DataError(f"groups must be none|known|learn, got {self.groups!r}")
-        if self.groups == "learn" and not self.k:
+        if self.groups == "learn" and self.k is None:
             raise DataError("learning groups requires k")
         if self.dims < 1:
             raise DataError("dims must be >= 1")
@@ -321,7 +321,7 @@ def _solve(network: DynamicNetwork, t: int, config: RegularizationConfig,
                                                        eps=config.epsilon)
         return layout, metrics.static_cost_mds(layout.X, delta, V), report
 
-    lap = gll.laplacian(snap.W)
+    L = gll.laplacian(snap.W)
     persist_mask = shared.e > 0
     # eigen layouts align to the previous step on the nodes present at both
     reference = X_prev if t > 0 and persist_mask.any() else None
@@ -330,25 +330,25 @@ def _solve(network: DynamicNetwork, t: int, config: RegularizationConfig,
                                  normalized=config.normalized,
                                  rng=_rng_for(config.seed, t, 3)).layout
     elif method == "spectral":
-        layout = gll.spectral_layout(lap, s, config.normalized, reference, persist_mask)
+        layout = gll.spectral_layout(L, s, config.normalized, reference, persist_mask)
     elif method == "ccdr":
         layout = gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized, reference,
                                  persist_mask)
     else:  # bfp: the blend weight whose layout has the lowest composite cost
-        lap_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, shared))
+        L_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, shared))
         candidates: dict[float, Layout] = {}
 
         def composite(lam: float) -> float:
-            cand = candidates[lam] = gll.bfp_layout(lap_prev, lap, lam, reference, s,
+            cand = candidates[lam] = gll.bfp_layout(L_prev, L, lam, reference, s,
                                                     config.normalized, persist_mask)
-            costs = score_step(t, cand.X, metrics.static_cost_gll(cand.X, lap.L, lap.D),
+            costs = score_step(t, cand.X, metrics.static_cost_gll(cand.X, L),
                                eval_labels, X_prev, shared.e)
             return (costs.static_cost + config.alpha * (costs.centroid_cost or 0.0)
                     + config.beta * (costs.temporal_cost or 0.0))
 
         layout = candidates[gll.bfp_lambda_select(_LAMBDA_GRID if t > 0 else (0.0,),
                                                   composite)]
-    return layout, metrics.static_cost_gll(layout.X, lap.L, lap.D), None
+    return layout, metrics.static_cost_gll(layout.X, L), None
 
 
 def run_sequence(network: DynamicNetwork,
@@ -427,8 +427,7 @@ def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics
         if method in MDS_METHODS:
             static = metrics.static_cost_mds(step.X, *mds_inputs(snap.W, similarity_mode))
         else:
-            lap = gll.laplacian(snap.W)
-            static = metrics.static_cost_gll(step.X, lap.L, lap.D)
+            static = metrics.static_cost_gll(step.X, gll.laplacian(snap.W))
         known = snap.groups.labels if snap.groups is not None else None
         shared = network.persistence(t)
         X_prev = np.zeros_like(step.X)

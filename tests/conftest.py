@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dynlayout.errors import DisconnectedGraphError
+from dynlayout.graph import require_connected
+
 
 def random_connected_adjacency(rng: np.random.Generator, n: int,
                                weighted: bool = False) -> np.ndarray:
@@ -20,6 +23,15 @@ def random_connected_adjacency(rng: np.random.Generator, n: int,
             if extra[i, j] and W[i, j] == 0:
                 W[i, j] = W[j, i] = rng.uniform(0.5, 2.0) if weighted else 1.0
     return W
+
+
+def connectivity_verdict(A: np.ndarray):
+    """The message ``require_connected(A, "layout")`` raises, or None."""
+    try:
+        require_connected(A, "layout")
+    except DisconnectedGraphError as exc:
+        return str(exc)
+    return None
 
 
 def floyd_warshall_reference(W: np.ndarray) -> np.ndarray:

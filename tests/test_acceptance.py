@@ -281,23 +281,23 @@ class TestCriterion7DerivativeCorrectness:
             beta = float(rng.uniform(0.2, 3.0))
             e = (rng.random(n) < 0.7).astype(float)
             lap = gll.laplacian(augment(W, C, float(rng.uniform(0.2, 2.0))))
-            M = gll.centering_matrix(lap.D)
-            target = float(np.trace(lap.D))
+            M = gll.centering_matrix(np.diagonal(lap))
+            target = float(np.trace(lap))
             m = n + k
             e_aug = np.zeros(m)
             e_aug[:n] = e
             X_prev = rng.standard_normal((m, 2))
             x0 = rng.standard_normal(2 * m)
             X0 = x0.reshape(2, m).T
-            grad, gval, J, H = gll.dgll_derivatives(X0, lap.L, e_aug, beta,
+            grad, gval, J, H = gll.dgll_derivatives(X0, lap, e_aug, beta,
                                                     X_prev, M, np.zeros(3), target)
 
             def f(x):
-                return gll.dgll_objective(x.reshape(2, m).T, lap.L, e_aug,
+                return gll.dgll_objective(x.reshape(2, m).T, lap, e_aug,
                                           beta, X_prev)
 
             def g_of(x):
-                return gll.dgll_derivatives(x.reshape(2, m).T, lap.L, e_aug,
+                return gll.dgll_derivatives(x.reshape(2, m).T, lap, e_aug,
                                             beta, X_prev, M, np.zeros(3), target)[1]
 
             h = 1e-6
@@ -309,7 +309,7 @@ class TestCriterion7DerivativeCorrectness:
                                     for e in eye])
             scale_j = max(1.0, float(np.max(np.abs(J))))
             worst_jac = max(worst_jac, float(np.max(np.abs(J - fd_J))) / scale_j)
-            block = 2.0 * lap.L + 2.0 * beta * np.diag(e_aug)
+            block = 2.0 * lap + 2.0 * beta * np.diag(e_aug)
             exact = (np.array_equal(H[:m, :m], block)
                      and np.array_equal(H[m:, m:], block)
                      and np.array_equal(H[:m, m:], np.zeros((m, m))))
@@ -342,11 +342,11 @@ class TestCriterion8DgllSolverContract:
             worst_kkt = max(worst_kkt, solution.kkt_residual)
 
             lap = gll.laplacian(augment(W, C, 1.0))
-            M = gll.centering_matrix(lap.D)
-            target = float(np.trace(lap.D))
+            M = gll.centering_matrix(np.diagonal(lap))
+            target = float(np.trace(lap))
             E_aug = np.zeros((m, m))
             E_aug[:n, :n] = np.diag(e)
-            L = lap.L
+            L = lap
 
             def f(x):
                 X = x.reshape(2, m).T
@@ -436,12 +436,12 @@ class TestCriterion10SpectralIdentities:
             X = plain.X
             worst_cons = max(worst_cons, float(np.max(np.abs(X.T @ X - n * np.eye(2)))),
                              float(np.max(np.abs(X.T @ np.ones(n)))))
-            vals = np.sort(np.linalg.eigvalsh(lap.L))
+            vals = np.sort(np.linalg.eigvalsh(lap))
             worst_energy = max(worst_energy,
-                               abs(gll.energy(X, lap.L) - n * (vals[1] + vals[2])))
+                               abs(gll.energy(X, lap) - n * (vals[1] + vals[2])))
             norm = gll.spectral_layout(lap, 2, normalized=True)
             Xn = norm.X
-            D = lap.D
+            D = np.diag(np.diagonal(lap))
             worst_cons = max(
                 worst_cons,
                 float(np.max(np.abs(Xn.T @ D @ Xn - np.trace(D) * np.eye(2)))) / np.trace(D),

@@ -350,6 +350,21 @@ class TestClusterCommand:
         assert capsys.readouterr().err == \
             "data error: step t=1: cannot form 3 clusters from 2 nodes\n"
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("command", [
+        ["cluster"], ["layout", "--groups", "learn"],
+        ["sweep", "--groups", "learn", "--alphas", "1", "--betas", "1"]],
+        ids=["cluster", "layout", "sweep"])
+    def test_k_below_two_is_one_data_error(self, command, k, tmp_path, capsys):
+        edges = [(0, "a", "b"), (0, "b", "c"), (0, "c", "d"), (0, "a", "d")]
+        snaps = tmp_path / "ring.tsv"
+        snaps.write_text("".join(f"{t}\t{u}\t{v}\t1\n" for t, u, v in edges),
+                         encoding="utf-8")
+        code = run([*command, "--input", str(snaps), "--k", str(k),
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: step t=0: clustering needs k >= 2\n"
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, sbm_fixture, tmp_path):

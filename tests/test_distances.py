@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import shortest_path
 
 from conftest import floyd_warshall_reference, random_connected_adjacency
@@ -101,7 +104,34 @@ class TestSimilarityConversion:
             similarity_to_dissimilarity(np.zeros((2, 2)))
 
 
+def loop_top_m_graph(S, m, weighting):
+    # the per-node sort that the vectorized top-m selection replaced
+    n = S.shape[0]
+    W = np.zeros((n, n))
+    for i in range(n):
+        candidates = [(-S[i, j], j) for j in range(n) if j != i and S[i, j] > 0]
+        candidates.sort()
+        for pos, (_, j) in enumerate(candidates[:m]):
+            W[i, j] = float(m - pos) if weighting == "rank_descending" else 1.0
+    return np.maximum(W, W.T)
+
+
+@st.composite
+def tie_heavy_scores(draw):
+    n = draw(st.integers(2, 12))
+    scores = draw(arrays(float, (n, n), elements=st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0])
+                         | st.floats(0.0, 10.0)))
+    return scores, draw(st.integers(1, n - 1))
+
+
 class TestTopMGraph:
+    @given(tie_heavy_scores(), st.sampled_from(["unit", "rank_descending"]))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_loop_bit_for_bit(self, problem, weighting):
+        scores, m = problem
+        assert top_m_graph(scores, m, weighting).tobytes() == \
+            loop_top_m_graph(scores, m, weighting).tobytes()
+
     def test_shared_favorite(self):
         scores = np.array([[0, 5.0, 1.0], [1.0, 0, 0.5], [2.0, 9.0, 0]])
         W = top_m_graph(scores, 1, "unit")

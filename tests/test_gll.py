@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynlayout as dl
-from conftest import random_connected_adjacency
+from conftest import connectivity_verdict, random_connected_adjacency
 from dynlayout import gll
 from dynlayout.errors import DataError
 from dynlayout.gll import (bfp_lambda_select, bfp_layout, ccdr_layout, centering_matrix,
@@ -30,41 +30,68 @@ def two_triangles():
 class TestLaplacian:
     def test_path_graph(self):
         lap = laplacian(path_graph())
-        assert np.array_equal(np.diagonal(lap.D), [1, 2, 1])
-        assert np.array_equal(lap.L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+        assert np.array_equal(np.diagonal(lap), [1, 2, 1])
+        assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_empty_graph(self):
         lap = laplacian(np.zeros((3, 3)))
-        assert np.array_equal(lap.L, np.zeros((3, 3)))
+        assert np.array_equal(lap, np.zeros((3, 3)))
 
     def test_annihilates_constant_vector(self, rng):
         W = random_connected_adjacency(rng, 6, weighted=True)
         lap = laplacian(W)
-        assert np.allclose(lap.L @ np.ones(6), 0.0, atol=1e-12)
+        assert np.allclose(lap @ np.ones(6), 0.0, atol=1e-12)
+
+
+def _random_weights(rng, n, density):
+    # symmetric, nonnegative, zero diagonal; sparse draws leave isolated
+    # nodes and several components
+    W = rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < density)
+    W = np.triu(W, 1)
+    return W + W.T
+
+
+class TestLaplacianConnectivity:
+    """The eigen layouts check connectivity on L itself (its off-diagonal is
+    -W) and read the degrees from its diagonal."""
+
+    @given(st.integers(1, 12), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_laplacian_verdict_matches_adjacency(self, n, density_a, density_b, seed):
+        rng = np.random.default_rng(seed)
+        W1, W2 = _random_weights(rng, n, density_a), _random_weights(rng, n, density_b)
+        L1, L2 = laplacian(W1), laplacian(W2)
+        for W, L in ((W1, L1), (W2, L2)):
+            assert np.diagonal(L).tobytes() == W.sum(axis=1).tobytes()
+            assert connectivity_verdict(L) == connectivity_verdict(W)
+        for lam in (0.0, 0.5, 1.0):
+            assert connectivity_verdict(lam * L1 + (1 - lam) * L2) == \
+                connectivity_verdict(lam * W1 + (1 - lam) * W2)
 
 
 class TestEnergy:
     def test_path_graph_line(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        assert energy(X, laplacian(path_graph()).L) == pytest.approx(2.0)
+        assert energy(X, laplacian(path_graph())) == pytest.approx(2.0)
 
     def test_constant_layout_is_zero(self):
         X = np.ones((3, 2))
-        assert energy(X, laplacian(path_graph()).L) == pytest.approx(0.0)
+        assert energy(X, laplacian(path_graph())) == pytest.approx(0.0)
 
     def test_double_sum_equals_trace_form(self, rng):
         W = random_connected_adjacency(rng, 6, weighted=True)
         X = rng.standard_normal((6, 2))
         double_sum = 0.5 * sum(W[i, j] * np.sum((X[i] - X[j]) ** 2)
                                for i in range(6) for j in range(6))
-        assert energy(X, laplacian(W).L) == pytest.approx(double_sum, rel=1e-12)
+        assert energy(X, laplacian(W)) == pytest.approx(double_sum, rel=1e-12)
 
     def test_rotation_invariance(self, rng):
         W = random_connected_adjacency(rng, 5)
         X = rng.standard_normal((5, 2))
         theta = 0.83
         Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        L = laplacian(W).L
+        L = laplacian(W)
         assert energy(X @ Q, L) == pytest.approx(energy(X, L), rel=1e-12)
 
 
@@ -85,14 +112,14 @@ class TestSpectralLayout:
         assert np.allclose(X.T @ X, n * np.eye(2), atol=1e-8)
         assert np.allclose(X.T @ np.ones(n), 0.0, atol=1e-8)
         lap = laplacian(W)
-        vals = np.sort(np.linalg.eigvalsh(lap.L))
-        assert energy(X, lap.L) == pytest.approx(n * (vals[1] + vals[2]), abs=1e-6)
+        vals = np.sort(np.linalg.eigvalsh(lap))
+        assert energy(X, lap) == pytest.approx(n * (vals[1] + vals[2]), abs=1e-6)
 
     def test_normalized_constraints(self, rng):
         W = random_connected_adjacency(rng, 7, weighted=True)
         layout = spectral_layout(laplacian(W), 2, normalized=True)
         X = layout.X
-        D = laplacian(W).D
+        D = np.diag(np.diagonal(laplacian(W)))
         assert np.allclose(X.T @ D @ X, np.trace(D) * np.eye(2), atol=1e-8)
         assert np.allclose(X.T @ D @ np.ones(7), 0.0, atol=1e-8)
 
@@ -102,12 +129,12 @@ class TestSpectralLayout:
         W = two_triangles()
         layout = spectral_layout(laplacian(W), 2, normalized=False)
         lap = laplacian(W)
-        vals, vecs = np.linalg.eigh(lap.L)
+        vals, vecs = np.linalg.eigh(lap)
         fiedler = np.sqrt(6) * vecs[:, 1]
         x1, x2 = layout.X[:, 0], layout.X[:, 1]
         assert np.allclose(np.minimum(np.abs(x1 - fiedler), np.abs(x1 + fiedler)),
                            0.0, atol=1e-8)
-        assert np.allclose(lap.L @ x2, vals[2] * x2, atol=1e-8)
+        assert np.allclose(lap @ x2, vals[2] * x2, atol=1e-8)
 
     def test_disconnected_rejected_with_component_count(self):
         W = np.zeros((4, 4))
@@ -121,12 +148,12 @@ class TestAugmentGll:
     def test_no_groups(self):
         W = path_graph()
         lap = laplacian(augment(W, np.zeros((3, 0)), 2.0))
-        assert np.array_equal(lap.D - lap.L, W)
+        assert np.array_equal(np.diag(np.diagonal(lap)) - lap, W)
 
     def test_single_node_single_group(self):
         lap = laplacian(augment(np.zeros((1, 1)), np.array([[1.0]]), 3.0))
-        assert np.array_equal(lap.D - lap.L, [[0.0, 3.0], [3.0, 0.0]])
-        assert np.array_equal(np.diagonal(lap.D), [3.0, 3.0])
+        assert np.array_equal(np.diag(np.diagonal(lap)) - lap, [[0.0, 3.0], [3.0, 0.0]])
+        assert np.array_equal(np.diagonal(lap), [3.0, 3.0])
 
     def test_degree_bookkeeping(self, rng):
         W = random_connected_adjacency(rng, 6)
@@ -135,23 +162,23 @@ class TestAugmentGll:
         C[4:, 1] = 1
         lap = laplacian(augment(W, C, 1.5))
         grouped = 6
-        assert np.trace(lap.D) == pytest.approx(
-            np.trace(laplacian(W).D) + 2 * 1.5 * grouped)
+        assert np.trace(lap) == pytest.approx(
+            np.trace(laplacian(W)) + 2 * 1.5 * grouped)
 
 
 class TestCenteringMatrix:
     def test_identity_degrees(self):
-        M = centering_matrix(np.eye(2))
+        M = centering_matrix(np.ones(2))
         assert np.allclose(M, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_annihilates_constant_vector(self, rng):
         d = rng.uniform(0.5, 3.0, size=6)
-        M = centering_matrix(np.diag(d))
+        M = centering_matrix(d)
         assert np.allclose(M @ np.ones(6), 0.0, atol=1e-12)
 
     def test_constant_vector_has_zero_weighted_variance(self, rng):
         d = rng.uniform(0.5, 3.0, size=5)
-        M = centering_matrix(np.diag(d))
+        M = centering_matrix(d)
         x = 4.2 * np.ones(5)
         assert x @ M @ x == pytest.approx(0.0, abs=1e-10)
 
@@ -170,9 +197,9 @@ class TestCcdr:
         C[3:, 1] = 1
         layout = ccdr_layout(W, C, 1.0, 2, normalized=True)
         lap = laplacian(augment(W, C, 1.0))
-        M = centering_matrix(lap.D)
+        M = centering_matrix(np.diagonal(lap))
         stacked = np.vstack([layout.X, layout.Y])
-        target = np.trace(lap.D)
+        target = np.trace(lap)
         assert np.allclose(stacked.T @ M @ stacked, target * np.eye(2), atol=1e-8)
 
     def test_large_alpha_collapses_groups(self, rng):
@@ -265,7 +292,7 @@ class TestBfpLambdaSelect:
 class TestDgllObjective:
     def test_beta_zero_is_trace_form(self, rng):
         W = random_connected_adjacency(rng, 5)
-        L = laplacian(W).L
+        L = laplacian(W)
         X = rng.standard_normal((5, 2))
         assert dgll_objective(X, L, np.zeros(5), 0.0, np.zeros_like(X)) == \
             pytest.approx(float(np.trace(X.T @ L @ X)))
@@ -279,7 +306,7 @@ class TestDgllObjective:
     def test_dropped_constant_algebra(self, rng):
         # objective + beta tr(Xp^T E Xp) equals the full quadratic expansion
         W = random_connected_adjacency(rng, 4)
-        L = laplacian(W).L
+        L = laplacian(W)
         e = np.array([1.0, 1.0, 0, 0])
         X = rng.standard_normal((4, 2))
         Xp = rng.standard_normal((4, 2))
@@ -291,7 +318,7 @@ class TestDgllObjective:
 
     def test_rotation_invariance_without_temporal_term(self, rng):
         W = random_connected_adjacency(rng, 5)
-        L = laplacian(W).L
+        L = laplacian(W)
         X = rng.standard_normal((5, 2))
         theta = 1.2
         Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
@@ -315,9 +342,9 @@ def random_dgll_instance(rng, n, k, s=2, normalized=True):
         e[0] = 1.0
     X_prev = rng.standard_normal((n + k, s))
     lap = laplacian(augment(W, C, 1.0))
-    D_for_M = lap.D if normalized else np.eye(n + k)
-    M = centering_matrix(D_for_M)
-    target = float(np.trace(D_for_M))
+    d = np.diagonal(lap) if normalized else np.ones(n + k)
+    M = centering_matrix(d)
+    target = float(np.sum(d))
     e_aug = np.zeros(n + k)
     e_aug[:n] = e
     return W, C, beta, e, X_prev, lap, M, target, e_aug
@@ -334,14 +361,14 @@ class TestDgllDerivatives:
             x0 = rng.standard_normal(2 * m)
 
             def f(x):
-                return dgll_objective(x.reshape(2, m).T, lap.L, e_aug,
+                return dgll_objective(x.reshape(2, m).T, lap, e_aug,
                                       beta, X_prev)
 
             def g(x):
-                return dgll_derivatives(x.reshape(2, m).T, lap.L, e_aug, beta,
+                return dgll_derivatives(x.reshape(2, m).T, lap, e_aug, beta,
                                         X_prev, M, np.zeros(3), target)[1]
 
-            grad, gval, J, _ = dgll_derivatives(x0.reshape(2, m).T, lap.L,
+            grad, gval, J, _ = dgll_derivatives(x0.reshape(2, m).T, lap,
                                                 e_aug, beta, X_prev, M,
                                                 np.zeros(3), target)
             h = 1e-6
@@ -358,9 +385,9 @@ class TestDgllDerivatives:
             random_dgll_instance(rng, 5, 2)
         m = 7
         X = rng.standard_normal((m, 2))
-        _, _, _, H = dgll_derivatives(X, lap.L, e_aug, beta, X_prev, M,
+        _, _, _, H = dgll_derivatives(X, lap, e_aug, beta, X_prev, M,
                                       np.zeros(3), target)
-        block = 2 * lap.L + 2 * beta * np.diag(e_aug)
+        block = 2 * lap + 2 * beta * np.diag(e_aug)
         assert np.array_equal(H[:m, :m], block)
         assert np.array_equal(H[m:, m:], block)
         assert np.array_equal(H[:m, m:], np.zeros((m, m)))
@@ -369,7 +396,7 @@ class TestDgllDerivatives:
         W, C, beta, e, X_prev, lap, M, target, e_aug = \
             random_dgll_instance(rng, 4, 0)
         with pytest.raises(DataError):
-            dgll_derivatives(np.zeros((4, 3)), lap.L, e_aug, beta,
+            dgll_derivatives(np.zeros((4, 3)), lap, e_aug, beta,
                              np.zeros((4, 3)), M, np.zeros(3), target)
 
 
@@ -428,12 +455,12 @@ class TestDgllOneDimensionalOracle:
         """(solver objective, oracle objective, tolerance scale), after
         checking that both points are feasible."""
         solution = dgll_layout(W, C, 1.0, beta, e, X_prev, 1, normalized=normalized, rng=0)
-        best, x_best = dgll_1d_oracle(lap.L, e_aug, beta, X_prev[:, 0], M, target)
+        best, x_best = dgll_1d_oracle(lap, e_aug, beta, X_prev[:, 0], M, target)
         assert x_best @ M @ x_best == pytest.approx(target, rel=1e-9)
         x = solution.X_aug[:, 0]
         assert abs(float(x @ M @ x) - target) <= 1e-8 * target
         assert solution.constraint_residual <= 1e-8
-        return solution.objective, best, abs(best) + abs(float(x_best @ lap.L @ x_best))
+        return solution.objective, best, abs(best) + abs(float(x_best @ lap @ x_best))
 
     @given(anchored_dgll_instances())
     @settings(deadline=None, max_examples=60)
@@ -455,7 +482,7 @@ class TestDgllOneDimensionalOracle:
         # g vanishes there and the secular equation has no root: the
         # minimizer puts its missing scatter on that direction
         W, C, beta, e, X_prev, lap, M, target, e_aug = random_dgll_instance(rng, 7, 2, s=1)
-        A = lap.L + beta * np.diag(e_aug)
+        A = lap + beta * np.diag(e_aug)
         theta, V = scipy.linalg.eigh(M, A)
         w = beta * e_aug * V[:, -1]
         x_prev = 1e-3 * (X_prev[:, 0] - (w @ X_prev[:, 0]) / (w @ w) * w)
@@ -473,7 +500,7 @@ class TestDgllLayout:
         solution = dgll_layout(W, np.zeros((6, 0)), 0.0, 0.0, np.zeros(6),
                                np.zeros((6, 2)), 2, normalized=False)
         lap = laplacian(W)
-        vals = np.sort(np.linalg.eigvalsh(lap.L))
+        vals = np.sort(np.linalg.eigvalsh(lap))
         assert solution.objective == pytest.approx(6 * (vals[1] + vals[2]), abs=1e-6)
 
     def test_solution_meets_residual_contract(self, rng):
@@ -488,8 +515,8 @@ class TestDgllLayout:
     def test_huge_beta_returns_feasible_previous(self, rng):
         W = random_connected_adjacency(rng, 6)
         lap = laplacian(augment(W, np.zeros((6, 0)), 0.0))
-        M = centering_matrix(lap.D)
-        target = float(np.trace(lap.D))
+        M = centering_matrix(np.diagonal(lap))
+        target = float(np.trace(lap))
         raw = rng.standard_normal((6, 2))
         G = raw.T @ M @ raw
         vals, vecs = np.linalg.eigh(G)
@@ -509,7 +536,7 @@ class TestDgllLayout:
             # independent penalty oracle: objective/constraints and their
             # gradients written out directly, minimized by scipy BFGS with a
             # tightening quadratic penalty
-            L, E_full = lap.L, np.diag(e_aug)
+            L, E_full = lap, np.diag(e_aug)
 
             def f(x):
                 X = x.reshape(2, m).T

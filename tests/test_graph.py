@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from dynlayout.errors import DataError, DisconnectedGraphError
+from conftest import connectivity_verdict
+from dynlayout.errors import DataError
 from dynlayout.graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot,
-                             build_membership_matrix, require_connected, validate_snapshot)
+                             build_membership_matrix, validate_snapshot)
 
 
 class TestValidateSnapshot:
@@ -30,14 +31,6 @@ class TestValidateSnapshot:
         assert validate_snapshot(np.zeros((2, 3)))
 
 
-def _connectivity_verdict(W):
-    try:
-        require_connected(W, "layout")
-    except DisconnectedGraphError as exc:
-        return str(exc)
-    return None
-
-
 class TestRequireConnected:
     @given(st.integers(1, 12), st.floats(0.0, 0.6), st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -52,15 +45,15 @@ class TestRequireConnected:
         n_comp, _ = connected_components(scipy.sparse.csr_matrix(W), directed=False)
         expected = (None if n_comp == 1 else
                     f"layout needs a connected graph; found {n_comp} components")
-        assert _connectivity_verdict(W) == expected
+        assert connectivity_verdict(W) == expected
 
     def test_single_node_is_connected(self):
-        assert _connectivity_verdict(np.zeros((1, 1))) is None
+        assert connectivity_verdict(np.zeros((1, 1))) is None
 
     def test_isolated_node_counted(self):
         W = np.zeros((4, 4))
         W[0, 1] = W[1, 0] = W[1, 2] = W[2, 1] = 1.0
-        assert _connectivity_verdict(W).endswith("found 2 components")
+        assert connectivity_verdict(W).endswith("found 2 components")
 
 
 class TestMembershipMatrix:
