@@ -12,21 +12,21 @@ from .errors import DataError, DynlayoutError, NotPositiveDefiniteError, Numeric
 from .graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot,
                     build_membership_matrix, validate_snapshot)
 from .layout import Layout, align_to_reference
-from .metrics import (CostReport, StepCosts, centroid_cost, cumulative_movement,
-                      static_cost_gll, static_cost_mds, temporal_cost)
+from .metrics import (CostReport, StepCosts, centroid_cost, static_cost_gll,
+                      static_cost_mds, temporal_cost)
 from .pipeline import (LayoutSequence, LayoutStep, RegularizationConfig,
                        learn_group_sequence, parameter_sweep, run_sequence)
-from .sbm import PlantedTruth, SbmConfig, sbm_sample, sbm_sequence
+from .sbm import SbmConfig, sbm_sample, sbm_sequence
 
 __all__ = [
     "CostReport", "DataError", "DistanceMatrix", "DynamicNetwork", "DynlayoutError",
     "GroupAssignment", "Layout", "LayoutSequence", "LayoutStep", "NodeRegistry",
-    "NotPositiveDefiniteError", "NumericalError", "PlantedTruth", "RegularizationConfig",
-    "SbmConfig", "Snapshot", "StepCosts", "align_to_reference", "build_membership_matrix",
-    "centroid_cost", "cumulative_movement", "kk_weights", "learn_group_sequence",
-    "parameter_sweep", "run_sequence", "sbm_sample", "sbm_sequence",
-    "shortest_path_distances", "similarity_to_dissimilarity", "static_cost_gll",
-    "static_cost_mds", "temporal_cost", "top_m_graph", "validate_snapshot",
+    "NotPositiveDefiniteError", "NumericalError", "RegularizationConfig", "SbmConfig",
+    "Snapshot", "StepCosts", "align_to_reference", "build_membership_matrix",
+    "centroid_cost", "kk_weights", "learn_group_sequence", "parameter_sweep",
+    "run_sequence", "sbm_sample", "sbm_sequence", "shortest_path_distances",
+    "similarity_to_dissimilarity", "static_cost_gll", "static_cost_mds", "temporal_cost",
+    "top_m_graph", "validate_snapshot",
 ]
 
 __version__ = "0.1.0"

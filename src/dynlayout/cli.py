@@ -119,7 +119,7 @@ def _cmd_simulate_sbm(args) -> int:
         change_step=args.change_step, change_fraction=args.change_fraction,
         seed=args.seed, balanced=args.balanced,
     )
-    network, _truth = sbm_sequence(config)
+    network = sbm_sequence(config)
     snap_path = Path(str(args.out) + ".snapshots.tsv")
     groups_path = Path(str(args.out) + ".groups.tsv")
     dio.write_snapshots(network, snap_path)
@@ -150,7 +150,7 @@ def _cmd_render(args) -> int:
     network = _load_network(args)
     sequence = dio.import_layouts(args.layout)
     if sequence.dims == 1:
-        path = rnd.render_timeplot(sequence, args.out)
+        path = rnd.render_timeplot(network, sequence, args.out)
         print(f"wrote {path}")
     else:
         paths = rnd.render_frames(network, sequence, args.out, movement=args.movement)

@@ -13,13 +13,9 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest-path lengths with a reachability mask.
-
-    ``delta[i, j]`` is np.inf where ``reachable[i, j]`` is False.
-    """
+    """All-pairs shortest-path lengths, np.inf for unreachable pairs."""
 
     delta: np.ndarray
-    reachable: np.ndarray
 
 
 def shortest_path_distances(W_dissim: np.ndarray) -> DistanceMatrix:
@@ -27,10 +23,10 @@ def shortest_path_distances(W_dissim: np.ndarray) -> DistanceMatrix:
     edge weights (zero entries mean "no edge").
 
     Runs one priority-queue single-source pass per node; unreachable pairs
-    are flagged infinite in the mask. An edge present one way keeps its
-    weight and one present both ways takes the smaller, as csgraph's
-    undirected mode reads a matrix; the passes then run in its cheaper
-    directed mode, with the same bits.
+    are infinite. An edge present one way keeps its weight and one present
+    both ways takes the smaller, as csgraph's undirected mode reads a
+    matrix; the passes then run in its cheaper directed mode, with the same
+    bits.
     """
     W = np.asarray(W_dissim, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -41,8 +37,7 @@ def shortest_path_distances(W_dissim: np.ndarray) -> DistanceMatrix:
     undirected = np.where(lo > 0, lo, hi)
     delta = _csgraph_shortest_path(scipy.sparse.csr_matrix(undirected), method="D",
                                    directed=True)
-    reachable = np.isfinite(delta)
-    return DistanceMatrix(delta=delta, reachable=reachable)
+    return DistanceMatrix(delta=delta)
 
 
 def kk_weights(dm: DistanceMatrix) -> np.ndarray:
@@ -50,13 +45,12 @@ def kk_weights(dm: DistanceMatrix) -> np.ndarray:
     and for unreachable pairs."""
     delta = dm.delta
     n = delta.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    degenerate = off & dm.reachable & (delta == 0)
+    mask = ~np.eye(n, dtype=bool) & np.isfinite(delta)
+    degenerate = mask & (delta == 0)
     if np.any(degenerate):
         i, j = np.argwhere(degenerate)[0]
         raise DataError(f"zero distance between distinct nodes ({i},{j})")
     V = np.zeros_like(delta)
-    mask = off & dm.reachable
     V[mask] = delta[mask] ** -2.0
     return V
 

@@ -14,18 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DisconnectedGraphError, NumericalError
-from .graph import augment, has_temporal_anchor, require_connected
+from .graph import augment, has_temporal_anchor, laplacian, require_connected
 from .layout import Layout, align_to_reference
 from .numerics import (gen_eig_smallest, kkt_residuals, minimize_eq_constrained,
                        sym_eig_smallest)
-
-
-def laplacian(W: np.ndarray) -> np.ndarray:
-    """Graph Laplacian L = D - W, D the diagonal degree matrix. W has no
-    self-loops, so L's diagonal holds the degrees and its trace the total
-    degree."""
-    W = np.asarray(W, dtype=float)
-    return np.diag(W.sum(axis=1)) - W
 
 
 def energy(X: np.ndarray, L: np.ndarray) -> float:

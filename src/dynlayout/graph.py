@@ -99,6 +99,15 @@ def augment(M: np.ndarray, C: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
+def laplacian(W: np.ndarray) -> np.ndarray:
+    """Graph Laplacian L = D - W, D the diagonal degree matrix. W has no
+    self-loops, so L's diagonal holds the degrees and its trace the total
+    degree. A zero weight gives +0.0 off the diagonal, so adding b to the
+    diagonal gives the bits of the dense sum L + diag(b)."""
+    W = np.asarray(W, dtype=float)
+    return np.diag(W.sum(axis=1)) - W
+
+
 def has_temporal_anchor(beta: float, e: np.ndarray) -> bool:
     """Whether the temporal penalty ties any node to its previous position:
     beta is nonzero and presence vector e marks some node present at t-1."""

@@ -169,7 +169,7 @@ def parse_groups(path, network: DynamicNetwork, k: Optional[int] = None) -> Dyna
             raise DataError(f"{path}:{lineno}: time step {t} outside the network")
         labels_at[t, u] = lab
         max_label = max(max_label, lab)
-    k = k or max_label
+    k = max_label if k is None else k
     if max_label > k:
         raise DataError(f"{path}: label {max_label} exceeds k={k}")
     groups = []

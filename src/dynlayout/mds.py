@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, NotPositiveDefiniteError
-from .graph import augment, has_temporal_anchor, require_connected
+from .graph import augment, has_temporal_anchor, laplacian, require_connected
 from .layout import Layout
 from .numerics import spd_factor, spd_solve
 
@@ -100,28 +100,6 @@ def stress(X: np.ndarray, delta: np.ndarray, V: np.ndarray) -> float:
     distances: (1/2) sum_ij v_ij (delta_ij - |x_i - x_j|)^2."""
     system = _Majorization(np.asarray(V, dtype=float), np.asarray(delta, dtype=float))
     return system.at(X).stress()
-
-
-def build_R(V: np.ndarray) -> np.ndarray:
-    """Weighted Laplacian of the MDS weight matrix: r_ij = -v_ij off the
-    diagonal, rows summing to zero."""
-    # 0.0 - v rather than -v: a zero weight gives +0.0, so adding beta e on the
-    # diagonal alone gives the bits of the dense sum R + beta diag(e)
-    R = 0.0 - np.asarray(V, dtype=float)
-    np.fill_diagonal(R, 0.0)
-    np.fill_diagonal(R, -R.sum(axis=1))
-    return R
-
-
-def build_S(V: np.ndarray, delta: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Majorization matrix at the reference configuration Z.
-
-    Off-diagonal s_ij = -v_ij delta_ij / |z_i - z_j|, set to 0 for
-    coincident points (standard SMACOF convention); the diagonal makes
-    rows sum to zero.
-    """
-    system = _Majorization(np.asarray(V, dtype=float), np.asarray(delta, dtype=float))
-    return system.at(Z).S()
 
 
 def augment_mds(V: np.ndarray, delta: np.ndarray, C: np.ndarray, alpha: float):
@@ -237,7 +215,8 @@ def dmds_layout(
 
     V_aug, delta_aug = augment_mds(V, delta, C, alpha)
     e_aug = np.pad(np.asarray(e, dtype=float), (0, k))
-    A = build_R(V_aug)
+    # R_aug + beta diag(e): R_aug is the Laplacian of the augmented weights
+    A = laplacian(V_aug)
     A[np.diag_indices_from(A)] += beta * e_aug
 
     temporal = has_temporal_anchor(beta, e_aug)

@@ -73,18 +73,6 @@ def mean_of_present(values) -> float:
     return float(arr.mean()) if arr.size else float("nan")
 
 
-def cumulative_movement(trajectory: Sequence[Optional[np.ndarray]]) -> float:
-    """Total squared per-step displacement of one node over the steps where
-    it persists (both endpoints present)."""
-    total = 0.0
-    for prev, cur in zip(trajectory, list(trajectory)[1:]):
-        if prev is None or cur is None:
-            continue
-        diff = np.atleast_1d(np.asarray(cur, dtype=float)) - np.atleast_1d(np.asarray(prev, dtype=float))
-        total += float(diff @ diff)
-    return total
-
-
 @dataclass(frozen=True)
 class StepCosts:
     """Per-step cost record; temporal cost is None at the first step and

@@ -106,12 +106,13 @@ def render_frames(network: DynamicNetwork, sequence: LayoutSequence, out_dir,
     return paths
 
 
-def render_timeplot(sequence: LayoutSequence, out_file) -> Path:
-    """Time plot of a 1-D layout sequence: x is the time step, y the
-    coordinate; each segment is colored by the node's group at the segment
-    start."""
+def render_timeplot(network: DynamicNetwork, sequence: LayoutSequence, out_file) -> Path:
+    """Time plot of a 1-D layout sequence of ``network``: x is the time
+    step, y the coordinate; each segment is colored by the node's group at
+    the segment start."""
     if sequence.dims != 1:
         raise DataError("time plots need 1-D layouts")
+    check_layout_nodes(network, sequence)
     steps = sequence.steps
     T = len(steps)
     values = np.concatenate([step.X[:, 0] for step in steps])

@@ -52,13 +52,6 @@ class SbmConfig:
         return cls(n=n, k=k, P=P, T=T, **kwargs)
 
 
-@dataclass(frozen=True)
-class PlantedTruth:
-    """True group labels for every node at every step."""
-
-    labels: tuple[tuple[int, ...], ...]
-
-
 def sbm_sample(P: np.ndarray, labels, rng: np.random.Generator) -> np.ndarray:
     """One unweighted symmetric draw: each unordered pair (i, j) gets an
     edge independently with probability P[group(i), group(j)]."""
@@ -88,14 +81,14 @@ def _reassign(labels: np.ndarray, config: SbmConfig, rng: np.random.Generator) -
     return new_labels
 
 
-def sbm_sequence(config: SbmConfig) -> tuple[DynamicNetwork, PlantedTruth]:
-    """T independent snapshots with planted group labels attached."""
+def sbm_sequence(config: SbmConfig) -> DynamicNetwork:
+    """T independent snapshots, each with its planted group labels attached
+    as ``snap.groups``."""
     rng = np.random.default_rng(config.seed)
     width = len(str(config.n - 1))
     registry = NodeRegistry(f"{i:0{width}d}" for i in range(config.n))
     labels = _initial_labels(config, rng)
     snapshots = []
-    truth = []
     for t in range(config.T):
         if config.change_step is not None and t == config.change_step:
             labels = _reassign(labels, config, rng)
@@ -104,5 +97,4 @@ def sbm_sequence(config: SbmConfig) -> tuple[DynamicNetwork, PlantedTruth]:
             t=t, W=W, active=tuple(range(config.n)),
             groups=GroupAssignment(labels=tuple(int(v) for v in labels), k=config.k),
         ))
-        truth.append(tuple(int(v) for v in labels))
-    return DynamicNetwork(registry, snapshots), PlantedTruth(labels=tuple(truth))
+    return DynamicNetwork(registry, snapshots)

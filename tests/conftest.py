@@ -34,6 +34,30 @@ def connectivity_verdict(A: np.ndarray):
     return None
 
 
+def adjusted_rand_index(a, b) -> float:
+    """Chance-corrected agreement between two labelings."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    cats_a = {v: i for i, v in enumerate(np.unique(a))}
+    cats_b = {v: i for i, v in enumerate(np.unique(b))}
+    table = np.zeros((len(cats_a), len(cats_b)))
+    for x, y in zip(a, b):
+        table[cats_a[x], cats_b[y]] += 1
+
+    def comb2(v):
+        return v * (v - 1) / 2.0
+
+    sum_cells = comb2(table).sum()
+    sum_rows = comb2(table.sum(axis=1)).sum()
+    sum_cols = comb2(table.sum(axis=0)).sum()
+    total = comb2(float(len(a)))
+    expected = sum_rows * sum_cols / total
+    max_index = (sum_rows + sum_cols) / 2.0
+    if max_index == expected:
+        return 1.0
+    return float((sum_cells - expected) / (max_index - expected))
+
+
 def floyd_warshall_reference(W: np.ndarray) -> np.ndarray:
     """Independent all-pairs shortest-path oracle."""
     n = W.shape[0]

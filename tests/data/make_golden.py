@@ -142,8 +142,8 @@ def write_inputs(out_dir: Path) -> list[str]:
     records over ten nodes and four steps: each present node scores five
     peers, node q09 is absent at t = 1, and the first record is repeated
     at the end with another value."""
-    net, _ = sbm_sequence(SbmConfig.two_rate(n=24, k=4, p_in=0.6, p_out=0.2, T=6,
-                                             seed=2, balanced=True))
+    net = sbm_sequence(SbmConfig.two_rate(n=24, k=4, p_in=0.6, p_out=0.2, T=6,
+                                          seed=2, balanced=True))
     first = net.snapshots[0]
     members = {lab: {idx for idx, g in zip(first.active, first.groups.labels) if g == lab}
                for lab in (3, 4)}
@@ -197,9 +197,8 @@ def _drop_nodes(network: DynamicNetwork, dropped_at) -> DynamicNetwork:
 
 def protocol_network(seed: int) -> DynamicNetwork:
     """The block-model network of the acceptance protocol at ``seed``."""
-    net, _ = sbm_sequence(SbmConfig.two_rate(n=30, k=4, p_in=0.6, p_out=0.2, T=20,
-                                             change_step=10, change_fraction=0.25, seed=seed))
-    return net
+    return sbm_sequence(SbmConfig.two_rate(n=30, k=4, p_in=0.6, p_out=0.2, T=20,
+                                           change_step=10, change_fraction=0.25, seed=seed))
 
 
 def digest_networks():
@@ -211,9 +210,9 @@ def digest_networks():
         networks += [(f"protocol{seed}", net, seed, METHODS),
                      (f"protocol{seed}-churn", churned, seed, METHODS)]
     for seed in (1, 2):
-        net, _ = sbm_sequence(SbmConfig.two_rate(n=200, k=4, p_in=0.15, p_out=0.03, T=3,
-                                                 change_step=2, change_fraction=0.25,
-                                                 seed=seed))
+        net = sbm_sequence(SbmConfig.two_rate(n=200, k=4, p_in=0.15, p_out=0.03, T=3,
+                                              change_step=2, change_fraction=0.25,
+                                              seed=seed))
         networks.append((f"large{seed}", net, seed, tuple(m for m in METHODS if m != "dgll")))
     return networks
 

@@ -22,8 +22,7 @@ import scipy.optimize
 import scipy.stats
 
 import dynlayout as dl
-from conftest import ACCEPTANCE_LINES, random_connected_adjacency
-from dynlayout import clustering as clus
+from conftest import ACCEPTANCE_LINES, adjusted_rand_index, random_connected_adjacency
 from dynlayout import gll, mds
 from dynlayout.distances import kk_weights, shortest_path_distances
 from dynlayout.graph import augment
@@ -46,10 +45,9 @@ def below(a: float, b: float, margin: float = 0.05) -> bool:
 
 
 def protocol_network(seed: int):
-    net, _ = dl.sbm_sequence(dl.SbmConfig.two_rate(
+    return dl.sbm_sequence(dl.SbmConfig.two_rate(
         n=30, k=4, p_in=0.6, p_out=0.2, T=20, change_step=10,
         change_fraction=0.25, seed=seed))
-    return net
 
 
 @pytest.fixture(scope="module")
@@ -462,13 +460,13 @@ class TestCriterion11ClusteringSanity:
         ari_by_step = np.zeros((20, T))
         alphas_ok = True
         for seed in range(20):
-            net, truth = dl.sbm_sequence(dl.SbmConfig.two_rate(
+            net = dl.sbm_sequence(dl.SbmConfig.two_rate(
                 n=30, k=4, p_in=0.6, p_out=0.2, T=T, seed=31000 + seed))
             labels_by_step, alphas = dl.learn_group_sequence(net, 4, seed=seed)
             alphas_ok &= all(0.0 <= a <= 1.0 for a in alphas)
             for t in range(T):
-                ari_by_step[seed, t] = clus.adjusted_rand_index(
-                    labels_by_step[t], truth.labels[t])
+                ari_by_step[seed, t] = adjusted_rand_index(
+                    labels_by_step[t], net.snapshots[t].groups.labels)
         means = ari_by_step.mean(axis=0)
         tail_ok = bool(np.all(means[3:] >= 0.9))
         check("11 (evolutionary clustering sanity)", tail_ok and alphas_ok,

@@ -178,6 +178,38 @@ class TestExitCodes:
                     "set or order") in capsys.readouterr().err
         assert not (tmp_path / "frames").exists()
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_layout_of_fewer_steps_is_data_error(self, dims, tmp_path, capsys):
+        # a layout of the first three steps of a five-step file: both render
+        # paths and metrics reject it, as they reject other node ids
+        edges = (("a", "b"), ("b", "c"), ("c", "d"))
+        snaps, short = tmp_path / "five.tsv", tmp_path / "three.tsv"
+        for path, steps in ((snaps, 5), (short, 3)):
+            path.write_text("".join(f"{t}\t{u}\t{v}\t1\n" for t in range(steps)
+                                    for u, v in edges), encoding="utf-8")
+        assert run(["layout", "--input", str(short), "--method", "mds-static",
+                    "--dims", str(dims), "--out", str(tmp_path / "run")]) == 0
+        base = ["--input", str(snaps), "--layout", str(tmp_path / "run.layout.json")]
+        for command, out in (("render", "plot.svg" if dims == 1 else "frames"),
+                             ("metrics", "costs.csv")):
+            assert run([command, *base, "--out", str(tmp_path / out)]) == 2
+            assert capsys.readouterr().err == ("data error: layout document and snapshot "
+                                               "file have different step counts\n")
+            assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("k", [0, 1, -1])
+    @pytest.mark.parametrize("command", [
+        ["layout"], ["sweep", "--alphas", "1", "--betas", "1"],
+        ["metrics", "--layout", "unread.layout.json"]], ids=["layout", "sweep", "metrics"])
+    def test_groups_file_above_k_is_data_error(self, command, k, sbm_fixture, tmp_path,
+                                               capsys):
+        # k = 0 is a group count like any other, not a request to use the
+        # largest label in the file
+        _, snaps, groups = sbm_fixture
+        assert run([*command, "--input", str(snaps), "--groups", str(groups),
+                    "--k", str(k), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"data error: {groups}: label 2 exceeds k={k}\n"
+
     def test_render_takes_no_groups(self, sbm_fixture, tmp_path):
         # frame colors come from the layout document's labels
         _, snaps, groups = sbm_fixture
@@ -297,8 +329,8 @@ class TestGoldenFixture:
         # no digest value is asserted: the bits depend on the BLAS build
         from dynlayout import RegularizationConfig, SbmConfig, run_sequence, sbm_sequence
 
-        network, _ = sbm_sequence(SbmConfig.two_rate(n=12, k=2, p_in=0.8, p_out=0.15, T=3,
-                                                     seed=7))
+        network = sbm_sequence(SbmConfig.two_rate(n=12, k=2, p_in=0.8, p_out=0.15, T=3,
+                                                  seed=7))
         network = make_golden._drop_nodes(network, lambda t: {0, 1, 2} if t % 2 else set())
         config = RegularizationConfig(method="dmds", groups="known")
         first = make_golden.run_record(network, config)

@@ -6,10 +6,11 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import adjusted_rand_index
 from dynlayout import clustering
-from dynlayout.clustering import (_assignment, _block_statistics, adjusted_rand_index,
-                                  affect_alpha, affect_cluster_step, affect_smooth, kmeans,
-                                  match_labels, spectral_cluster)
+from dynlayout.clustering import (_assignment, _block_statistics, affect_alpha,
+                                  affect_cluster_step, affect_smooth, kmeans, match_labels,
+                                  spectral_cluster)
 from dynlayout.errors import DataError
 from dynlayout.sbm import sbm_sample
 

@@ -24,7 +24,6 @@ class TestShortestPaths:
 
     def test_disconnected_pair_flagged(self):
         dm = shortest_path_distances(np.zeros((2, 2)))
-        assert not dm.reachable[0, 1]
         assert np.isinf(dm.delta[0, 1])
 
     def test_negative_weight_rejected(self):

@@ -578,7 +578,7 @@ class TestDgllLayout:
     def test_protocol_solves_stay_under_200_iterations(self, monkeypatch):
         # every solve on one protocol network (acceptance seed 0, known
         # groups, 2-D) converges well inside 200 iterations
-        network, _ = dl.sbm_sequence(dl.SbmConfig.two_rate(
+        network = dl.sbm_sequence(dl.SbmConfig.two_rate(
             n=30, k=4, p_in=0.6, p_out=0.2, T=20, change_step=10,
             change_fraction=0.25, seed=0))
         results = []

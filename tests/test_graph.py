@@ -5,10 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import dynlayout
 from conftest import connectivity_verdict
+from dynlayout import gll, graph, mds
 from dynlayout.errors import DataError
 from dynlayout.graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot,
                              build_membership_matrix, validate_snapshot)
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in dynlayout.__all__ if not hasattr(dynlayout, name)]
+        assert missing == []
+
+    def test_both_layout_families_share_one_laplacian(self):
+        assert gll.laplacian is graph.laplacian
+        assert mds.laplacian is graph.laplacian
 
 
 class TestValidateSnapshot:

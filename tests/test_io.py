@@ -18,8 +18,8 @@ from dynlayout.sbm import SbmConfig, sbm_sequence
 @pytest.fixture(scope="module")
 def sbm_files(tmp_path_factory):
     base = tmp_path_factory.mktemp("sbm")
-    network, _ = sbm_sequence(SbmConfig.two_rate(n=10, k=2, p_in=0.8, p_out=0.2,
-                                                 T=3, seed=5))
+    network = sbm_sequence(SbmConfig.two_rate(n=10, k=2, p_in=0.8, p_out=0.2,
+                                              T=3, seed=5))
     snap_path = base / "net.snapshots.tsv"
     groups_path = base / "net.groups.tsv"
     dio.write_snapshots(network, snap_path)
@@ -279,8 +279,8 @@ class TestIngestionMatchesReference:
 
 @pytest.fixture(scope="module")
 def sequence():
-    network, _ = sbm_sequence(SbmConfig.two_rate(n=8, k=2, p_in=0.8, p_out=0.2,
-                                                 T=2, seed=3))
+    network = sbm_sequence(SbmConfig.two_rate(n=8, k=2, p_in=0.8, p_out=0.2,
+                                              T=2, seed=3))
     config = RegularizationConfig(method="dmds", groups="known", seed=1)
     seq, _ = run_sequence(network, config)
     return seq

@@ -10,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_connected_adjacency
 from dynlayout.distances import kk_weights, shortest_path_distances
 from dynlayout.errors import DisconnectedGraphError
+from dynlayout.graph import augment, laplacian
 from dynlayout.mds import (DEFAULT_EPSILON, DEFAULT_MAX_ITER, _Majorization, augment_mds,
-                           build_R, build_S, dmds_layout, modified_stress, smacof_static,
-                           stabilized_mds_online, stress)
+                           dmds_layout, modified_stress, smacof_static, stabilized_mds_online,
+                           stress)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -178,20 +179,66 @@ class TestStress:
         assert stress(X, delta, V) == pytest.approx(expected)
 
 
+def reference_R(V: np.ndarray) -> np.ndarray:
+    """The weighted Laplacian of MDS weights as the stress solver first built
+    it: r_ij = -v_ij off the diagonal, rows summing to zero."""
+    # 0.0 - v rather than -v: a zero weight gives +0.0, so adding beta e on the
+    # diagonal alone gives the bits of the dense sum R + beta diag(e)
+    R = 0.0 - np.asarray(V, dtype=float)
+    np.fill_diagonal(R, 0.0)
+    np.fill_diagonal(R, -R.sum(axis=1))
+    return R
+
+
+@st.composite
+def mds_weight_matrices(draw):
+    """Symmetric nonnegative zero-diagonal weights, n from 1 to 12, with
+    some rows zeroed; half of them the augmented weights of a grouping."""
+    n = draw(st.integers(1, 12))
+    V = draw(arrays(float, (n, n), elements=st.floats(0, 5) | st.just(0.0)))
+    V = np.triu(V, 1)
+    V = V + V.T
+    zero = draw(arrays(bool, n))
+    V[zero] = 0.0
+    V[:, zero] = 0.0
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        labels = draw(arrays(int, n, elements=st.integers(-1, k - 1)))
+        C = np.zeros((n, k))
+        C[labels >= 0, labels[labels >= 0]] = 1.0
+        V = augment(V, C, draw(st.just(0.0) | st.floats(0.1, 3.0)))
+    return V
+
+
 class TestBuildR:
     def test_two_nodes(self):
-        assert np.array_equal(build_R(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        assert np.array_equal(laplacian(np.array([[0.0, 1.0], [1.0, 0.0]])),
                               [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_zero_weights(self):
-        assert np.array_equal(build_R(np.zeros((3, 3))), np.zeros((3, 3)))
+        assert np.array_equal(laplacian(np.zeros((3, 3))), np.zeros((3, 3)))
 
     @given(arrays(float, (4, 4), elements=st.floats(0, 5)))
     @settings(deadline=None, max_examples=50)
     def test_rows_sum_to_zero(self, V):
         V = (V + V.T) / 2
         np.fill_diagonal(V, 0)
-        assert np.allclose(build_R(V).sum(axis=1), 0.0, atol=1e-9)
+        assert np.allclose(laplacian(V).sum(axis=1), 0.0, atol=1e-9)
+
+    @given(mds_weight_matrices(), st.sampled_from([0.0, 0.5, 1.0, 7.0]))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reference_byte_for_byte(self, V, beta):
+        # the stress solver's system matrix, R + beta diag(e), for 0/1 presence e
+        e = (np.arange(V.shape[0]) % 2).astype(float)
+        A, R = laplacian(V), reference_R(V)
+        A[np.diag_indices_from(A)] += beta * e
+        R[np.diag_indices_from(R)] += beta * e
+        assert A.tobytes() == R.tobytes()
+        # alone they differ only in the sign of a zero row's diagonal zero
+        # (+0.0 against the reference's -0.0), which adding beta e erases
+        assert np.array_equal(laplacian(V), reference_R(V))
+        off = ~np.eye(V.shape[0], dtype=bool)
+        assert laplacian(V)[off].tobytes() == reference_R(V)[off].tobytes()
 
 
 class TestBuildS:
@@ -199,17 +246,17 @@ class TestBuildS:
         V = np.array([[0.0, 1.0], [1.0, 0.0]])
         delta = np.array([[0.0, 2.0], [2.0, 0.0]])
         Z = np.array([[0.0], [1.0]])
-        assert np.array_equal(build_S(V, delta, Z), [[2.0, -2.0], [-2.0, 2.0]])
+        assert np.array_equal(_Majorization(V, delta).at(Z).S(), [[2.0, -2.0], [-2.0, 2.0]])
 
     def test_coincident_rows_convention(self):
         V = np.array([[0.0, 1.0], [1.0, 0.0]])
         delta = np.array([[0.0, 2.0], [2.0, 0.0]])
-        S = build_S(V, delta, np.zeros((2, 1)))
+        S = _Majorization(V, delta).at(np.zeros((2, 1))).S()
         assert np.array_equal(S, np.zeros((2, 2)))
 
     def test_rows_sum_to_zero(self, rng):
         delta, V = kk_problem(rng, 5)
-        S = build_S(V, delta, rng.standard_normal((5, 2)))
+        S = _Majorization(V, delta).at(rng.standard_normal((5, 2))).S()
         assert np.allclose(S.sum(axis=1), 0.0, atol=1e-12)
 
 

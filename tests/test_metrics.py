@@ -4,8 +4,8 @@ import pytest
 from conftest import random_connected_adjacency
 from dynlayout.distances import kk_weights, shortest_path_distances
 from dynlayout.gll import laplacian
-from dynlayout.metrics import (CostReport, StepCosts, centroid_cost, cumulative_movement,
-                               static_cost_gll, static_cost_mds, temporal_cost)
+from dynlayout.metrics import (CostReport, StepCosts, centroid_cost, static_cost_gll,
+                               static_cost_mds, temporal_cost)
 
 
 class TestStaticCostMds:
@@ -127,20 +127,6 @@ class TestTemporalCost:
         shift = np.array([7.0, -2.0])
         assert temporal_cost(X + shift, X_prev + shift, e) == \
             pytest.approx(temporal_cost(X, X_prev, e))
-
-
-class TestCumulativeMovement:
-    def test_stationary_node(self):
-        traj = [np.array([1.0, 2.0])] * 5
-        assert cumulative_movement(traj) == 0.0
-
-    def test_one_dimensional_path(self):
-        traj = [np.array([0.0]), np.array([1.0]), np.array([3.0])]
-        assert cumulative_movement(traj) == pytest.approx(5.0)
-
-    def test_absent_steps_contribute_nothing(self):
-        traj = [np.array([0.0]), None, np.array([10.0]), np.array([11.0])]
-        assert cumulative_movement(traj) == pytest.approx(1.0)
 
 
 class TestCostReport:

@@ -28,13 +28,12 @@ TWO_TRIANGLES = np.kron(np.eye(2), TRIANGLE)
 def small_sbm():
     config = SbmConfig.two_rate(n=14, k=2, p_in=0.7, p_out=0.15, T=4,
                                 change_step=2, change_fraction=0.25, seed=11)
-    network, truth = sbm_sequence(config)
-    return network, truth
+    return sbm_sequence(config)
 
 
 class TestRunSequence:
     def test_single_step_has_no_temporal_row(self, small_sbm):
-        network, _ = small_sbm
+        network = small_sbm
         single = DynamicNetwork(network.registry, network.snapshots[:1])
         for method in METHODS:
             config = RegularizationConfig(
@@ -45,7 +44,7 @@ class TestRunSequence:
             assert report.steps[0].temporal_cost is None
 
     def test_dmds_without_penalties_matches_static(self, small_sbm):
-        network, _ = small_sbm
+        network = small_sbm
         dmds_cfg = RegularizationConfig(method="dmds", alpha=0.0, beta=0.0,
                                         groups="none", seed=5)
         static_cfg = RegularizationConfig(method="mds-static", alpha=0.0, beta=0.0,
@@ -56,21 +55,26 @@ class TestRunSequence:
             assert a.static_cost == b.static_cost
             assert a.iterations == b.iterations
 
-    def test_online_causality_truncation(self, small_sbm):
-        network, _ = small_sbm
-        for method in ("dmds", "mds-stabilized", "dgll", "bfp"):
-            config = RegularizationConfig(
-                method=method, groups="known" if method in GROUPING_METHODS else "none",
-                seed=9)
-            full_seq, full_rep = run_sequence(network, config)
-            trunc_seq, trunc_rep = run_sequence(
-                DynamicNetwork(network.registry, network.snapshots[:3]), config)
-            for t in range(3):
-                assert np.array_equal(full_seq.steps[t].X, trunc_seq.steps[t].X)
-                assert full_rep.steps[t].static_cost == trunc_rep.steps[t].static_cost
+    @pytest.mark.parametrize("method, groups", [
+        (method, groups) for method in METHODS for groups in ("known", "none", "learn")])
+    def test_online_causality_truncation(self, method, groups, small_sbm):
+        # a run on the first three steps is the full run's first three steps,
+        # bit for bit: coordinates, representatives, labels and cost records
+        network = small_sbm
+        config = RegularizationConfig(method=method, groups=groups, seed=9,
+                                      k=2 if groups == "learn" else None)
+        full_seq, full_rep = run_sequence(network, config)
+        trunc_seq, trunc_rep = run_sequence(
+            DynamicNetwork(network.registry, network.snapshots[:3]), config)
+        for full, trunc in zip(full_seq.steps, trunc_seq.steps):
+            assert full.X.tobytes() == trunc.X.tobytes()
+            assert (full.Y is None and trunc.Y is None) or full.Y.tobytes() == trunc.Y.tobytes()
+            assert (full.ids, full.labels) == (trunc.ids, trunc.labels)
+        assert len(trunc_seq.steps) == 3
+        assert full_rep.steps[:3] == trunc_rep.steps
 
     def test_learned_groups_path(self, small_sbm):
-        network, truth = small_sbm
+        network = small_sbm
         config = RegularizationConfig(method="dmds", groups="learn", k=2, seed=3)
         sequence, report = run_sequence(network, config)
         assert all(step.labels is not None for step in sequence.steps)
@@ -89,7 +93,7 @@ class TestRunSequence:
             calls = []
             permutation = clustering.label_permutation
             clustering.label_permutation = lambda *a: calls.append(a) or permutation(*a)
-            network, _ = sbm_sequence(SbmConfig.two_rate(
+            network = sbm_sequence(SbmConfig.two_rate(
                 n=14, k=2, p_in=0.7, p_out=0.15, T=4, change_step=2,
                 change_fraction=0.25, seed=11))
             run_sequence(network, RegularizationConfig(method="dmds", groups="learn",
@@ -103,7 +107,7 @@ class TestRunSequence:
         assert int(out[0]) >= 3 and out[1] == "False"
 
     def test_eval_groups_used_for_ungrouped_methods(self, small_sbm):
-        network, _ = small_sbm
+        network = small_sbm
         config = RegularizationConfig(method="mds-static", groups="none", seed=3)
         _, report = run_sequence(network, config)
         assert all(s.centroid_cost is not None for s in report.steps)
@@ -224,13 +228,13 @@ class TestRunSequence:
         if field != "epsilon":
             # parameter_sweep builds its cells with dataclasses.replace
             with pytest.raises(DataError, match=field):
-                parameter_sweep(small_sbm[0], "dmds", [value if field == "alpha" else 1.0],
+                parameter_sweep(small_sbm, "dmds", [value if field == "alpha" else 1.0],
                                 [value if field == "beta" else 1.0], [0])
 
 
 class TestScoreSequence:
     def test_unknown_method_is_data_error(self, small_sbm):
-        network, _ = small_sbm
+        network = small_sbm
         sequence, _ = run_sequence(network, RegularizationConfig(method="dmds", seed=1))
         assert len(score_sequence(network, sequence).steps) == len(network.snapshots)
         sequence.metadata["method"] = "banana"
@@ -254,7 +258,7 @@ class TestBlasThreads:
             return solver(*args, **kwargs)
 
         monkeypatch.setattr(mds, "dmds_layout", record)
-        network, _ = small_sbm
+        network = small_sbm
         run_sequence(network, RegularizationConfig(method="dmds", groups="known", seed=3))
         assert len(inside) == len(network.snapshots)
         assert all(counts == [1] * len(caller) for counts in inside)
@@ -271,7 +275,7 @@ class TestBlasThreads:
 
     def test_no_library_found_leaves_output_unchanged(self, small_sbm, blas_threads,
                                                       monkeypatch):
-        network, _ = small_sbm
+        network = small_sbm
         for method in ("dmds", "dgll", "bfp"):
             config = RegularizationConfig(method=method, groups="known", seed=4)
             expected = run_sequence(network, config)
@@ -289,7 +293,7 @@ class TestBlasThreads:
         blas_threads.set([2] * len(blas_threads.counts()))
         if blas_threads.counts() != [2] * len(blas_threads.counts()):
             pytest.skip("this BLAS cannot run two threads")
-        network, _ = sbm_sequence(SbmConfig.two_rate(
+        network = sbm_sequence(SbmConfig.two_rate(
             n=200, k=4, p_in=0.15, p_out=0.03, T=2, change_step=1, change_fraction=0.25,
             seed=3))
         config = RegularizationConfig(method="dmds", groups="known", seed=1)
@@ -303,7 +307,7 @@ class TestBlasThreads:
 
 class TestLearnGroupSequence:
     def test_labels_and_alphas_per_step(self, small_sbm):
-        network, truth = small_sbm
+        network = small_sbm
         labels, alphas = learn_group_sequence(network, 2, seed=4)
         assert len(labels) == len(network.snapshots)
         assert alphas[0] == 0.0
@@ -311,7 +315,7 @@ class TestLearnGroupSequence:
 
     @pytest.mark.parametrize("method", ["dmds", "spectral"])
     def test_run_sequence_lays_out_the_same_labels(self, method, small_sbm):
-        network, _ = small_sbm
+        network = small_sbm
         labels, _ = learn_group_sequence(network, 2, seed=4)
         sequence, _ = run_sequence(network, RegularizationConfig(method=method, groups="learn",
                                                                  k=2, seed=4))
@@ -320,7 +324,7 @@ class TestLearnGroupSequence:
 
 class TestParameterSweep:
     def test_single_cell_matches_single_run(self, small_sbm):
-        network, _ = small_sbm
+        network = small_sbm
         base = RegularizationConfig(method="dmds", groups="known", seed=0)
         records = parameter_sweep(network, "dmds", [1.0], [1.0], [0], base_config=base)
         assert len(records) == 1
@@ -329,7 +333,7 @@ class TestParameterSweep:
         assert records[0]["mean_temporal"] == pytest.approx(report.mean_temporal)
 
     def test_full_factorial_shape_and_determinism(self, small_sbm):
-        network, _ = small_sbm
+        network = small_sbm
         base = RegularizationConfig(method="dmds", groups="known")
         records_a = parameter_sweep(network, "dmds", [0.5, 2.0], [0.5, 2.0], [0, 1],
                                     base_config=base)
@@ -339,7 +343,7 @@ class TestParameterSweep:
         assert records_a == records_b
 
     def test_learned_groups_clustered_once_per_seed(self, small_sbm, monkeypatch):
-        network, _ = small_sbm
+        network = small_sbm
         base = RegularizationConfig(method="mds-static", groups="learn", k=2)
         grid = ([0.5, 2.0], [0.5, 2.0])
         per_cell = [record for alpha in grid[0] for beta in grid[1]
@@ -358,7 +362,7 @@ class TestParameterSweep:
         assert records == per_cell
 
     def test_clustering_error_in_sweep_names_step(self, small_sbm, monkeypatch):
-        network, _ = small_sbm
+        network = small_sbm
         step = clus.affect_cluster_step
 
         def fail_at_t2(psi_prev, W, prev_labels, k, seed):
@@ -506,3 +510,88 @@ class TestChurnProperties:
         for snap, step in zip(network.snapshots, sequence.steps):
             assert step.X.shape == (snap.n, s)
             assert np.all(np.isfinite(step.X))
+
+
+def churned_block_model(seed: int, late_nodes: bool = False) -> DynamicNetwork:
+    """A protocol-like block-model sequence with churn: 30 nodes in four
+    groups over six steps, nodes 0-2 absent at odd steps, group 4 absent at
+    t = 0 and group 3 emptied from t = 4 on. Group 4's members are present
+    but unlabeled at t = 0, or with ``late_nodes`` absent until t = 1, so
+    that they enter the layout as new nodes."""
+    network = sbm_sequence(SbmConfig.two_rate(
+        n=30, k=4, p_in=0.6, p_out=0.2, T=6, change_step=3, change_fraction=0.25, seed=seed))
+    snaps = []
+    for snap in network.snapshots:
+        late = [snap.t == 0 and lab == 4 for lab in snap.groups.labels]
+        keep = [row for row, (idx, lab) in enumerate(zip(snap.active, snap.groups.labels))
+                if not (snap.t % 2 and idx < 3) and not (snap.t >= 4 and lab == 3)
+                and not (late_nodes and late[row])]
+        labels = tuple(None if late[row] else snap.groups.labels[row] for row in keep)
+        snaps.append(Snapshot(t=snap.t, W=snap.W[np.ix_(keep, keep)],
+                              active=[snap.active[row] for row in keep],
+                              groups=GroupAssignment(labels, 4)))
+    return DynamicNetwork(network.registry, snaps)
+
+
+def renamed_groups(network: DynamicNetwork, perm) -> DynamicNetwork:
+    """The network with known group j renamed perm[j - 1]."""
+    return network.with_groups(
+        GroupAssignment(tuple(None if lab is None else perm[lab - 1]
+                              for lab in snap.groups.labels), snap.groups.k)
+        for snap in network.snapshots)
+
+
+class TestGroupRenaming:
+    """Renaming the known groups is no change to the model: the nodes stay
+    put and each representative moves to its group's new id, within 1e-9
+    of the layout's scale."""
+
+    def assert_renaming_permutes_representatives(self, network, perm, config):
+        outcomes = []
+        for net in (network, renamed_groups(network, perm)):
+            try:
+                outcomes.append(run_sequence(net, config)[0])
+            except (DataError, NumericalError) as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        plain, renamed = outcomes
+        if isinstance(plain, str):
+            assert renamed == plain
+            return
+        scale = max(max(np.abs(step.X).max() for step in plain.steps), 1.0)
+        order = np.asarray(perm) - 1
+        for a, b in zip(plain.steps, renamed.steps, strict=True):
+            assert np.abs(a.X - b.X).max() <= 1e-9 * scale
+            assert (a.Y is None) == (b.Y is None)
+            if a.Y is not None:
+                assert np.abs(a.Y - b.Y[order]).max() <= 1e-9 * scale
+            assert b.labels == tuple(None if lab is None else perm[lab - 1]
+                                     for lab in a.labels)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("method", ["dmds", "dgll", "ccdr"])
+    @given(seed=st.integers(0, 2**31 - 1), perm=st.permutations([1, 2, 3, 4]))
+    @settings(deadline=None, max_examples=10, derandomize=True, database=None)
+    def test_renaming_groups_permutes_representatives(self, method, s, seed, perm):
+        # fixed draws: the two cases below break the relation on some draws
+        config = RegularizationConfig(method=method, groups="known", dims=s, seed=1)
+        self.assert_renaming_permutes_representatives(churned_block_model(seed), perm, config)
+
+    @pytest.mark.xfail(strict=True, reason="new nodes can start at one point, and "
+                       "majorization then splits them along rounding noise")
+    def test_renaming_moves_coincident_new_nodes(self):
+        # at t = 1 two members of group 4 enter with the same placed
+        # neighbors, so both start at those neighbors' centroid; renaming
+        # the groups reorders the system, and the layout moves by 0.4% of
+        # its scale
+        config = RegularizationConfig(method="dmds", groups="known", dims=2, seed=1)
+        self.assert_renaming_permutes_representatives(
+            churned_block_model(132, late_nodes=True), [1, 2, 4, 3], config)
+
+    @pytest.mark.xfail(strict=True, reason="the DGLL solve is local, and the row order "
+                       "of the system picks the minimum it reaches")
+    def test_renaming_moves_dgll_to_another_minimum(self):
+        # at t = 4 the two solves reach different KKT points from equivalent
+        # starts, with objectives 62.70 (as named) and 62.92 (renamed)
+        config = RegularizationConfig(method="dgll", groups="known", dims=1, seed=1)
+        self.assert_renaming_permutes_representatives(
+            churned_block_model(241877214), [4, 1, 2, 3], config)

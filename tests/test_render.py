@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynlayout.errors import DataError
+from dynlayout.graph import DynamicNetwork, NodeRegistry, Snapshot
 from dynlayout.pipeline import LayoutSequence, LayoutStep, RegularizationConfig, run_sequence
 from dynlayout.render import render_frames, render_timeplot
 from dynlayout.sbm import SbmConfig, sbm_sequence
@@ -12,17 +13,27 @@ from dynlayout.sbm import SbmConfig, sbm_sequence
 
 @pytest.fixture(scope="module")
 def run_2d():
-    network, _ = sbm_sequence(SbmConfig.two_rate(n=9, k=3, p_in=0.85, p_out=0.15,
-                                                 T=3, seed=2))
+    network = sbm_sequence(SbmConfig.two_rate(n=9, k=3, p_in=0.85, p_out=0.15,
+                                              T=3, seed=2))
     sequence, _ = run_sequence(network, RegularizationConfig(method="dmds",
                                                              groups="known", seed=2))
     return network, sequence
 
 
+def edgeless_network(sequence: LayoutSequence) -> DynamicNetwork:
+    """A network without edges whose snapshots hold the nodes of the
+    sequence's steps, which list their ids in ascending order."""
+    registry = NodeRegistry(node_id for step in sequence.steps for node_id in step.ids)
+    return DynamicNetwork(registry, [
+        Snapshot(t=step.t, W=np.zeros((len(step.ids), len(step.ids))),
+                 active=tuple(registry.index_of(node_id) for node_id in step.ids))
+        for step in sequence.steps])
+
+
 @pytest.fixture(scope="module")
 def run_1d():
-    network, _ = sbm_sequence(SbmConfig.two_rate(n=8, k=2, p_in=0.85, p_out=0.15,
-                                                 T=4, seed=6))
+    network = sbm_sequence(SbmConfig.two_rate(n=8, k=2, p_in=0.85, p_out=0.15,
+                                              T=4, seed=6))
     sequence, _ = run_sequence(network, RegularizationConfig(method="dgll", dims=1,
                                                              groups="known", seed=2))
     return network, sequence
@@ -105,8 +116,8 @@ class TestRenderFrames:
 
 class TestRenderTimeplot:
     def test_writes_valid_svg(self, run_1d, tmp_path):
-        _, sequence = run_1d
-        out = render_timeplot(sequence, tmp_path / "plot.svg")
+        network, sequence = run_1d
+        out = render_timeplot(network, sequence, tmp_path / "plot.svg")
         root = ET.parse(out).getroot()
         assert root.tag.endswith("svg")
 
@@ -114,7 +125,7 @@ class TestRenderTimeplot:
         steps = [LayoutStep(t=t, ids=("a",), X=np.array([[0.25]]),
                             labels=(1,), Y=None) for t in range(3)]
         seq = LayoutSequence(metadata={"method": "dgll", "dims": 1}, steps=steps)
-        out = render_timeplot(seq, tmp_path / "flat.svg")
+        out = render_timeplot(edgeless_network(seq), seq, tmp_path / "flat.svg")
         lines = re.findall(r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)"',
                            out.read_text())
         assert lines
@@ -127,7 +138,7 @@ class TestRenderTimeplot:
             LayoutStep(t=2, ids=("a",), X=np.array([[1.0]]), labels=(2,), Y=None),
         ]
         seq = LayoutSequence(metadata={"method": "dgll", "dims": 1}, steps=steps)
-        out = render_timeplot(seq, tmp_path / "switch.svg")
+        out = render_timeplot(edgeless_network(seq), seq, tmp_path / "switch.svg")
         strokes = re.findall(r'<line[^>]*stroke="(#\w+)"', out.read_text())
         assert len(strokes) == 2
         assert strokes[0] != strokes[1]  # color follows the segment-start group
@@ -136,12 +147,12 @@ class TestRenderTimeplot:
         seq = LayoutSequence(metadata={"method": "dgll", "dims": 1}, steps=[
             LayoutStep(t=0, ids=("a", "b"), X=np.array([[0.0], [1.0]]),
                        labels=(1, 2), Y=None)])
-        out = render_timeplot(seq, tmp_path / "single.svg")
+        out = render_timeplot(edgeless_network(seq), seq, tmp_path / "single.svg")
         text = out.read_text()
         assert "<circle" in text
         assert "<line" not in text
 
     def test_two_dimensional_sequence_rejected(self, run_2d, tmp_path):
-        _, sequence = run_2d
+        network, sequence = run_2d
         with pytest.raises(DataError, match="1-D"):
-            render_timeplot(sequence, tmp_path / "bad.svg")
+            render_timeplot(network, sequence, tmp_path / "bad.svg")

@@ -5,6 +5,11 @@ from dynlayout.errors import DataError
 from dynlayout.sbm import SbmConfig, sbm_sample, sbm_sequence
 
 
+def planted_labels(config):
+    """The group labels that ``sbm_sequence(config)`` attaches, per step."""
+    return [snap.groups.labels for snap in sbm_sequence(config).snapshots]
+
+
 class TestSbmSample:
     def test_all_ones_gives_complete_graph(self, rng):
         W = sbm_sample(np.ones((2, 2)), [1, 2, 1, 2], rng)
@@ -48,48 +53,49 @@ class TestSbmSequence:
 
     def test_no_change_keeps_labels_constant(self):
         config = self.protocol_config(change_step=None, change_fraction=0.0, T=5)
-        _, truth = sbm_sequence(config)
-        assert all(truth.labels[t] == truth.labels[0] for t in range(5))
+        labels = planted_labels(config)
+        assert all(labels[t] == labels[0] for t in range(5))
 
     def test_paper_protocol_reassigns_eight_nodes(self):
         # round(30 * 1/4) = 8
         for seed in range(5):
             config = self.protocol_config(seed=seed)
-            _, truth = sbm_sequence(config)
-            before = np.array(truth.labels[9])
-            after = np.array(truth.labels[10])
+            labels = planted_labels(config)
+            before = np.array(labels[9])
+            after = np.array(labels[10])
             assert int(np.sum(before != after)) == 8
-            assert truth.labels[10] == truth.labels[19]
-            assert truth.labels[0] == truth.labels[9]
+            assert labels[10] == labels[19]
+            assert labels[0] == labels[9]
 
     def test_reassigned_nodes_never_keep_their_label(self):
         for seed in range(10):
             config = self.protocol_config(seed=seed, change_fraction=1.0)
-            _, truth = sbm_sequence(config)
-            before = np.array(truth.labels[9])
-            after = np.array(truth.labels[10])
+            labels = planted_labels(config)
+            before = np.array(labels[9])
+            after = np.array(labels[10])
             assert np.all(before != after)
 
     def test_fixed_seed_is_bit_identical(self):
         config = self.protocol_config()
-        net_a, truth_a = sbm_sequence(config)
-        net_b, truth_b = sbm_sequence(config)
-        assert truth_a == truth_b
+        net_a = sbm_sequence(config)
+        net_b = sbm_sequence(config)
+        assert ([snap.groups for snap in net_a.snapshots]
+                == [snap.groups for snap in net_b.snapshots])
         for snap_a, snap_b in zip(net_a.snapshots, net_b.snapshots):
             assert np.array_equal(snap_a.W, snap_b.W)
 
     def test_balanced_flag_forces_near_equal_sizes(self):
         config = self.protocol_config(balanced=True, T=1, change_step=None,
                                       change_fraction=0.0, n=30, k=4)
-        _, truth = sbm_sequence(config)
-        sizes = [truth.labels[0].count(g) for g in (1, 2, 3, 4)]
+        labels = planted_labels(config)
+        sizes = [labels[0].count(g) for g in (1, 2, 3, 4)]
         assert max(sizes) - min(sizes) <= 1
 
     def test_snapshots_carry_planted_groups(self):
-        net, truth = sbm_sequence(self.protocol_config(T=3, change_step=2))
-        for t, snap in enumerate(net.snapshots):
+        net = sbm_sequence(self.protocol_config(T=3, change_step=2))
+        for snap in net.snapshots:
             assert snap.groups is not None
-            assert snap.groups.labels == truth.labels[t]
+            assert snap.groups.k == 4
 
     def test_cross_step_edge_correlation_is_negligible(self):
         # draws are independent conditional on the labels, so center each
@@ -97,9 +103,9 @@ class TestSbmSequence:
         xs, ys = [], []
         triu = np.triu_indices(30, 1)
         for seed in range(150):
-            net, truth = sbm_sequence(self.protocol_config(
+            net = sbm_sequence(self.protocol_config(
                 T=2, change_step=None, change_fraction=0.0, seed=seed))
-            labels = np.array(truth.labels[0])
+            labels = np.array(net.snapshots[0].groups.labels)
             same = (labels[:, None] == labels[None, :]).astype(float)
             p_pair = np.where(same == 1.0, 0.6, 0.2)[triu]
             xs.append(net.snapshots[0].W[triu] - p_pair)
