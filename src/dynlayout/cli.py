@@ -36,13 +36,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _list_of(kind, name: str):
-    """argparse type: a comma-separated list of ``kind`` values, called
-    ``name`` values in the usage error."""
+    """argparse type: a non-empty comma-separated list of ``kind`` values,
+    called ``name`` values in the usage error."""
     def parse(text: str) -> list:
         try:
-            return [kind(v) for v in text.split(",") if v.strip() != ""]
+            values = [kind(v) for v in text.split(",") if v.strip() != ""]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {name} list {text!r}") from None
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"bad {name} list {text!r}")
+        return values
     return parse
 
 

@@ -133,19 +133,24 @@ def dgll_objective(X_aug: np.ndarray, L_aug: np.ndarray, e_aug: np.ndarray,
     return value
 
 
+# the (a, b) entries of X^T M X - target*I that DGLL constrains, per dimension
+_CONSTRAINED_ENTRIES = {1: ((0, 0),), 2: ((0, 0), (1, 1), (1, 0))}
+
+
 class _DgllProblem:
     """Precomputed pieces of one constrained solve; all derivative formulas
     live here so the public derivative op and the solver share one source."""
 
     def __init__(self, L_aug, e_aug, beta, X_prev_aug, M, target, s):
-        if s not in (1, 2):
+        if s not in _CONSTRAINED_ENTRIES:
             raise DataError(
                 f"constrained dynamic layout supports 1-D and 2-D only, got s={s}")
         self.m = L_aug.shape[0]
         self.s = s
         self.L = L_aug
         self.M = M
-        self.target = target
+        self.entries = _CONSTRAINED_ENTRIES[s]
+        self.offsets = np.array([target if a == b else 0.0 for a, b in self.entries])
         e_aug = np.asarray(e_aug, dtype=float)
         self.A = 2.0 * L_aug
         self.A[np.diag_indices(self.m)] += 2.0 * beta * e_aug
@@ -161,42 +166,29 @@ class _DgllProblem:
         return float(np.sum(X * (self.L @ X)) + np.sum(X * (self.beta_e * X))
                      - np.sum(X * self.anchor))
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
+    def derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gradient, constraint values, constraint Jacobian) at x."""
         X = self.unflatten(x)
-        return (self.A @ X - self.anchor).T.reshape(-1)
-
-    def g(self, x: np.ndarray) -> np.ndarray:
-        X = self.unflatten(x)
-        if self.s == 1:
-            x1 = X[:, 0]
-            return np.array([x1 @ (self.M @ x1) - self.target])
-        x1, x2 = X[:, 0], X[:, 1]
-        Mx1, Mx2 = self.M @ x1, self.M @ x2
-        return np.array([x1 @ Mx1 - self.target, x2 @ Mx2 - self.target, x2 @ Mx1])
-
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        X = self.unflatten(x)
-        m = self.m
-        if self.s == 1:
-            return (2.0 * (self.M @ X[:, 0]))[None, :]
-        Mx1, Mx2 = self.M @ X[:, 0], self.M @ X[:, 1]
-        J = np.zeros((3, 2 * m))
-        J[0, :m] = 2.0 * Mx1
-        J[1, m:] = 2.0 * Mx2
-        J[2, :m] = Mx2
-        J[2, m:] = Mx1
-        return J
+        MX = [self.M @ X[:, a] for a in range(self.s)]
+        g = np.array([X[:, a] @ MX[b] for a, b in self.entries]) - self.offsets
+        J = np.zeros((len(self.entries), self.s, self.m))
+        for r, (a, b) in enumerate(self.entries):
+            if a == b:
+                J[r, a] = 2.0 * MX[a]
+            else:
+                J[r, a], J[r, b] = MX[b], MX[a]
+        return (self.A @ X - self.anchor).T.reshape(-1), g, J.reshape(len(self.entries), -1)
 
     def hess(self, mu: np.ndarray) -> np.ndarray:
-        m = self.m
-        if self.s == 1:
-            return self.A + 2.0 * mu[0] * self.M
-        H = np.zeros((2 * m, 2 * m))
-        H[:m, :m] = self.A + 2.0 * mu[0] * self.M
-        H[m:, m:] = self.A + 2.0 * mu[1] * self.M
-        H[:m, m:] = mu[2] * self.M
-        H[m:, :m] = mu[2] * self.M
-        return H
+        """Hessian of the Lagrangian f + mu^T g, the same at every x."""
+        s, m = self.s, self.m
+        H = np.zeros((s, m, s, m))
+        for r, (a, b) in enumerate(self.entries):
+            if a == b:
+                H[a, :, a] = self.A + 2.0 * mu[r] * self.M
+            else:
+                H[a, :, b] = H[b, :, a] = mu[r] * self.M
+        return H.reshape(s * m, s * m)
 
 
 def dgll_derivatives(X_aug, L_aug, e_aug, beta, X_prev_aug, M, mu, target):
@@ -211,7 +203,7 @@ def dgll_derivatives(X_aug, L_aug, e_aug, beta, X_prev_aug, M, mu, target):
     X = np.atleast_2d(np.asarray(X_aug, dtype=float))
     problem = _DgllProblem(L_aug, e_aug, beta, X_prev_aug, M, target, X.shape[1])
     x = X.T.reshape(-1)
-    return problem.grad(x), problem.g(x), problem.jac(x), problem.hess(np.asarray(mu, dtype=float))
+    return *problem.derivatives(x), problem.hess(np.asarray(mu, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -272,7 +264,7 @@ def dgll_layout(W, C, alpha, beta, e, X_prev_aug, s, normalized: bool = True,
     if not has_temporal_anchor(beta, e_aug):
         X = _scaled_eig_layout(L, s, normalized, "eigen solve of the dynamic layout problem")
         x = X.T.reshape(-1)
-        feasibility, kkt = kkt_residuals(x, problem.grad, problem.g, problem.jac)
+        feasibility, kkt = kkt_residuals(x, problem.derivatives)
     else:
         start = X_prev_aug
         if np.linalg.eigvalsh(start.T @ M @ start)[0] <= 1e-10 * target:
@@ -280,8 +272,8 @@ def dgll_layout(W, C, alpha, beta, e, X_prev_aug, s, normalized: bool = True,
             # neighbor): the constraint Jacobian is rank-deficient there, so
             # the solve could not reach the constraint from this start
             start = _feasible_random_start(np.random.default_rng(rng), n + k, s, M, target)
-        result = minimize_eq_constrained(problem.f, problem.grad, problem.g, problem.jac,
-                                         lambda x, mu: problem.hess(mu), start.T.reshape(-1))
+        result = minimize_eq_constrained(problem.f, problem.derivatives, problem.hess,
+                                         start.T.reshape(-1))
         if not result.converged:
             raise NumericalError(
                 "constrained layout solver did not converge "

@@ -216,8 +216,9 @@ def export_layouts(sequence: LayoutSequence, path) -> None:
 def import_layouts(path) -> LayoutSequence:
     """Reload a LayoutJson document; a malformed one is a DataError naming
     the file and, for a bad step record, the step. Every coordinate row
-    (``x`` and ``representatives``) must hold as many entries as the
-    integer ``dims`` field says, or, without one, as the first step's."""
+    (``x`` and ``representatives``) must hold as many finite entries as the
+    integer ``dims`` field says, or, without one, as the first step's, and
+    every ``group`` must be null or an integer >= 1."""
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -242,9 +243,13 @@ def import_layouts(path) -> LayoutSequence:
         for name, A in (("x", X), ("representatives", Y)):
             if width is None and A is not None and A.ndim == 2:
                 width = A.shape[1]
-            if A is not None and A.shape[1:] != (width,):
+            if A is not None and (A.shape[1:] != (width,) or not np.isfinite(A).all()):
                 raise DataError(f"{path}: step {position}: '{name}' is not a list of rows "
-                                f"of {width} coordinates")
+                                f"of {width} finite coordinates")
+        for label in labels:
+            if label is not None and (type(label) is not int or label < 1):
+                raise DataError(f"{path}: step {position}: group {label!r} is not null "
+                                "or an integer >= 1")
         if all(lab is None for lab in labels):
             labels = None
         steps.append(LayoutStep(t=t, ids=ids, X=X, labels=labels, Y=Y))

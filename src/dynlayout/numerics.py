@@ -198,10 +198,8 @@ _POLISH_ROUNDS = 8  # Newton steps of the KKT polish, at most
 
 def minimize_eq_constrained(
     f: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
-    hess: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    hess: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
 ) -> EqConstrainedResult:
     """Minimize f(x) subject to g(x) = 0 by quadratic-penalty continuation
@@ -209,8 +207,9 @@ def minimize_eq_constrained(
 
     For rho = 1, 10, ..., 1e8 an exact trust-region solve minimizes
     f + rho/2 |g|^2 from the previous minimizer, and a Newton polish on
-    the KKT system starts from it with multipliers rho*g. ``hess(x, mu)``
-    must return the Hessian of the Lagrangian f + mu^T g at (x, mu).
+    the KKT system starts from it with multipliers rho*g. ``derivatives(x)``
+    returns (grad f, g, dg/dx) at x; ``hess(mu)``, the Hessian of the
+    Lagrangian f + mu^T g, which for quadratic f and g is the same at every x.
     Returns at the first polished point with max(|g|) <= _TOL and
     stationarity residual <= _TOL; when no weight gives one, the result is
     non-converged, never an exception.
@@ -219,15 +218,15 @@ def minimize_eq_constrained(
     iterations = 0
     for rho in _PENALTY_WEIGHTS:
         model, steps = _trust_region_exact(
-            functools.partial(_PenaltyModel, rho=rho, f=f, grad=grad, g=g, jac=jac, hess=hess), x)
+            functools.partial(_PenaltyModel, rho=rho, f=f, derivatives=derivatives, hess=hess), x)
         x = model.x
-        x_pol, polish_steps = _kkt_polish(x, rho * model.gz, grad, g, jac, hess)
+        x_pol, polish_steps = _kkt_polish(x, rho * model.gz, derivatives, hess)
         iterations += steps + polish_steps
-        feas, kkt = kkt_residuals(x_pol, grad, g, jac)
+        feas, kkt = kkt_residuals(x_pol, derivatives)
         if feas <= _TOL and kkt <= _TOL:
             return EqConstrainedResult(x=x_pol, kkt_residual=kkt, feasibility_residual=feas,
                                        converged=True, iterations=iterations)
-    feas, kkt = kkt_residuals(x, grad, g, jac)
+    feas, kkt = kkt_residuals(x, derivatives)
     return EqConstrainedResult(x=x, kkt_residual=kkt, feasibility_residual=feas,
                                converged=False, iterations=iterations)
 
@@ -272,13 +271,13 @@ def _estimate_smallest_singular_value(U: np.ndarray) -> tuple[float, np.ndarray]
 
 
 class _PenaltyModel:
-    """f + rho/2 |g|^2 at x, its gradient and Hessian from one g(x) and one
-    jac(x), and its trust-region subproblem solve (``IterativeSubproblem``)."""
+    """f + rho/2 |g|^2 at x, its gradient and Hessian from one derivatives(x),
+    and its trust-region subproblem solve (``IterativeSubproblem``)."""
 
-    def __init__(self, x, rho, f, grad, g, jac, hess):
-        self.x, self.gz, J = x, np.atleast_1d(g(x)), np.atleast_2d(jac(x))
-        self.jac = np.asarray(grad(x)) + rho * (J.T @ self.gz)
-        self.hess = H = hess(x, rho * self.gz) + rho * (J.T @ J)
+    def __init__(self, x, rho, f, derivatives, hess):
+        grad, self.gz, J = derivatives(x)
+        self.x, self.jac = x, grad + rho * (J.T @ self.gz)
+        self.hess = H = hess(rho * self.gz) + rho * (J.T @ J)
         self.fun = f(x) + 0.5 * rho * float(self.gz @ self.gz)
         self.previous_tr_radius, self.lambda_lb = -1, None
         hess_inf, hess_fro = _lange("1", _chk(H).T), np.linalg.norm(H, "fro")  # H is C-ordered
@@ -402,25 +401,23 @@ def _trust_region_exact(model, x):
     return m, k
 
 
-def kkt_residuals(x, grad, g, jac) -> tuple[float, float]:
+def kkt_residuals(x, derivatives) -> tuple[float, float]:
     """Feasibility max|g(x)| and stationarity max|grad f + J^T mu| at x,
     with the multipliers mu that least squares gives for grad f + J^T mu = 0."""
-    gv = np.atleast_1d(g(x))
-    gr = np.asarray(grad(x))
-    J = np.atleast_2d(jac(x))
+    gr, gv, J = derivatives(x)
     mu, *_ = np.linalg.lstsq(J.T, -gr, rcond=None)
     kkt = float(np.max(np.abs(gr + J.T @ mu))) if gr.size else 0.0
     return (float(np.max(np.abs(gv))) if gv.size else 0.0), kkt
 
 
-def _kkt_polish(x, mu, grad, g, jac, hess):
+def _kkt_polish(x, mu, derivatives, hess):
     # Newton on the KKT system [grad f + J^T mu; g] = 0; quadratic local
     # convergence squeezes residuals well below the tolerance.
     # Least squares takes the step, so a singular KKT matrix (a continuum
     # of minimizers) still converges. Returns the point and the steps taken.
     def residual(x, mu):
-        J = np.atleast_2d(jac(x))
-        r = np.concatenate([np.asarray(grad(x)) + J.T @ mu, np.atleast_1d(g(x))])
+        grad, gv, J = derivatives(x)
+        r = np.concatenate([grad + J.T @ mu, gv])
         return J, r, float(np.max(np.abs(r)))
 
     n, m = x.shape[0], mu.shape[0]
@@ -428,7 +425,7 @@ def _kkt_polish(x, mu, grad, g, jac, hess):
     for taken in range(_POLISH_ROUNDS):
         if res <= 1e-3 * _TOL:
             return x, taken
-        K = np.block([[hess(x, mu), J.T], [J, np.zeros((m, m))]])
+        K = np.block([[hess(mu), J.T], [J, np.zeros((m, m))]])
         step = np.linalg.lstsq(K, -r, rcond=None)[0]
         x_new, mu_new = x + step[:n], mu + step[n:]
         J_new, r_new, res_new = residual(x_new, mu_new)

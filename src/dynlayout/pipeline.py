@@ -57,8 +57,8 @@ class RegularizationConfig:
             raise DataError(f"groups must be none|known|learn, got {self.groups!r}")
         if self.groups == "learn" and self.k is None:
             raise DataError("learning groups requires k")
-        if self.dims < 1:
-            raise DataError("dims must be >= 1")
+        if not 1 <= self.dims <= 3:
+            raise DataError(f"dims must be 1, 2 or 3, got {self.dims}")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not (np.isfinite(value) and value >= 0):
                 raise DataError(f"{name} must be finite and >= 0, got {value}")
@@ -123,11 +123,12 @@ def _rng_for(seed: int, t: int, stream: int) -> np.random.Generator:
 
 @contextmanager
 def _naming_step(t: int):
-    """Re-raise a package error raised in the block with step t named."""
+    """Name step t in the message of a package error raised in the block."""
     try:
         yield
     except DynlayoutError as exc:
-        raise type(exc)(f"step t={t}: {exc}") from exc
+        exc.args = (f"step t={t}: {exc}",)
+        raise
 
 
 def learn_group_sequence(network: DynamicNetwork, k: int,

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dynlayout import numerics
 from dynlayout.cli import cli_main
 from dynlayout.pipeline import METHODS
 
@@ -52,6 +53,10 @@ def churn_fixture(tmp_path_factory):
     return path
 
 
+# a layout document's group is null or an integer >= 1
+BAD_GROUPS = {"string-group": "a", "fractional-group": 1.5, "zero-group": 0, "bool-group": True}
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["layout", "--frobnicate"]) == 1
@@ -64,11 +69,32 @@ class TestExitCodes:
         assert run(["layout"]) == 1
 
     @pytest.mark.parametrize("option, wording", [
-        ("--alphas", "bad number list 'x'"), ("--seeds", "bad integer list 'x'")])
+        ("--alphas", "bad number list 'x'"), ("--seeds", "bad integer list 'x'"),
+        ("--alphas", "bad number list ''"), ("--seeds", "bad integer list ''")])
     def test_bad_list_is_usage_error(self, option, wording, capsys):
+        text = wording.split("'")[1]  # the wording quotes the rejected list
         argv = ["sweep", "--input", "in.tsv", "--out", "o.csv", "--alphas", "1", "--betas", "1"]
-        assert run([*argv, option, "x"]) == 1
+        assert run([*argv, option, text]) == 1
         assert wording in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["0", "4"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_dims_outside_one_to_three_is_data_error(self, method, dims, sbm_fixture, tmp_path,
+                                                     capsys):
+        _, snaps, _ = sbm_fixture
+        assert run(["layout", "--input", str(snaps), "--method", method, "--dims", dims,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"data error: dims must be 1, 2 or 3, got {dims}\n"
+
+    def test_numerical_failure_exit_code(self, sbm_fixture, tmp_path, monkeypatch, capsys):
+        # one penalty weight and no polish leave the t = 1 DGLL solve unconverged
+        monkeypatch.setattr(numerics, "_PENALTY_WEIGHTS", (1.0,))
+        monkeypatch.setattr(numerics, "_POLISH_ROUNDS", 0)
+        _, snaps, groups = sbm_fixture
+        code = run(["layout", "--input", str(snaps), "--groups", str(groups), "--method", "dgll",
+                    "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: step t=1: ")
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -121,7 +147,8 @@ class TestExitCodes:
         assert run(["metrics", *base, "--out", str(tmp_path / "costs.csv")]) == 0
 
     @pytest.mark.parametrize("case", ["rows-across-steps", "rows-within-step",
-                                      "representatives", "dims", "fractional-t", "string-t"])
+                                      "representatives", "dims", "fractional-t", "string-t",
+                                      *BAD_GROUPS, "nan-x", "infinite-representative"])
     @pytest.mark.parametrize("command", ["metrics", "render"])
     def test_malformed_coordinates_are_data_error(self, case, command, tmp_path, capsys):
         snaps = tmp_path / "path.tsv"
@@ -146,6 +173,12 @@ class TestExitCodes:
                 for node in step["nodes"]:
                     del node["x"][1]
             bad = steps[0]
+        elif case in BAD_GROUPS:
+            bad["nodes"][1]["group"] = BAD_GROUPS[case]
+        elif case == "nan-x":
+            bad["nodes"][0]["x"][1] = float("nan")
+        elif case == "infinite-representative":
+            bad["representatives"] = [[float("inf"), 0.0]]
         else:
             bad["t"] = 1.5 if case == "fractional-t" else "1"
         layout = tmp_path / "doc.json"

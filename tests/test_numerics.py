@@ -162,10 +162,8 @@ class TestConstrainedMinimizer:
     def test_affine_constraint(self):
         res = minimize_eq_constrained(
             f=lambda x: float(x @ x),
-            grad=lambda x: 2 * x,
-            g=lambda x: np.array([x[0] - 1.0]),
-            jac=lambda x: np.array([[1.0, 0.0, 0.0]]),
-            hess=lambda x, mu: 2 * np.eye(3),
+            derivatives=lambda x: (2 * x, np.array([x[0] - 1.0]), np.array([[1.0, 0.0, 0.0]])),
+            hess=lambda mu: 2 * np.eye(3),
             x0=np.array([3.0, 2.0, -1.0]),
         )
         assert res.converged
@@ -175,10 +173,8 @@ class TestConstrainedMinimizer:
         c = np.array([1.0, 2.0, 2.0])
         res = minimize_eq_constrained(
             f=lambda x: float(c @ x),
-            grad=lambda x: c,
-            g=lambda x: np.array([x @ x - 1.0]),
-            jac=lambda x: 2 * x[None, :],
-            hess=lambda x, mu: 2 * mu[0] * np.eye(3),
+            derivatives=lambda x: (c, np.array([x @ x - 1.0]), 2 * x[None, :]),
+            hess=lambda mu: 2 * mu[0] * np.eye(3),
             x0=np.array([0.5, -0.5, 0.5]),
         )
         assert res.converged
@@ -192,10 +188,9 @@ class TestConstrainedMinimizer:
         # KKT point too, but a maximum
         res = minimize_eq_constrained(
             f=lambda x: float(x[2] ** 2),
-            grad=lambda x: np.array([0.0, 0.0, 2 * x[2]]),
-            g=lambda x: np.array([x @ x - 1.0]),
-            jac=lambda x: 2 * x[None, :],
-            hess=lambda x, mu: np.diag([0.0, 0.0, 2.0]) + 2 * mu[0] * np.eye(3),
+            derivatives=lambda x: (np.array([0.0, 0.0, 2 * x[2]]), np.array([x @ x - 1.0]),
+                                   2 * x[None, :]),
+            hess=lambda mu: np.diag([0.0, 0.0, 2.0]) + 2 * mu[0] * np.eye(3),
             x0=np.array(x0),
         )
         assert res.converged
@@ -219,14 +214,13 @@ class TestConstrainedMinimizer:
             def g(x):
                 return np.array([x @ A @ x - 1.0])
 
-            def jac(x):
-                return 2 * (A @ x)[None, :]
+            def derivatives(x):
+                return grad(x), g(x), 2 * (A @ x)[None, :]
 
-            def hess(x, mu):
+            def hess(mu):
                 return Q + 2 * mu[0] * A
 
-            res = minimize_eq_constrained(f, grad, g, jac, hess,
-                                          x0=np.array([1.0, 0.0, 0.0]))
+            res = minimize_eq_constrained(f, derivatives, hess, x0=np.array([1.0, 0.0, 0.0]))
             assert res.converged
             assert res.feasibility_residual <= 1e-8
             assert res.kkt_residual <= 1e-8
@@ -249,17 +243,15 @@ class TestConstrainedMinimizer:
         # infeasible constraint set: |x|^2 = -1 can never hold
         res = minimize_eq_constrained(
             f=lambda x: float(x @ x),
-            grad=lambda x: 2 * x,
-            g=lambda x: np.array([x @ x + 1.0]),
-            jac=lambda x: 2 * x[None, :],
-            hess=lambda x, mu: 2 * (1 + mu[0]) * np.eye(2),
+            derivatives=lambda x: (2 * x, np.array([x @ x + 1.0]), 2 * x[None, :]),
+            hess=lambda mu: 2 * (1 + mu[0]) * np.eye(2),
             x0=np.array([1.0, 1.0]),
         )
         assert not res.converged
         assert res.x.shape == (2,)
 
 
-def scipy_minimize_eq_constrained(f, grad, g, jac, hess, x0):
+def scipy_minimize_eq_constrained(f, derivatives, hess, x0):
     """The penalty continuation on ``scipy.optimize.minimize(method=
     "trust-exact")``, as ``minimize_eq_constrained`` ran before its
     trust-region steps were ported into ``numerics``: the reference the
@@ -268,28 +260,33 @@ def scipy_minimize_eq_constrained(f, grad, g, jac, hess, x0):
     iterations = 0
     for rho in numerics._PENALTY_WEIGHTS:
         def penalized(z, rho=rho):
-            gz = np.atleast_1d(g(z))
-            value = f(z) + 0.5 * rho * float(gz @ gz)
-            return value, np.asarray(grad(z)) + rho * (np.atleast_2d(jac(z)).T @ gz)
+            grad, gz, J = derivatives(z)
+            return f(z) + 0.5 * rho * float(gz @ gz), grad + rho * (J.T @ gz)
 
         def penalized_hess(z, rho=rho):
-            J = np.atleast_2d(jac(z))
-            return hess(z, rho * np.atleast_1d(g(z))) + rho * (J.T @ J)
+            _, gz, J = derivatives(z)
+            return hess(rho * gz) + rho * (J.T @ J)
 
         solve = scipy.optimize.minimize(penalized, x, jac=True, hess=penalized_hess,
                                         method="trust-exact")
         x = solve.x
-        x_pol, polish_steps = numerics._kkt_polish(x, rho * np.atleast_1d(g(x)), grad, g,
-                                                   jac, hess)
+        x_pol, polish_steps = numerics._kkt_polish(x, rho * derivatives(x)[1], derivatives,
+                                                   hess)
         iterations += solve.nit + polish_steps
-        feas, kkt = numerics.kkt_residuals(x_pol, grad, g, jac)
+        feas, kkt = numerics.kkt_residuals(x_pol, derivatives)
         if feas <= numerics._TOL and kkt <= numerics._TOL:
             return numerics.EqConstrainedResult(x=x_pol, kkt_residual=kkt,
                                                 feasibility_residual=feas, converged=True,
                                                 iterations=iterations)
-    feas, kkt = numerics.kkt_residuals(x, grad, g, jac)
+    feas, kkt = numerics.kkt_residuals(x, derivatives)
     return numerics.EqConstrainedResult(x=x, kkt_residual=kkt, feasibility_residual=feas,
                                         converged=False, iterations=iterations)
+
+
+def on_sphere(grad):
+    """derivatives(x) of an objective with gradient ``grad`` on the unit
+    sphere |x|^2 = 1."""
+    return lambda x: (grad(x), np.array([x @ x - 1.0]), 2 * x[None, :])
 
 
 def assert_same_solve(args):
@@ -344,8 +341,7 @@ class TestTrustRegionPort:
         if feasible_start:
             X_prev = gll._feasible_random_start(rng, n + k, s, M, target)
         problem = gll._DgllProblem(lap, e_aug, beta, X_prev, M, target, s)
-        assert_same_solve((problem.f, problem.grad, problem.g, problem.jac,
-                           lambda x, mu: problem.hess(mu), X_prev.T.reshape(-1)))
+        assert_same_solve((problem.f, problem.derivatives, problem.hess, X_prev.T.reshape(-1)))
 
     def test_indefinite_hessian(self, branch_counts):
         # Q has a positive diagonal but a negative eigenvalue and the
@@ -353,19 +349,17 @@ class TestTrustRegionPort:
         # second leading minor
         Q = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         c = np.array([1e-2, 0.0, 0.0])
-        assert_same_solve((lambda x: float(0.5 * x @ Q @ x + c @ x), lambda x: Q @ x + c,
-                           lambda x: np.array([x @ x - 1.0]), lambda x: 2 * x[None, :],
-                           lambda x, mu: Q + 2 * mu[0] * np.eye(3), np.array([0.0, 0.0, 1.0])))
+        assert_same_solve((lambda x: float(0.5 * x @ Q @ x + c @ x),
+                           on_sphere(lambda x: Q @ x + c),
+                           lambda mu: Q + 2 * mu[0] * np.eye(3), np.array([0.0, 0.0, 1.0])))
         assert branch_counts["indefinite"] > 0
 
     def test_interior_step_with_positive_shift(self, branch_counts):
         # a saddle of the penalized function close to the start: the step
         # stays inside the region while the shift is positive
         Q = np.diag([1.0, -1.0, 0.0])
-        assert_same_solve((lambda x: float(0.5 * x @ Q @ x), lambda x: Q @ x,
-                           lambda x: np.array([x @ x - 1.0]), lambda x: 2 * x[None, :],
-                           lambda x, mu: Q + 2 * mu[0] * np.eye(3),
-                           np.array([1e-3, 1e-3, 1.0])))
+        assert_same_solve((lambda x: float(0.5 * x @ Q @ x), on_sphere(lambda x: Q @ x),
+                           lambda mu: Q + 2 * mu[0] * np.eye(3), np.array([1e-3, 1e-3, 1.0])))
         assert branch_counts["interior"] > 0
 
     def test_gradient_below_close_to_zero(self, branch_counts):
@@ -373,18 +367,18 @@ class TestTrustRegionPort:
         # with |H|_inf = 1e12: the step follows the singular-value estimate
         Q = np.diag([1e12, -1e12, 0.0])
         c = np.array([3e-4, 0.0, 0.0])
-        assert_same_solve((lambda x: float(0.5 * x @ Q @ x + c @ x), lambda x: Q @ x + c,
-                           lambda x: np.array([x @ x - 1.0]), lambda x: 2 * x[None, :],
-                           lambda x, mu: Q + 2 * mu[0] * np.eye(3), np.array([0.0, 0.0, 1.0])))
+        assert_same_solve((lambda x: float(0.5 * x @ Q @ x + c @ x),
+                           on_sphere(lambda x: Q @ x + c),
+                           lambda mu: Q + 2 * mu[0] * np.eye(3), np.array([0.0, 0.0, 1.0])))
         assert branch_counts["small_gradient"] > 0
 
     def test_nan_hessian_raises_in_both(self):
         # the start is the solution, so no step is taken: only the check on
         # the Hessian itself can raise
         a = np.array([1.0, 2.0])
-        args = (lambda x: float((x - a) @ (x - a)), lambda x: 2 * (x - a),
-                lambda x: np.array([x[0] - 1.0]), lambda x: np.array([[1.0, 0.0]]),
-                lambda x, mu: np.array([[2.0, np.nan], [np.nan, 2.0]]), a.copy())
+        args = (lambda x: float((x - a) @ (x - a)),
+                lambda x: (2 * (x - a), np.array([x[0] - 1.0]), np.array([[1.0, 0.0]])),
+                lambda mu: np.array([[2.0, np.nan], [np.nan, 2.0]]), a.copy())
         with pytest.raises(ValueError):
             scipy_minimize_eq_constrained(*args)
         with pytest.raises(ValueError):

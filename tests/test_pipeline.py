@@ -12,7 +12,8 @@ from scipy.sparse.csgraph import connected_components
 from conftest import random_connected_adjacency
 from dynlayout import gll, mds, numerics
 from dynlayout.errors import DataError, DisconnectedGraphError, NumericalError
-from dynlayout.graph import DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot
+from dynlayout.graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot,
+                            has_temporal_anchor)
 from dynlayout.layout import align_to_reference
 from dynlayout import clustering as clus
 from dynlayout.pipeline import (GROUPING_METHODS, METHODS, RegularizationConfig,
@@ -200,6 +201,19 @@ class TestRunSequence:
         assert [step.X.shape for step in sequence.steps] == [(6, 1), (2, 1), (2, 1)]
         assert all(sol.kkt_residual <= 1e-8 and sol.constraint_residual <= 1e-8
                    for sol in solutions)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_step_error_keeps_best_iterate(self, monkeypatch, s):
+        # one penalty weight and no polish leave the t = 1 solve unconverged
+        monkeypatch.setattr(numerics, "_PENALTY_WEIGHTS", (1.0,))
+        monkeypatch.setattr(numerics, "_POLISH_ROUNDS", 0)
+        network = sbm_sequence(SbmConfig.two_rate(n=12, k=2, p_in=0.8, p_out=0.1, T=3,
+                                                  change_step=1, change_fraction=0.25, seed=0))
+        with pytest.raises(NumericalError) as info:
+            run_sequence(network, RegularizationConfig(method="dgll", groups="known", dims=s))
+        assert type(info.value) is NumericalError
+        assert str(info.value).startswith("step t=1: constrained layout solver did not converge")
+        assert info.value.best_iterate.shape == (12 + 2, s)
 
     def test_missing_known_groups_is_data_error(self):
         registry = NodeRegistry(["a", "b"])
@@ -595,3 +609,72 @@ class TestGroupRenaming:
         config = RegularizationConfig(method="dgll", groups="known", dims=1, seed=1)
         self.assert_renaming_permutes_representatives(
             churned_block_model(241877214), [4, 1, 2, 3], config)
+
+
+# per method: its solver, and the positions of the solver's arguments that
+# are indexed by node on both axes, by node on rows, and by node and then
+# representative on rows
+NODE_ORDER_SOLVERS = {
+    "dmds": (mds, "dmds_layout", (0, 1), (2, 5), (6,)),
+    "mds-stabilized": (mds, "stabilized_mds_online", (0, 1), (3, 4), ()),
+    "dgll": (gll, "dgll_layout", (0,), (1, 4), (5,)),
+}
+
+
+def captured_solves(method: str, s: int) -> list:
+    """(args, kwargs) of the solves that ``run_sequence`` makes on four
+    block models of 30 nodes in four groups over 12 steps, with known
+    groups where the method takes them; for ``dmds`` and ``dgll`` only the
+    solves with a temporal anchor."""
+    module, name = NODE_ORDER_SOLVERS[method][:2]
+    solver, calls = getattr(module, name), []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solver(*args, **kwargs)
+
+    groups = "none" if method == "mds-stabilized" else "known"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, record)
+        for seed in range(4):
+            network = sbm_sequence(SbmConfig.two_rate(
+                n=30, k=4, p_in=0.6, p_out=0.2, T=12, change_step=6, change_fraction=0.25,
+                seed=seed))
+            run_sequence(network, RegularizationConfig(method=method, groups=groups, dims=s,
+                                                       seed=seed))
+    if method == "mds-stabilized":
+        return calls
+    beta_at, e_at = (4, 5) if method == "dmds" else (3, 4)
+    return [(args, kwargs) for args, kwargs in calls
+            if has_temporal_anchor(args[beta_at], np.asarray(args[e_at]))]
+
+
+class TestNodeOrder:
+    """Permuting a step's nodes is no change to the model: one solve's
+    output rows are permuted the same way, and the representatives stay,
+    within 1e-9 of the layout's scale."""
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("method", sorted(NODE_ORDER_SOLVERS))
+    def test_permuting_nodes_permutes_the_solve(self, method, s):
+        module, name, both_axes, rows, aug_rows = NODE_ORDER_SOLVERS[method]
+        solver = getattr(module, name)
+        solves = captured_solves(method, s)
+        assert len(solves) >= 4 * 11
+        for index, (args, kwargs) in enumerate(solves):
+            if method == "dgll":
+                kwargs = {**kwargs, "rng": 0}
+            n = np.shape(args[both_axes[0]])[0]
+            perm = np.random.default_rng(index).permutation(n)
+            permuted = list(args)
+            for i in both_axes:
+                permuted[i] = np.asarray(args[i])[np.ix_(perm, perm)]
+            for i in rows:
+                permuted[i] = np.asarray(args[i])[perm]
+            for i in aug_rows:
+                permuted[i] = np.asarray(args[i])[np.r_[perm, n:len(args[i])]]
+            plain, moved = (solver(*a, **kwargs) for a in (args, permuted))
+            plain, moved = ((out.layout if method == "dgll" else out[0]) for out in (plain, moved))
+            scale = max(1.0, np.abs(plain.X).max(), np.abs(plain.Y).max(initial=0.0))
+            assert np.abs(moved.X - plain.X[perm]).max() <= 1e-9 * scale
+            assert np.abs(moved.Y - plain.Y).max(initial=0.0) <= 1e-9 * scale
