@@ -218,7 +218,8 @@ def import_layouts(path) -> LayoutSequence:
     the file and, for a bad step record, the step. Every coordinate row
     (``x`` and ``representatives``) must hold as many finite entries as the
     integer ``dims`` field says, or, without one, as the first step's, and
-    every ``group`` must be null or an integer >= 1."""
+    every ``group`` must be null or an integer >= 1. A coordinate must be a
+    JSON number: a string or a bool that numpy would convert is rejected."""
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -231,15 +232,23 @@ def import_layouts(path) -> LayoutSequence:
     for position, raw in enumerate(doc["steps"]):
         try:
             ids = tuple(node["id"] for node in raw["nodes"])
-            X = np.array([node["x"] for node in raw["nodes"]], dtype=float)
+            rows = {"x": [node["x"] for node in raw["nodes"]],
+                    "representatives": raw.get("representatives")}
+            X = np.array(rows["x"], dtype=float)
             labels = tuple(node["group"] for node in raw["nodes"])
-            Y = None if raw.get("representatives") is None else \
-                np.array(raw["representatives"], dtype=float)
+            Y = None if rows["representatives"] is None else \
+                np.array(rows["representatives"], dtype=float)
             t = raw["t"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: step {position}: bad layout record: {exc!r}") from None
         if type(t) is not int:
             raise DataError(f"{path}: step {position}: time step {t!r} is not an integer")
+        for name, values in rows.items():
+            bad = [v for row in values or () if isinstance(row, list) for v in row
+                   if type(v) not in (int, float)]
+            if bad:
+                raise DataError(f"{path}: step {position}: '{name}' holds {bad[0]!r}, "
+                                "which is not a JSON number")
         for name, A in (("x", X), ("representatives", Y)):
             if width is None and A is not None and A.ndim == 2:
                 width = A.shape[1]

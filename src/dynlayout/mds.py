@@ -25,6 +25,13 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_MAX_ITER = 1000
+# over-relaxation factor of the regularized solve's update, in (0, 2), and
+# the relative stress decrease below which the solve starts to apply it
+RELAXATION = 1.9
+_RELAX_BELOW = 1e-2
+# share of (1/2) sum v delta^2 below which the stress identity cancels too
+# far, so the stress is summed directly
+_IDENTITY_FLOOR = 1e-3
 # relative size below which a Cholesky pivot is taken for rounding noise
 _ROUNDOFF = np.sqrt(np.finfo(float).eps)
 
@@ -43,10 +50,10 @@ class _Majorization:
 
     What a solve never changes is built once: the products -v_ij delta_ij,
     computed only where v_ij > 0 so that unreachable pairs (delta = inf)
-    never produce NaNs, and V and delta set to zero outside that mask. So
-    are the n x n work buffers, which every iterate fills in place: ``at``
-    computes an iterate's pairwise distances once, and ``stress`` and ``S``
-    both read them.
+    never produce NaNs, V and delta set to zero outside that mask, the row
+    sums of V and (1/2) sum v delta^2. So are the n x n work buffers, which
+    every iterate fills in place: ``at`` computes an iterate's pairwise
+    distances once, and ``stress``, ``S`` and ``objective`` read them.
     """
 
     def __init__(self, V: np.ndarray, delta: np.ndarray, beta: float = 0.0,
@@ -56,6 +63,8 @@ class _Majorization:
         self.delta = np.where(mask, delta, 0.0)
         # 0.0 - p rather than -p: a zero product stays +0.0, so S holds no -0.0
         self.neg_num = 0.0 - self.V * self.delta
+        self.degree = self.V.sum(axis=1)
+        self.half_vdd = -0.5 * float(np.sum(self.neg_num * self.delta))
         self.beta, self.e, self.X_prev = beta, e, X_prev
         self.dist = np.empty_like(self.V)
         self._scratch = np.empty_like(self.V)
@@ -69,15 +78,36 @@ class _Majorization:
         return self
 
     def stress(self) -> float:
+        """Modified stress at the current iterate, summed pair by pair."""
         resid = np.subtract(self.delta, self.dist, out=self._scratch)
         resid *= resid
         resid *= self.V
-        value = float(0.5 * np.sum(resid))
-        if self.beta != 0:
-            n = self.e.shape[0]
-            moved = self.X[:n] - self.X_prev[:n]
-            value += self.beta * float(np.sum(self.e * np.einsum("ij,ij->i", moved, moved)))
-        return value
+        return float(0.5 * np.sum(resid)) + self._temporal()
+
+    def _temporal(self) -> float:
+        if self.beta == 0:
+            return 0.0
+        n = self.e.shape[0]
+        moved = self.X[:n] - self.X_prev[:n]
+        return self.beta * float(np.sum(self.e * np.einsum("ij,ij->i", moved, moved)))
+
+    def objective(self) -> float:
+        """Modified stress at the current iterate, from one pass over the
+        pairwise distances and the product V X, which it leaves in ``VX``.
+
+        By the SMACOF decomposition the stress is (1/2) sum v delta^2 -
+        sum v delta d + tr(X^T L_V X), with L_V X = rowsum(V) X - V X; the
+        middle term is 2 tr(X^T S(X) X), summed here from the distances,
+        because S(X) X cancels where two points nearly coincide. Where the
+        value falls below _IDENTITY_FLOOR of its first term the terms
+        cancel, and the stress is summed pair by pair instead."""
+        X = self.X
+        self.VX = self.V @ X
+        value = (self.half_vdd + float(np.vdot(self.neg_num, self.dist))
+                 + float(np.vdot(X, self.degree[:, None] * X - self.VX)))
+        if value < _IDENTITY_FLOOR * self.half_vdd:
+            return self.stress()
+        return value + self._temporal()
 
     def S(self) -> np.ndarray:
         """Majorization matrix at the current iterate, in a buffer that the
@@ -161,18 +191,39 @@ def _relative_decrease(prev: float, cur: float) -> float:
 
 
 def _majorize(system: _Majorization, X: np.ndarray, update, eps: float, max_iter: int,
-              what: str) -> tuple[np.ndarray, SmacofReport]:
-    """Iterate X <- update(X), with ``system`` placed at X before each
-    update, until the relative stress decrease drops below eps or max_iter
-    updates are made; hitting the cap is logged as a warning naming ``what``."""
-    trace = [system.at(X).stress()]
+              what: str, relaxation: float = 1.0) -> tuple[np.ndarray, SmacofReport]:
+    """Iterate X <- X + r (update(X) - X) until the relative decrease of the
+    modified stress drops below eps or max_iter updates are made; hitting
+    the cap is logged as a warning naming ``what``. Updates are taken whole
+    (r = 1) until one decreases the stress by less than _RELAX_BELOW
+    relative, the later ones with r = ``relaxation``.
+
+    ``system`` is placed at each iterate and its ``objective`` evaluated
+    before the update, which reads S and the product it leaves. Where that
+    value's relative decrease falls below eps, both iterates' stress is
+    summed again pair by pair, so the identity's rounding neither decides
+    convergence nor makes the trace rise; the last entry is always such a
+    direct sum. Iterates are kept in C order, so that the products over them
+    do not depend on the order in which the solve returns them."""
+    X = np.ascontiguousarray(X)
+    trace = [system.at(X).objective()]
+    r = 1.0
     while True:
-        X = update(X)
-        trace.append(system.at(X).stress())
-        converged = _relative_decrease(trace[-2], trace[-1]) < eps
+        G = update(X)
+        X_last, X = X, np.ascontiguousarray(G if r == 1.0 else X + r * (G - X))
+        trace.append(system.at(X).objective())
+        decrease = _relative_decrease(trace[-2], trace[-1])
+        if decrease < _RELAX_BELOW:
+            r = relaxation
+        converged = decrease < eps
+        if converged:
+            trace[-2] = system.at(X_last).stress()
+            trace[-1] = system.at(X).stress()
+            converged = _relative_decrease(trace[-2], trace[-1]) < eps
         if converged or len(trace) > max_iter:
             break
     if not converged:
+        trace[-1] = system.stress()
         logger.warning("%s hit the %d-iteration cap", what, max_iter)
     return X, SmacofReport(iterations=len(trace) - 1, stress_trace=tuple(trace),
                            hit_iteration_cap=not converged)
@@ -192,11 +243,15 @@ def dmds_layout(
 ) -> tuple[Layout, SmacofReport]:
     """Regularized stress majorization for one time step.
 
-    Iterates (R_aug + beta E_aug) x_a = S_aug(X_prev_iter) x_a + beta E_aug
-    x_a[t-1] per dimension, with E_aug = diag(e) zero-padded for the
-    representatives, starting from X_prev_aug (or X0 when given,
-    e.g. for the random initialization of the first step), until the
-    relative modified-stress decrease drops below eps.
+    Solves (R_aug + beta E_aug) g_a = S_aug(X) x_a + beta E_aug x_a[t-1] per
+    dimension, with E_aug = diag(e) zero-padded for the representatives,
+    starting from X_prev_aug (or X0 when given, e.g. for the random
+    initialization of the first step), until the relative modified-stress
+    decrease drops below eps. The iterate moves to G until an update
+    decreases the stress by less than 1%, then to X + RELAXATION (G - X):
+    de Leeuw & Heiser's over-relaxed update, which keeps the stress from
+    rising. The first update thus puts the pinned first node below on the
+    origin, where relaxed updates keep it.
 
     When beta is zero or no node persists, the system is rank-deficient
     (translation invariance) and the solve falls back to anchoring the
@@ -233,7 +288,7 @@ def dmds_layout(
         X[1:] = spd_solve(factor, rhs[1:])
         return X
 
-    X, report = _majorize(system, X, update, eps, max_iter, "majorization")
+    X, report = _majorize(system, X, update, eps, max_iter, "majorization", RELAXATION)
     return Layout(X=X[:n], Y=X[n:]), report
 
 
@@ -272,7 +327,9 @@ def stabilized_mds_online(
                  + beta e_i x_ia[t-1]] / [sum_j v_ij + beta e_i].
 
     This optimizes the same single-step objective as the regularized solve
-    without groups, so both share its convergence criterion.
+    without groups, so both share its convergence criterion. The update is
+    not relaxed: it does not minimize one quadratic majorizer, so a step
+    past it can raise the stress.
     """
     delta = np.asarray(delta, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -285,7 +342,7 @@ def stabilized_mds_online(
     anchor = beta * e[:, None] * X_prev
 
     def update(X):
-        numer = V @ X + system.S() @ X + anchor
+        numer = system.VX + system.S() @ X + anchor
         X_new = X.copy()
         X_new[movable] = numer[movable] / denom[movable, None]
         return X_new

@@ -32,16 +32,19 @@ and ``spectral``, ``ccdr``, ``bfp`` and ``dgll`` x groups mode x ``--dims``
 1 and 2 with the unnormalized Laplacian (``normalized=False``: unit node
 weights in the scatter constraint) on the six protocol networks, plain and
 churned. It
-writes one SHA-256 per run, over X, Y, labels, the three costs, iterations
-and stress traces, or over the error text of a run that raised, together
-with the run's coordinates. Each network adds one clustering record
-(``<network>/cluster``): the SHA-256 of the labels and forgetting factors of
+writes two SHA-256 per run, together with the run's coordinates and stress
+traces: one over X, Y, labels, the three costs and iterations (or over the
+error text of a run that raised), and one over the stress traces alone.
+Each network adds one clustering record (``<network>/cluster``): the
+SHA-256 of the labels and forgetting factors of
 ``learn_group_sequence(network, 4, seed)``, with the factors as its
 coordinates; so does each protocol network of seeds 0-49
 (``protocol-seed<s>/cluster``). ``--compare A B`` reads two such files, lists
-each run whose digest differs with its largest coordinate change, and exits
-1 if any does. The bits depend on the BLAS build, so compare files made on
-one machine only, e.g. a parent commit's against a change's.
+each run whose digest differs with its largest coordinate change, or, when
+only the traces moved, with "traces only" and their largest relative change,
+and exits 1 if any run differs. The bits depend on the BLAS build, so
+compare files made on one machine only, e.g. a parent commit's against a
+change's.
 """
 
 from __future__ import annotations
@@ -258,9 +261,11 @@ def digest_matrix():
 
 def output_record(sequence=None, report=None, error: str | None = None) -> dict:
     """Digest record of one run: the SHA-256 of its output (or of the error
-    text of a run that raised) and its coordinates, X then Y per step."""
-    h = hashlib.sha256()
-    coords = []
+    text of a run that raised) and its coordinates, X then Y per step; and
+    apart from them the SHA-256 of its stress traces and the traces, step
+    after step."""
+    h, h_trace = hashlib.sha256(), hashlib.sha256()
+    coords, traces = [], []
     if error is not None:
         h.update(error.encode())
     else:
@@ -270,10 +275,12 @@ def output_record(sequence=None, report=None, error: str | None = None) -> dict:
                 h.update(repr(A.shape).encode() + A.tobytes())
                 coords.append(A.ravel())
             h.update(repr((step.labels, costs.static_cost, costs.centroid_cost,
-                           costs.temporal_cost, costs.iterations,
-                           costs.stress_trace)).encode())
-    return {"sha256": h.hexdigest(), "error": error,
-            "coordinates": np.concatenate(coords).tolist() if coords else []}
+                           costs.temporal_cost, costs.iterations)).encode())
+            h_trace.update(repr(costs.stress_trace).encode())
+            traces.extend(costs.stress_trace or ())
+    return {"sha256": h.hexdigest(), "trace_sha256": h_trace.hexdigest(), "error": error,
+            "coordinates": np.concatenate(coords).tolist() if coords else [],
+            "traces": traces}
 
 
 def run_record(network: DynamicNetwork, config: RegularizationConfig) -> dict:
@@ -293,7 +300,8 @@ def cluster_record(network: DynamicNetwork, seed: int) -> dict:
     except Exception as exc:  # recorded like a failed run
         return output_record(error=f"{type(exc).__name__}: {exc}")
     return {"sha256": hashlib.sha256(repr((labels, alphas)).encode()).hexdigest(),
-            "error": None, "coordinates": list(alphas)}
+            "trace_sha256": hashlib.sha256().hexdigest(), "error": None,
+            "coordinates": list(alphas), "traces": []}
 
 
 def write_digest(records: dict, path) -> None:
@@ -314,13 +322,19 @@ def compare_digests(path_a, path_b) -> list[str]:
         if name not in a or name not in b:
             lines.append(f"differs: {name} (only in {path_a if name in a else path_b})")
             continue
-        if a[name]["sha256"] == b[name]["sha256"]:
+        ra, rb = a[name], b[name]
+        if ra["sha256"] == rb["sha256"]:
+            if ra["trace_sha256"] != rb["trace_sha256"]:
+                ta, tb = np.array(ra["traces"]), np.array(rb["traces"])
+                rel = np.abs(ta - tb) / np.maximum(np.abs(ta), np.finfo(float).tiny)
+                lines.append(f"differs: {name} (traces only, largest relative change "
+                             f"{np.max(rel, initial=0.0):.3e})")
             continue
-        xa, xb = np.array(a[name]["coordinates"]), np.array(b[name]["coordinates"])
+        xa, xb = np.array(ra["coordinates"]), np.array(rb["coordinates"])
         change = (f"largest coordinate change {np.max(np.abs(xa - xb), initial=0.0):.3e}"
                   if xa.shape == xb.shape else
                   f"{xa.size} against {xb.size} coordinates; errors "
-                  f"{a[name]['error']!r} against {b[name]['error']!r}")
+                  f"{ra['error']!r} against {rb['error']!r}")
         lines.append(f"differs: {name} ({change})")
     return lines
 
@@ -342,7 +356,8 @@ def main(argv=None) -> int:
         records.update({f"{net_name}/cluster": cluster_record(network, seed)
                         for net_name, network, seed in cluster_networks()})
         write_digest(records, args.digest)
-        combined = hashlib.sha256("".join(r["sha256"] for r in records.values()).encode())
+        combined = hashlib.sha256("".join(r["sha256"] + r["trace_sha256"]
+                                          for r in records.values()).encode())
         failed = sum(r["error"] is not None for r in records.values())
         print(f"{len(records)} runs ({failed} raised), combined SHA-256 {combined.hexdigest()}")
         return 0

@@ -15,6 +15,10 @@ _spec = importlib.util.spec_from_file_location(
     "make_golden", Path(__file__).parent / "data" / "make_golden.py")
 make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
+_spec = importlib.util.spec_from_file_location(
+    "replay", Path(__file__).parent / "data" / "replay.py")
+replay = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(replay)
 
 
 def run(args):
@@ -148,7 +152,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["rows-across-steps", "rows-within-step",
                                       "representatives", "dims", "fractional-t", "string-t",
-                                      *BAD_GROUPS, "nan-x", "infinite-representative"])
+                                      *BAD_GROUPS, "nan-x", "infinite-representative",
+                                      "string-x", "bool-x", "string-representative"])
     @pytest.mark.parametrize("command", ["metrics", "render"])
     def test_malformed_coordinates_are_data_error(self, case, command, tmp_path, capsys):
         snaps = tmp_path / "path.tsv"
@@ -179,6 +184,12 @@ class TestExitCodes:
             bad["nodes"][0]["x"][1] = float("nan")
         elif case == "infinite-representative":
             bad["representatives"] = [[float("inf"), 0.0]]
+        elif case == "string-x":
+            bad["nodes"][0]["x"] = ["1", " 3 "]
+        elif case == "bool-x":
+            bad["nodes"][2]["x"][0] = True
+        elif case == "string-representative":
+            bad["representatives"] = [[0.0, "2.5"]]
         else:
             bad["t"] = 1.5 if case == "fractional-t" else "1"
         layout = tmp_path / "doc.json"
@@ -375,15 +386,44 @@ class TestGoldenFixture:
         sequence.steps[1] = replace(sequence.steps[1], X=X)
         perturbed = make_golden.output_record(sequence, report)
         assert perturbed["sha256"] != first["sha256"]
+        assert perturbed["trace_sha256"] == first["trace_sha256"]
+        # a stress trace that moves in its last bits, with every output kept
+        sequence, report = run_sequence(network, config)
+        trace = report.steps[2].stress_trace
+        moved = np.nextafter(trace[-1], np.inf)
+        report.steps[2] = replace(report.steps[2], stress_trace=(*trace[:-1], moved))
+        retraced = make_golden.output_record(sequence, report)
+        assert retraced["sha256"] == first["sha256"]
+        assert retraced["trace_sha256"] != first["trace_sha256"]
 
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        make_golden.write_digest({"same": first, "moved": first}, a)
-        make_golden.write_digest({"same": first, "moved": perturbed}, b)
+        make_golden.write_digest({"same": first, "moved": first, "retraced": first}, a)
+        make_golden.write_digest({"same": first, "moved": perturbed, "retraced": retraced}, b)
         assert make_golden.main(["--compare", str(a), str(a)]) == 0
         assert make_golden.main(["--compare", str(a), str(b)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "every run has the same digest"
-        assert lines[1:] == ["differs: moved (largest coordinate change 1.000e-09)"]
+        assert lines[1:] == ["differs: moved (largest coordinate change 1.000e-09)",
+                             "differs: retraced (traces only, largest relative change "
+                             f"{(moved - trace[-1]) / trace[-1]:.3e})"]
+
+    def test_replay_of_the_capturing_tree_changes_nothing(self, tmp_path, capsys):
+        # every recorded solve of protocol seed 0 (20 steps under each of the
+        # four stress configurations) solved again gives the recorded bits
+        assert replay.main(["--capture", str(tmp_path), "--seeds", "0"]) == 0
+        assert capsys.readouterr().out.startswith("80 solves recorded")
+        stats = replay.replay(tmp_path)
+        assert sorted(stats) == sorted(
+            ("stabilized_mds_online" if name == "mds-stabilized" else "dmds_layout", name,
+             "protocol") for name in replay.CONFIGS)
+        for entry in stats.values():
+            assert entry["solves"] == entry["tied"] == 20
+            assert entry["rose"] == entry["fell"] == 0 and entry["rises"] == []
+            assert entry["iterations"] == entry["replayed"] > 20
+            assert entry["same_layout"] == entry["same_trace"] == 20
+        assert replay.main(["--replay", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and all("tied 20, rose 0" in line for line in lines)
 
 
 class TestClusterCommand:

@@ -311,6 +311,11 @@ class TestLayoutExport:
                 "step 1: bad layout record: KeyError('nodes')",
             '{"steps": [{"t": 0, "nodes": [{"id": "a", "x": ["abc"], "group": null}]}]}':
                 "step 0: bad layout record: ValueError(\"could not convert string to float",
+            f'{{"steps": [{{"t": 0, "nodes": [{node}, {{"id": "b", "x": ["1", " 3 "], '
+            '"group": null}]}]}':
+                "step 0: 'x' holds '1', which is not a JSON number",
+            f'{{"steps": [{{"t": 0, "nodes": [{node}], "representatives": [[false, 1]]}}]}}':
+                "step 0: 'representatives' holds False, which is not a JSON number",
         }
         for text, cause in cases.items():
             path = tmp_path / "other.json"

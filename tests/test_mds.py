@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_connected_adjacency
+from dynlayout import mds
 from dynlayout.distances import kk_weights, shortest_path_distances
 from dynlayout.errors import DisconnectedGraphError
 from dynlayout.graph import augment, laplacian
@@ -148,6 +149,108 @@ class TestMajorizationKernel:
         ref = masked_S(V, delta, loop_distances(X))
         assert np.array_equal(S, ref)
         assert np.array_equal(np.signbit(S), np.signbit(ref))
+
+
+@st.composite
+def stress_systems(draw):
+    """A modified-stress system and an iterate: 2-10 nodes in 1-3
+    dimensions, weights with unreachable pairs (no weight, infinite desired
+    distance), points that coincide, 0-2 groups and a temporal term."""
+    n = draw(st.integers(2, 10))
+    s = draw(st.integers(1, 3))
+    square = st.tuples(st.just(n), st.just(n))
+    V = np.triu(draw(arrays(float, square, elements=st.sampled_from([0.0, 0.25, 1.0, 3.0]))), 1)
+    V[0, 1] = max(V[0, 1], 1.0)
+    delta = np.triu(draw(arrays(float, square, elements=st.sampled_from([0.5, 1.0, 2.0, 3.0]))),
+                    1)
+    V, delta = V + V.T, delta + delta.T
+    unreachable = np.triu(draw(arrays(bool, square)), 1) & (V == 0)
+    delta[unreachable | unreachable.T] = np.inf
+    k = draw(st.integers(0, 2))
+    labels = draw(arrays(int, n, elements=st.integers(-1, k - 1)))
+    C = np.zeros((n, k))
+    C[labels >= 0, labels[labels >= 0]] = 1.0
+    alpha = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    beta = draw(st.sampled_from([0.0, 0.7]))
+    e = draw(arrays(float, n, elements=st.sampled_from([0.0, 1.0])))
+    points = draw(arrays(float, (draw(st.integers(1, n + k)), s),
+                         elements=st.floats(-3, 3, allow_subnormal=False)))
+    X = points[draw(arrays(int, n + k, elements=st.integers(0, points.shape[0] - 1)))]
+    X_prev = draw(arrays(float, (n + k, s), elements=st.floats(-3, 3, allow_subnormal=False)))
+    V_aug, delta_aug = augment_mds(V, delta, C, alpha)
+    return _Majorization(V_aug, delta_aug, beta, e, X_prev), X
+
+
+class TestStressIdentity:
+    # the solvers read each iterate's stress from the identity
+    # (1/2) sum v delta^2 - sum v delta d + tr(X^T L_V X)
+    @given(stress_systems())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_direct_sum(self, drawn):
+        system, X = drawn
+        value = system.at(X).objective()
+        assert np.array_equal(system.VX, system.V @ system.X)
+        assert abs(value - system.at(X).stress()) <= 1e-12 * system.half_vdd
+
+    def test_nearly_coincident_points(self):
+        # S(X) X would cancel here: its entries grow as 1/d
+        V = np.ones((4, 4)) - np.eye(4)
+        delta = 2.0 * V
+        system = _Majorization(V, delta)
+        for gap in (1e-5, 1e-12, 1e-16):
+            X = np.array([[2.0 + 2 * gap], [2.0], [2.0 + gap], [5.0]])
+            value = system.at(X).objective()
+            assert abs(value - system.stress()) <= 1e-12 * system.half_vdd
+
+    def path_problem(self, n=40):
+        W = np.zeros((n, n))
+        W[np.arange(n - 1), np.arange(1, n)] = 1.0
+        dm = shortest_path_distances(W + W.T)
+        return dm.delta, kk_weights(dm)
+
+    def test_path_falls_back_to_the_direct_sum(self, monkeypatch):
+        # a 40-node path fits a line almost exactly, so its stress ends far
+        # below (1/2) sum v delta^2, where the identity cancels
+        n = 40
+        delta, V = self.path_problem(n)
+        rng = np.random.default_rng(0)
+        line = np.arange(n, dtype=float)[:, None]
+        X_prev = 1.02 * line + 0.05 * rng.standard_normal((n, 1))
+        X0 = line + 0.1 * rng.standard_normal((n, 1))
+
+        def solve(floor):
+            with monkeypatch.context() as patch:
+                patch.setattr(mds, "_IDENTITY_FLOOR", floor)
+                return stabilized_mds_online(delta, V, 1.0, np.ones(n), X_prev, X0=X0)
+
+        layout, report = solve(mds._IDENTITY_FLOOR)
+        direct_layout, direct = solve(np.inf)  # every value summed pair by pair
+        _, identity = solve(-np.inf)  # the identity wherever no stop is near
+        assert report.iterations == direct.iterations > 10
+        assert np.array_equal(layout.X, direct_layout.X)
+        trace, ref = np.array(report.stress_trace), np.array(direct.stress_trace)
+        low = ref < mds._IDENTITY_FLOOR * mds._Majorization(V, delta).half_vdd
+        assert 10 < low.sum() < low.size
+        assert np.array_equal(trace[low], ref[low])
+        # without the fallback the low values would be off by more than the
+        # trace's rounding allowance
+        error = np.abs(np.array(identity.stress_trace) - ref) / ref
+        assert error[low].max() > 1e-12
+        assert np.all(trace[1:] < trace[:-1])
+
+    def test_restart_at_a_fixed_point_does_not_rise(self, monkeypatch):
+        # one more update barely moves the layout, so the identity's rounding
+        # would decide the stop; both values are then summed directly
+        delta, V = self.path_problem()
+        rng = np.random.default_rng(0)
+        layout, _ = smacof_static(delta, V, rng.standard_normal((40, 1)))
+        _, report = smacof_static(delta, V, layout.X)
+        monkeypatch.setattr(mds, "_IDENTITY_FLOOR", np.inf)
+        _, direct = smacof_static(delta, V, layout.X)
+        assert report.iterations == direct.iterations
+        assert report.stress_trace[-2:] == direct.stress_trace[-2:]
+        trace = np.array(report.stress_trace)
+        assert np.all(trace[1:] <= trace[:-1])
 
 
 # --- stress -----------------------------------------------------------------
@@ -400,6 +503,24 @@ class TestDmds:
             trace = np.array(report.stress_trace)
             drops = trace[:-1] - trace[1:]
             assert np.all(drops >= -1e-12 * np.maximum(trace[:-1], 1.0))
+
+    def test_relaxed_solve_keeps_node_zero_at_origin(self, rng, monkeypatch):
+        # without a temporal anchor the first node is pinned: the first,
+        # unrelaxed update puts it on the origin and relaxed ones keep it there
+        delta, V = kk_problem(rng, 6)
+        C = np.zeros((6, 2))
+        C[:3, 0] = C[3:, 1] = 1.0
+        X0 = rng.uniform(-1, 1, size=(8, 2)) + 5.0
+        for beta, e in ((0.0, np.ones(6)), (1.0, np.zeros(6))):
+            def solve():
+                return dmds_layout(delta, V, C, 0.5, beta, e, np.zeros((8, 2)), X0=X0)
+
+            layout, report = solve()
+            assert np.array_equal(layout.X[0], [0.0, 0.0])
+            with monkeypatch.context() as patch:
+                patch.setattr(mds, "RELAXATION", 1.0)
+                _, plain = solve()
+            assert report.iterations < plain.iterations
 
     def test_system_matrix_positive_definite_with_presence(self, rng):
         delta, V = kk_problem(rng, 5)
