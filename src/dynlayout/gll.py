@@ -5,6 +5,8 @@ regularized eigen layout, the blended-Laplacian baseline, and the
 dynamic variant that adds a temporal penalty and therefore needs an
 equality-constrained solve instead of an eigendecomposition. Its temporal
 penalty takes the 0/1 presence vector e, the diagonal of the paper's E.
+The eigen layouts are per-snapshot, defined up to the axes' order and
+signs; ``pipeline.run_sequence`` aligns each one to the step before.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, DisconnectedGraphError, NumericalError
 from .graph import augment, has_temporal_anchor, laplacian, require_connected
-from .layout import Layout, align_to_reference
+from .layout import Layout
 from .numerics import (gen_eig_smallest, kkt_residuals, minimize_eq_constrained,
                        sym_eig_smallest)
 
@@ -27,13 +29,9 @@ def energy(X: np.ndarray, L: np.ndarray) -> float:
     return float(np.trace(X.T @ L @ X))
 
 
-def _scaled_eig_layout(L: np.ndarray, s: int, normalized: bool, what: str,
-                       reference: np.ndarray | None = None,
-                       mask: np.ndarray | None = None) -> np.ndarray:
-    """Scaled eigen layout of a connected graph given by its Laplacian,
-    sign/axis aligned to ``reference`` on the rows that ``mask`` marks when
-    a reference is given; ``what`` names the layout in the error for a
-    disconnected graph."""
+def _scaled_eig_layout(L: np.ndarray, s: int, normalized: bool, what: str) -> np.ndarray:
+    """Scaled eigen layout of a connected graph given by its Laplacian;
+    ``what`` names the layout in the error for a disconnected graph."""
     require_connected(L, what)  # L's off-diagonal is -W
     n = L.shape[0]
     if s + 1 > n:
@@ -44,19 +42,15 @@ def _scaled_eig_layout(L: np.ndarray, s: int, normalized: bool, what: str,
     else:
         _, vectors = sym_eig_smallest(L, s + 1)
         scale = np.sqrt(n)
-    X = scale * vectors[:, 1:s + 1]
-    return X if reference is None else align_to_reference(X, reference, mask)
+    return scale * vectors[:, 1:s + 1]
 
 
-def spectral_layout(L: np.ndarray, s: int, normalized: bool = True,
-                    reference: np.ndarray | None = None,
-                    mask: np.ndarray | None = None) -> Layout:
+def spectral_layout(L: np.ndarray, s: int, normalized: bool = True) -> Layout:
     """Static layout of the graph with Laplacian ``L`` (see ``laplacian``)
     from the s smallest nontrivial (generalized) Laplacian eigenvectors,
     scaled so the layout has unit (degree-) weighted variance per
-    dimension, and aligned to ``reference`` (on the rows ``mask`` marks)
-    when one is given."""
-    X = _scaled_eig_layout(L, s, normalized, "spectral layout", reference, mask)
+    dimension."""
+    X = _scaled_eig_layout(L, s, normalized, "spectral layout")
     return Layout(X=X, Y=np.zeros((0, s)))
 
 
@@ -71,28 +65,22 @@ def centering_matrix(d: np.ndarray) -> np.ndarray:
 
 
 def ccdr_layout(W: np.ndarray, C: np.ndarray, alpha: float, s: int,
-                normalized: bool = True, reference: np.ndarray | None = None,
-                mask: np.ndarray | None = None) -> Layout:
+                normalized: bool = True) -> Layout:
     """Grouping-regularized eigen layout: spectral layout of the augmented
-    graph, aligned on its node rows to ``reference`` (on the rows ``mask``
-    marks) when one is given, and split back into node and representative
-    coordinates."""
+    graph, split back into node and representative coordinates."""
     n = np.shape(C)[0]
     X_aug = _scaled_eig_layout(laplacian(augment(W, C, alpha)), s, normalized,
-                               "grouping-regularized spectral layout", reference, mask)
+                               "grouping-regularized spectral layout")
     return Layout(X=X_aug[:n], Y=X_aug[n:])
 
 
-def bfp_layout(L_prev: np.ndarray, L_curr: np.ndarray, lam: float,
-               X_prev: np.ndarray | None, s: int, normalized: bool = True,
-               mask: np.ndarray | None = None) -> Layout:
-    """Spectral layout of the blended Laplacian lam*L[t-1] + (1-lam)*L[t],
-    sign/axis aligned to the previous layout when one is given, on the
-    rows of X_prev that ``mask`` marks (all rows when it is None)."""
+def bfp_layout(L_prev: np.ndarray, L_curr: np.ndarray, lam: float, s: int,
+               normalized: bool = True) -> Layout:
+    """Spectral layout of the blended Laplacian lam*L[t-1] + (1-lam)*L[t]."""
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"blend weight must be in [0, 1], got {lam}")
     L = lam * L_prev + (1.0 - lam) * L_curr
-    X = _scaled_eig_layout(L, s, normalized, "blended-Laplacian layout", X_prev, mask)
+    X = _scaled_eig_layout(L, s, normalized, "blended-Laplacian layout")
     return Layout(X=X, Y=np.zeros((0, s)))
 
 

@@ -32,23 +32,22 @@ class Layout:
         object.__setattr__(self, "Y", Y)
 
 
-def align_to_reference(X: np.ndarray, ref: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Permute and sign-flip the columns of X to maximize trace alignment
-    with a reference layout.
+def align_to_reference(layout: Layout, ref: np.ndarray, mask: np.ndarray) -> Layout:
+    """The layout with the columns of X and Y permuted and sign-flipped
+    alike, to maximize trace alignment of X with a reference layout of X's
+    shape on the rows that ``mask`` marks (e.g. the nodes present in the
+    reference).
 
     Eigen-based layouts are only defined up to axis permutation and
     reflection; without this step their temporal cost is dominated by
-    arbitrary sign flips. Only the first len(ref) rows of X are scored,
-    so a layout stacked with its group representatives aligns on its
-    nodes; rows where ``mask`` is False (e.g. nodes absent from the
-    reference) are ignored too.
+    arbitrary sign flips.
     """
-    X = np.asarray(X, dtype=float)
     ref = np.asarray(ref, dtype=float)
+    X = layout.X
     s = X.shape[1]
-    if ref.shape[1:] != X.shape[1:] or ref.shape[0] > X.shape[0]:
-        raise DataError(f"reference shape {ref.shape} does not fit layout shape {X.shape}")
-    rows = np.arange(ref.shape[0]) if mask is None else np.flatnonzero(mask)
+    if ref.shape != X.shape:
+        raise DataError(f"reference shape {ref.shape} differs from layout shape {X.shape}")
+    rows = np.flatnonzero(mask)
     A = X[rows].T @ ref[rows]
     best_score, best_perm = -np.inf, None
     for perm in itertools.permutations(range(s)):
@@ -56,4 +55,5 @@ def align_to_reference(X: np.ndarray, ref: np.ndarray, mask: np.ndarray | None =
         if score > best_score:
             best_score, best_perm = score, perm
     signs = np.array([1.0 if A[best_perm[b], b] >= 0 else -1.0 for b in range(s)])
-    return X[:, list(best_perm)] * signs
+    cols = list(best_perm)
+    return Layout(X=X[:, cols] * signs, Y=layout.Y[:, cols] * signs)

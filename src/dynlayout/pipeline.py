@@ -23,7 +23,7 @@ from . import gll, mds, metrics
 from .distances import kk_weights, shortest_path_distances, similarity_to_dissimilarity
 from .errors import DataError, DynlayoutError
 from .graph import DynamicNetwork, Persistence, Snapshot, build_membership_matrix
-from .layout import Layout
+from .layout import Layout, align_to_reference
 from .numerics import single_threaded_blas
 
 MDS_METHODS = ("dmds", "mds-static", "mds-stabilized")
@@ -323,25 +323,26 @@ def _solve(network: DynamicNetwork, t: int, config: RegularizationConfig,
         return layout, metrics.static_cost_mds(layout.X, delta, V), report
 
     L = gll.laplacian(snap.W)
-    persist_mask = shared.e > 0
-    # eigen layouts align to the previous step on the nodes present at both
-    reference = X_prev if t > 0 and persist_mask.any() else None
+
+    def aligned(layout: Layout) -> Layout:
+        # an eigen layout takes the axes and signs of the previous step's,
+        # chosen on the nodes present at both
+        return align_to_reference(layout, X_prev, shared.e > 0) if shared.rows.size else layout
+
     if method == "dgll":
         layout = gll.dgll_layout(snap.W, C, config.alpha, config.beta, shared.e, X_aug_prev, s,
                                  normalized=config.normalized,
                                  rng=_rng_for(config.seed, t, 3)).layout
     elif method == "spectral":
-        layout = gll.spectral_layout(L, s, config.normalized, reference, persist_mask)
+        layout = aligned(gll.spectral_layout(L, s, config.normalized))
     elif method == "ccdr":
-        layout = gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized, reference,
-                                 persist_mask)
-    else:  # bfp: the blend weight whose layout has the lowest composite cost
+        layout = aligned(gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized))
+    else:  # bfp: the blend weight whose aligned layout has the lowest composite cost
         L_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, shared))
         candidates: dict[float, Layout] = {}
 
         def composite(lam: float) -> float:
-            cand = candidates[lam] = gll.bfp_layout(L_prev, L, lam, reference, s,
-                                                    config.normalized, persist_mask)
+            cand = candidates[lam] = aligned(gll.bfp_layout(L_prev, L, lam, s, config.normalized))
             costs = score_step(t, cand.X, metrics.static_cost_gll(cand.X, L),
                                eval_labels, X_prev, shared.e)
             return (costs.static_cost + config.alpha * (costs.centroid_cost or 0.0)

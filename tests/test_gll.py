@@ -13,7 +13,7 @@ from dynlayout.gll import (bfp_lambda_select, bfp_layout, ccdr_layout, centering
                            dgll_derivatives, dgll_layout, dgll_objective, energy, laplacian,
                            spectral_layout)
 from dynlayout.graph import augment
-from dynlayout.layout import align_to_reference
+from dynlayout.layout import Layout, align_to_reference
 
 
 def path_graph():
@@ -226,35 +226,42 @@ class TestBfp:
     def test_lambda_zero_is_current_spectral(self, rng):
         W_prev = random_connected_adjacency(rng, 6)
         W_curr = random_connected_adjacency(rng, 6)
-        layout = bfp_layout(laplacian(W_prev), laplacian(W_curr), 0.0, None, 2)
+        layout = bfp_layout(laplacian(W_prev), laplacian(W_curr), 0.0, 2)
         expected = spectral_layout(laplacian(W_curr), 2, normalized=True)
         assert np.allclose(layout.X, expected.X, atol=1e-10)
 
     def test_lambda_one_is_previous_spectral(self, rng):
         W_prev = random_connected_adjacency(rng, 6)
         W_curr = random_connected_adjacency(rng, 6)
-        layout = bfp_layout(laplacian(W_prev), laplacian(W_curr), 1.0, None, 2)
+        layout = bfp_layout(laplacian(W_prev), laplacian(W_curr), 1.0, 2)
         expected = spectral_layout(laplacian(W_prev), 2, normalized=True)
         assert np.allclose(layout.X, expected.X, atol=1e-10)
 
     def test_identical_snapshots_any_lambda(self, rng):
         W = random_connected_adjacency(rng, 6)
         lap = laplacian(W)
-        a = bfp_layout(lap, lap, 0.37, None, 2)
+        a = bfp_layout(lap, lap, 0.37, 2)
         b = spectral_layout(lap, 2, normalized=True)
         assert np.allclose(a.X @ a.X.T, b.X @ b.X.T, atol=1e-8)
 
     def test_lambda_outside_range_rejected(self, rng):
         W = random_connected_adjacency(rng, 4)
         with pytest.raises(DataError):
-            bfp_layout(laplacian(W), laplacian(W), 1.5, None, 2)
+            bfp_layout(laplacian(W), laplacian(W), 1.5, 2)
 
     def test_alignment_to_previous(self, rng):
-        W = random_connected_adjacency(rng, 6)
-        lap = laplacian(W)
-        ref = spectral_layout(lap, 2, normalized=True).X
-        flipped = bfp_layout(lap, lap, 0.0, -ref, 2)
-        assert np.allclose(flipped.X, -ref, atol=1e-8)
+        # a step of the sequence is the layout of one blend weight of the
+        # grid, aligned to the step before on the nodes present at both
+        snaps = [dl.Snapshot(t=t, W=random_connected_adjacency(rng, 6), active=range(6))
+                 for t in range(3)]
+        network = dl.DynamicNetwork(dl.NodeRegistry("abcdef"), snaps)
+        sequence, _ = dl.run_sequence(network, dl.RegularizationConfig(method="bfp"))
+        for t in (1, 2):
+            X, X_prev = sequence.steps[t].X, sequence.steps[t - 1].X
+            lap_prev, lap = laplacian(snaps[t - 1].W), laplacian(snaps[t].W)
+            assert any(np.array_equal(X, align_to_reference(bfp_layout(lap_prev, lap, lam, 2),
+                                                            X_prev, np.ones(6, bool)).X)
+                       for lam in np.arange(21) / 20)
 
 
 class TestBfpLambdaSelect:
@@ -282,7 +289,7 @@ class TestBfpLambdaSelect:
         lap_prev, lap_curr = laplacian(W_prev), laplacian(W_curr)
 
         def composite(lam):
-            return -lam + 0.0 * bfp_layout(lap_prev, lap_curr, lam, None, 1).X.sum()
+            return -lam + 0.0 * bfp_layout(lap_prev, lap_curr, lam, 1).X.sum()
 
         assert bfp_lambda_select([0.0, 0.5, 1.0], composite) == 0.5
         with pytest.raises(DataError, match="no blend weight.*2 components"):
@@ -602,55 +609,61 @@ class TestDgllLayout:
                         np.zeros((5, 3)), 3)
 
 
+def signed_permutation(before: np.ndarray, after: np.ndarray):
+    """The columns and signs with after[:, b] == signs[b] * before[:, cols[b]]."""
+    cols, signs = [], []
+    for b in range(after.shape[1]):
+        col, sign = next((c, sign) for c in range(before.shape[1]) for sign in (1.0, -1.0)
+                         if np.array_equal(after[:, b], sign * before[:, c]))
+        cols.append(col)
+        signs.append(sign)
+    return cols, np.array(signs)
+
+
 class TestAlignToReference:
     def test_recovers_sign_flip_and_permutation(self, rng):
         X = rng.standard_normal((8, 2))
         ref = X[:, [1, 0]] * np.array([-1.0, 1.0])
-        aligned = align_to_reference(ref, X)
-        assert np.allclose(aligned, X)
+        aligned = align_to_reference(Layout(X=ref, Y=np.zeros((0, 2))), X, np.ones(8, bool))
+        assert np.allclose(aligned.X, X)
 
     def test_masked_rows_ignored(self, rng):
         X = rng.standard_normal((6, 2))
         noisy = -X.copy()
         noisy[5] = rng.standard_normal(2) * 100
         mask = np.array([True] * 5 + [False])
-        aligned = align_to_reference(noisy, X, mask)
-        assert np.allclose(aligned[:5], X[:5])
+        aligned = align_to_reference(Layout(X=noisy, Y=np.zeros((0, 2))), X, mask)
+        assert np.allclose(aligned.X[:5], X[:5])
 
-    @pytest.mark.parametrize("mask", [None, "some"])
-    def test_stacked_layout_aligns_on_node_rows(self, mask, rng):
-        # a node-only reference gives the bits of the padded reference and
-        # mask that once stood in for it
-        for _ in range(30):
-            n, k, s = int(rng.integers(3, 9)), int(rng.integers(0, 4)), int(rng.integers(1, 3))
-            stacked = rng.standard_normal((n + k, s))
-            ref = rng.standard_normal((n, s))
-            node_mask = None if mask is None else rng.random(n) < 0.7
-            padded_mask = np.concatenate([np.ones(n, dtype=bool) if mask is None else node_mask,
-                                          np.zeros(k, dtype=bool)])
-            padded = align_to_reference(stacked, np.vstack([ref, np.zeros((k, s))]),
-                                        padded_mask)
-            assert np.array_equal(align_to_reference(stacked, ref, node_mask), padded)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), k=st.integers(0, 3),
+           s=st.integers(1, 3))
+    @settings(deadline=None, max_examples=200)
+    def test_one_signed_permutation_chosen_on_masked_rows(self, seed, n, k, s):
+        rng = np.random.default_rng(seed)
+        layout = Layout(X=rng.standard_normal((n, s)), Y=rng.standard_normal((k, s)))
+        ref = rng.standard_normal((n, s))
+        mask = rng.random(n) < 0.7
+        aligned = align_to_reference(layout, ref, mask)
+        cols, signs = signed_permutation(layout.X, aligned.X)
+        assert sorted(cols) == list(range(s))
+        assert np.array_equal(aligned.Y, layout.Y[:, cols] * signs)
+        # rows outside the mask, of the layout or of the reference, do not
+        # change the choice
+        X_other, ref_other = layout.X.copy(), ref.copy()
+        X_other[~mask] = rng.standard_normal((int((~mask).sum()), s))
+        ref_other[~mask] = rng.standard_normal((int((~mask).sum()), s))
+        other = align_to_reference(Layout(X=X_other, Y=layout.Y), ref_other, mask)
+        assert np.array_equal(other.X, X_other[:, cols] * signs)
+        assert np.array_equal(other.Y, aligned.Y)
 
     @pytest.mark.parametrize("shape", [(6, 2), (5, 3), (4, 1), (5,)])
     def test_longer_or_wider_reference_rejected(self, shape, rng):
+        layout = Layout(X=rng.standard_normal((5, 2)), Y=np.zeros((0, 2)))
         with pytest.raises(DataError, match="reference shape"):
-            align_to_reference(rng.standard_normal((5, 2)), np.zeros(shape))
+            align_to_reference(layout, np.zeros(shape), np.ones(5, bool))
 
-    @pytest.mark.parametrize("method", ["spectral", "ccdr"])
-    def test_eigen_layouts_align_to_a_given_reference(self, method, rng):
-        W = random_connected_adjacency(rng, 8)
-        C = np.zeros((8, 2))
-        C[:5, 0] = 1
-        C[5:, 1] = 1
-        ref = rng.standard_normal((8, 2))
-        mask = rng.random(8) < 0.6
-
-        def solve(*reference):
-            if method == "spectral":
-                return spectral_layout(laplacian(W), 2, True, *reference)
-            return ccdr_layout(W, C, 1.0, 2, True, *reference)
-
-        free, aligned = solve(), solve(ref, mask)
-        expected = align_to_reference(np.vstack([free.X, free.Y]), ref, mask)
-        assert np.array_equal(np.vstack([aligned.X, aligned.Y]), expected)
+    def test_shorter_reference_rejected(self, rng):
+        # a layout stacked with its representatives aligns through its X
+        layout = Layout(X=rng.standard_normal((5, 2)), Y=rng.standard_normal((2, 2)))
+        with pytest.raises(DataError, match="reference shape"):
+            align_to_reference(layout, np.zeros((4, 2)), np.ones(4, bool))

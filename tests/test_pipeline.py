@@ -13,8 +13,8 @@ from conftest import random_connected_adjacency
 from dynlayout import gll, mds, numerics
 from dynlayout.errors import DataError, DisconnectedGraphError, NumericalError
 from dynlayout.graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot,
-                            has_temporal_anchor)
-from dynlayout.layout import align_to_reference
+                            build_membership_matrix, has_temporal_anchor)
+from dynlayout.layout import Layout, align_to_reference
 from dynlayout import clustering as clus
 from dynlayout.pipeline import (GROUPING_METHODS, METHODS, RegularizationConfig,
                                 learn_group_sequence, parameter_sweep, run_sequence,
@@ -138,10 +138,32 @@ class TestRunSequence:
                  for t, nodes in enumerate(active)]
         network = DynamicNetwork(NodeRegistry(f"v{i}" for i in range(8)), snaps)
         sequence, _ = run_sequence(network, RegularizationConfig(method="bfp", seed=1))
-        X2 = sequence.steps[2].X
-        ref = np.zeros_like(X2)
+        step = Layout(X=sequence.steps[2].X, Y=np.zeros((0, 2)))
+        ref = np.zeros_like(step.X)
         ref[:4] = sequence.steps[1].X
-        assert np.array_equal(align_to_reference(X2, ref, np.arange(8) < 4), X2)
+        assert np.array_equal(align_to_reference(step, ref, np.arange(8) < 4).X, step.X)
+
+    @pytest.mark.parametrize("method", ["spectral", "ccdr"])
+    def test_eigen_layouts_align_to_the_previous_step(self, method):
+        # every step after the first is the snapshot's own eigen layout,
+        # aligned to the step before on the nodes present at both
+        network = churned_block_model(3)
+        for s in (1, 2):
+            config = RegularizationConfig(method=method, groups="known", dims=s)
+            sequence, _ = run_sequence(network, config)
+            for t in range(1, len(network.snapshots)):
+                snap, step, shared = network.snapshots[t], sequence.steps[t], \
+                    network.persistence(t)
+                C = build_membership_matrix(snap.groups.labels, snap.groups.k)
+                kept = np.flatnonzero(C.sum(axis=0))
+                own = gll.spectral_layout(gll.laplacian(snap.W), s) if method == "spectral" \
+                    else gll.ccdr_layout(snap.W, C[:, kept], config.alpha, s)
+                X_prev = np.zeros_like(step.X)
+                X_prev[shared.rows] = sequence.steps[t - 1].X[shared.prev_rows]
+                expected = align_to_reference(own, X_prev, shared.e > 0)
+                assert np.array_equal(step.X, expected.X)
+                if method == "ccdr":
+                    assert np.array_equal(step.Y[kept], expected.Y)
 
     @pytest.mark.parametrize("method", ["dmds", "mds-static"])
     def test_disconnected_snapshot_names_component_count(self, method):
