@@ -112,12 +112,15 @@ def _lockstep_lloyd(points: np.ndarray, k: int, firsts: np.ndarray):
         counts = np.bincount((np.arange(running.size)[:, None] * k + new_labels).ravel(),
                              minlength=running.size * k).reshape(-1, k)
         for a in np.flatnonzero((counts == 0).any(axis=1)):
-            for c in range(k):
-                if not np.any(new_labels[a] == c):
-                    # revive an empty cluster with the worst-fit point
-                    worst = int(np.argmax(dists[a, np.arange(n), new_labels[a]]))
-                    new_labels[a, worst] = c
-                    centers[running[a], c] = points[worst]
+            # revive each empty cluster with a distinct point: the worst fit
+            # of a cluster that keeps another member
+            fit, size = dists[a, np.arange(n), new_labels[a]], counts[a]
+            for c in np.flatnonzero(size == 0):
+                worst = int(np.argmax(np.where(size[new_labels[a]] > 1, fit, -np.inf)))
+                size[new_labels[a, worst]] -= 1
+                size[c] = 1
+                new_labels[a, worst] = c
+                centers[running[a], c] = points[worst]
         changed = (new_labels != labels[running]).any(axis=1)
         running, new_labels = running[changed], new_labels[changed]
         if running.size == 0:
@@ -142,11 +145,19 @@ def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
     two or more columns (``spectral_cluster`` passes k >= 2 eigenvector
     columns) the result is the same, bit for bit, as running the
     restarts one after another. Returns (labels in 1..k, wcss).
+
+    A round that leaves a cluster empty revives it with the worst-fit point
+    of a cluster that keeps another member, so every label is used. With k
+    or more distinct rows each revival lowers the sum of squares, so no
+    restart cycles; with fewer, clusters would have to share a center, and
+    a DataError says so. (``spectral_cluster``'s rows have rank k, so they
+    always hold k distinct rows.)
     """
     points = np.asarray(points, dtype=float)
     n, s = points.shape
-    if k > n:
-        raise DataError(f"cannot form {k} clusters from {n} points")
+    distinct = len(np.unique(points, axis=0))
+    if k > distinct:
+        raise DataError(f"cannot form {k} clusters from {distinct} distinct points")
     rng = np.random.default_rng(seed)
     # a repeated first index repeats a whole restart exactly; each is drawn
     # as one scalar, which keeps the random stream of the later restarts
@@ -156,7 +167,7 @@ def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
     runs = [_lockstep_lloyd(points, k, firsts[i:i + chunk])
             for i in range(0, firsts.size, chunk)]
     labels, wcss = map(np.concatenate, zip(*runs))
-    best = int(np.nanargmin(wcss))
+    best = int(np.argmin(wcss))
     return labels[best] + 1, float(wcss[best])
 
 

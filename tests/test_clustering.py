@@ -182,9 +182,10 @@ class TestSpectralCluster:
             spectral_cluster(np.zeros((3, 3)), 4, seed=0)
 
 
-def sequential_kmeans(points, k, seed, restarts=100, max_iter=300):
+def sequential_kmeans(points, k, seed, restarts=100, max_iter=300, revived=None):
     """Reference: the restarts of ``kmeans`` run one after another, each a
-    furthest-first start and Lloyd rounds with empty-cluster revival."""
+    furthest-first start and Lloyd rounds with empty-cluster revival; each
+    revival's (first index, round) is appended to ``revived`` when given."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     rng = np.random.default_rng(seed)
@@ -203,14 +204,19 @@ def sequential_kmeans(points, k, seed, restarts=100, max_iter=300):
             dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
         centers = points[chosen].copy()
         labels = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
+        for rnd in range(max_iter):
             dists = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
             new_labels = np.argmin(dists, axis=1)
+            fit = dists[np.arange(n), new_labels]
             for c in range(k):
                 if not np.any(new_labels == c):
-                    worst = int(np.argmax(dists[np.arange(n), new_labels]))
+                    # the worst-fit point of a cluster that keeps another member
+                    size = np.bincount(new_labels, minlength=k)
+                    worst = int(np.argmax(np.where(size[new_labels] > 1, fit, -np.inf)))
                     new_labels[worst] = c
                     centers[c] = points[worst]
+                    if revived is not None:
+                        revived.append((first, rnd))
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
@@ -223,12 +229,12 @@ def sequential_kmeans(points, k, seed, restarts=100, max_iter=300):
 
 
 @st.composite
-def kmeans_inputs(draw):
-    """Up to 9 points on a coarse grid, some rows duplicated (ties and
-    empty-cluster revival are common there), or up to 60 points in general
-    position (the 100 first-index draws then leave some points unused),
-    with 2 to 4 columns and k anywhere from 1 to n."""
-    s = draw(st.integers(2, 4))
+def kmeans_inputs(draw, columns=st.integers(2, 4)):
+    """Up to 9 points on a coarse grid, some rows duplicated (ties are
+    common there), or up to 60 points in general position (the 100
+    first-index draws then leave some points unused), with 2 to 4 columns
+    and k anywhere from 1 to the number of distinct rows."""
+    s = draw(columns)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         n = draw(st.integers(1, 9))
@@ -238,7 +244,15 @@ def kmeans_inputs(draw):
     else:
         n = draw(st.integers(1, 60))
         points = rng.standard_normal((n, s))
-    return points, draw(st.integers(1, n)), draw(st.integers(0, 2**31 - 1))
+    distinct = len(np.unique(points, axis=0))
+    return points, draw(st.integers(1, distinct)), draw(st.integers(0, 2**31 - 1))
+
+
+# seven distinct rows: on a restart from the point (0, 1.83), the clusters
+# around it take all of its members in the second round, so it is revived
+REVIVAL_POINTS = np.array([[0.0, 1.83], [0.0, 5.67], [-5.97, -1.46], [5.97, -1.46]]
+                          + [[0.0, 3.87]] * 4 + [[-1.64, -1.46], [1.64, -1.46]] * 4
+                          + [[-2.18, -1.46], [2.18, -1.46]] * 5)
 
 
 class TestKmeans:
@@ -246,10 +260,8 @@ class TestKmeans:
     @settings(deadline=None, max_examples=100)
     def test_matches_sequential_restarts(self, case):
         points, k, seed = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of an emptied cluster
-            labels, wcss = kmeans(points, k, seed)
-            ref_labels, ref_wcss = sequential_kmeans(points, k, seed)
+        labels, wcss = kmeans(points, k, seed)
+        ref_labels, ref_wcss = sequential_kmeans(points, k, seed)
         assert np.array_equal(labels, ref_labels)
         assert wcss == ref_wcss
 
@@ -268,13 +280,50 @@ class TestKmeans:
             assert np.array_equal(labels, ref_labels) and wcss == ref_wcss
 
     def test_revival_matches_sequential_restarts(self):
-        # every furthest-first start picks the duplicated point twice, so
-        # one cluster starts empty and is revived in the first round
-        points = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        labels, wcss = kmeans(points, 3, seed=5)
-        assert set(labels) == {1, 2, 3}
-        ref_labels, ref_wcss = sequential_kmeans(points, 3, seed=5)
+        revived = []
+        labels, wcss = kmeans(REVIVAL_POINTS, 4, seed=5)
+        assert set(labels) == {1, 2, 3, 4}
+        ref_labels, ref_wcss = sequential_kmeans(REVIVAL_POINTS, 4, seed=5, revived=revived)
         assert np.array_equal(labels, ref_labels) and wcss == ref_wcss
+        assert (0, 1) in revived
+
+    @given(kmeans_inputs(columns=st.integers(1, 4)))
+    @settings(deadline=None, max_examples=100)
+    def test_every_label_used_without_cycling(self, case):
+        # at least k distinct rows: each revival lowers the sum of squares,
+        # so no center is NaN and no restart comes near the round cap
+        points, k, seed = case
+        original, centers = clustering._member_means, []
+
+        def member_means(*args):
+            centers.append(original(*args))
+            return centers[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            # one chunk: a round of the longest restart computes means once
+            mp.setattr(clustering, "_LOCKSTEP_ELEMENTS", 1 << 30)
+            mp.setattr(clustering, "_member_means", member_means)
+            labels, wcss = kmeans(points, k, seed)
+        assert set(labels) == set(range(1, k + 1))
+        assert all(np.all(np.isfinite(c)) for c in centers) and np.isfinite(wcss)
+        assert len(centers) <= 30
+
+    @pytest.mark.parametrize("first", range(5))
+    def test_each_empty_cluster_revived_with_its_own_point(self, first):
+        # furthest-first picks a copy of (0, 0) three times, so two clusters
+        # start empty; each takes another copy, and no mean is NaN (``kmeans``
+        # itself rejects these points, which hold two distinct rows)
+        points = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, wcss = clustering._lockstep_lloyd(points, 4, np.array([first]))
+        assert set(labels[0]) == {0, 1, 2, 3} and wcss[0] == 0.0
+
+    def test_fewer_distinct_rows_than_clusters_rejected(self):
+        # three clusters of two distinct rows would have to share a center
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(DataError, match="cannot form 3 clusters from 2 distinct points"):
+            kmeans(points, 3, seed=5)
 
     def test_obvious_two_clusters(self):
         pts = np.array([[0.0, 0], [0.1, 0], [5.0, 5.0], [5.1, 5.0]])
