@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import io as dio
 from . import render as rnd
+from .distances import SIMILARITY_MODES
 from .errors import DataError, NumericalError
 from .graph import DynamicNetwork, GroupAssignment
 from .pipeline import (METHODS, RegularizationConfig, learn_group_sequence, parameter_sweep,
@@ -70,7 +71,7 @@ def _add_layout_options(p: argparse.ArgumentParser):
     p.add_argument("--normalized", action=argparse.BooleanOptionalAction,
                    default=_DEFAULT.normalized,
                    help="degree-normalized constraints (GLL family)")
-    p.add_argument("--similarity", choices=("linear", "inverse"), default=None,
+    p.add_argument("--similarity", choices=SIMILARITY_MODES, default=None,
                    help="convert similarity weights to dissimilarities (MDS family)")
 
 

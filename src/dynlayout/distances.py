@@ -55,6 +55,9 @@ def kk_weights(dm: DistanceMatrix) -> np.ndarray:
     return V
 
 
+SIMILARITY_MODES = ("linear", "inverse")
+
+
 def similarity_to_dissimilarity(W_sim: np.ndarray, mode: str = "inverse") -> np.ndarray:
     """Convert similarity edge weights into dissimilarities.
 

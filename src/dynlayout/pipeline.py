@@ -20,7 +20,8 @@ import numpy as np
 
 from . import clustering as clus
 from . import gll, mds, metrics
-from .distances import kk_weights, shortest_path_distances, similarity_to_dissimilarity
+from .distances import (SIMILARITY_MODES, kk_weights, shortest_path_distances,
+                        similarity_to_dissimilarity)
 from .errors import DataError, DynlayoutError
 from .graph import DynamicNetwork, Persistence, Snapshot, build_membership_matrix
 from .layout import Layout, align_to_reference
@@ -57,6 +58,9 @@ class RegularizationConfig:
             raise DataError(f"groups must be none|known|learn, got {self.groups!r}")
         if self.groups == "learn" and self.k is None:
             raise DataError("learning groups requires k")
+        if self.similarity_mode not in (None, *SIMILARITY_MODES):
+            raise DataError(f"similarity_mode must be None or one of {SIMILARITY_MODES}, "
+                            f"got {self.similarity_mode!r}")
         if not 1 <= self.dims <= 3:
             raise DataError(f"dims must be 1, 2 or 3, got {self.dims}")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):

@@ -253,6 +253,13 @@ class TestRunSequence:
         with pytest.raises(DataError):
             RegularizationConfig(groups="learn")
 
+    @pytest.mark.parametrize("method", ["spectral", "dmds"])
+    @pytest.mark.parametrize("mode", ["bogus", "", "Linear"])
+    def test_unknown_similarity_mode_rejected(self, method, mode):
+        # before any step runs, and whether or not the method converts weights
+        with pytest.raises(DataError, match="similarity_mode"):
+            RegularizationConfig(method=method, similarity_mode=mode)
+
     @pytest.mark.parametrize("field, value", [
         ("alpha", -1.0), ("alpha", float("inf")), ("alpha", float("nan")),
         ("beta", -1.0), ("beta", float("-inf")), ("beta", float("nan")),
