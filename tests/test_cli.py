@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynlayout import numerics
+from dynlayout import gll, numerics
 from dynlayout.cli import cli_main
 from dynlayout.pipeline import METHODS
 
@@ -409,21 +409,41 @@ class TestGoldenFixture:
 
     def test_replay_of_the_capturing_tree_changes_nothing(self, tmp_path, capsys):
         # every recorded solve of protocol seed 0 (20 steps under each of the
-        # four stress configurations) solved again gives the recorded bits
+        # four stress and two DGLL configurations) solved again gives the
+        # recorded bits
         assert replay.main(["--capture", str(tmp_path), "--seeds", "0"]) == 0
-        assert capsys.readouterr().out.startswith("80 solves recorded")
+        assert capsys.readouterr().out.startswith("120 solves recorded")
         stats = replay.replay(tmp_path)
-        assert sorted(stats) == sorted(
-            ("stabilized_mds_online" if name == "mds-stabilized" else "dmds_layout", name,
-             "protocol") for name in replay.CONFIGS)
-        for entry in stats.values():
-            assert entry["solves"] == entry["tied"] == 20
+        solvers = {"dmds-known": "dmds_layout", "dmds-learned": "dmds_layout",
+                   "mds-static": "dmds_layout", "mds-stabilized": "stabilized_mds_online",
+                   "dgll-known": "dgll_layout", "dgll-learned": "dgll_layout"}
+        assert sorted(stats) == sorted((solvers[name], name, "protocol")
+                                       for name in replay.CONFIGS)
+        for (solver, _, _), entry in stats.items():
+            assert entry["solves"] == entry["tied"] == entry["same_layout"] == 20
             assert entry["rose"] == entry["fell"] == 0 and entry["rises"] == []
-            assert entry["iterations"] == entry["replayed"] > 20
-            assert entry["same_layout"] == entry["same_trace"] == 20
+            if solver in replay.STRESS_SOLVERS:
+                assert entry["iterations"] == entry["replayed"] > 20
+                assert entry["same_trace"] == 20
         assert replay.main(["--replay", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 4 and all("tied 20, rose 0" in line for line in lines)
+        assert len(lines) == 6 and all("tied 20, rose 0" in line for line in lines)
+
+    def test_replay_restores_the_generator_before_the_solve(self):
+        # a start with no scatter makes DGLL draw a random one from ``rng``,
+        # so the recorded state must be the one from before the call
+        n, s = 6, 2
+        W = np.ones((n, n)) - np.eye(n)
+        calls = []
+        with replay.recording(calls):
+            solved = gll.dgll_layout(W, np.zeros((n, 0)), 0.0, 1.0, np.ones(n),
+                                     np.zeros((n, s)), s, rng=np.random.default_rng(7))
+        (solver, args, result, state), = calls
+        assert solver == "dgll_layout" and result is solved
+        again = gll.dgll_layout(**{**args, "rng": replay.generator(state)})
+        assert np.array_equal(again.X_aug, solved.X_aug)
+        assert not np.array_equal(
+            gll.dgll_layout(**{**args, "rng": np.random.default_rng(8)}).X_aug, solved.X_aug)
 
 
 class TestClusterCommand:
