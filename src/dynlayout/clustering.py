@@ -147,11 +147,10 @@ def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
     restarts one after another. Returns (labels in 1..k, wcss).
 
     A round that leaves a cluster empty revives it with the worst-fit point
-    of a cluster that keeps another member, so every label is used. With k
-    or more distinct rows each revival lowers the sum of squares, so no
-    restart cycles; with fewer, clusters would have to share a center, and
-    a DataError says so. (``spectral_cluster``'s rows have rank k, so they
-    always hold k distinct rows.)
+    of a cluster that keeps another member. With k or more distinct rows
+    each revival lowers the sum of squares, so no restart cycles; fewer are
+    a DataError (``spectral_cluster``'s rows have rank k, so they always
+    hold k distinct rows).
     """
     points = np.asarray(points, dtype=float)
     n, s = points.shape

@@ -656,14 +656,9 @@ class TestAlignToReference:
         assert np.array_equal(other.X, X_other[:, cols] * signs)
         assert np.array_equal(other.Y, aligned.Y)
 
-    @pytest.mark.parametrize("shape", [(6, 2), (5, 3), (4, 1), (5,)])
+    @pytest.mark.parametrize("shape", [(6, 2), (5, 3), (4, 1), (5,), (4, 2)])
     def test_longer_or_wider_reference_rejected(self, shape, rng):
-        layout = Layout(X=rng.standard_normal((5, 2)), Y=np.zeros((0, 2)))
-        with pytest.raises(DataError, match="reference shape"):
-            align_to_reference(layout, np.zeros(shape), np.ones(5, bool))
-
-    def test_shorter_reference_rejected(self, rng):
-        # a layout stacked with its representatives aligns through its X
+        # any shape but X's, a shorter one included
         layout = Layout(X=rng.standard_normal((5, 2)), Y=rng.standard_normal((2, 2)))
         with pytest.raises(DataError, match="reference shape"):
-            align_to_reference(layout, np.zeros((4, 2)), np.ones(4, bool))
+            align_to_reference(layout, np.zeros(shape), np.ones(5, bool))
