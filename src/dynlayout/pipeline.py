@@ -1,13 +1,14 @@
 """Per-time-step layout pipeline.
 
-Each step of ``run_sequence`` makes three decisions, each in one place:
-its groups (``_step_groups``: known labels, or those that the on-line
-clustering ``learn_group_sequence`` learned for the step), its solve
+Step t of ``run_sequence`` is one value, ``_Step``, that ``_begin_step``
+builds from the snapshot, every node's last known position and the step's
+groups (``_step_groups``: known labels, or those that the on-line
+clustering ``learn_group_sequence`` learned for the step). The solve
 (``_solve``: the configured method, its start positions and its static
-cost) and its score (``score_step``). ``score_sequence`` scores a stored
-layout sequence the same way. The cross-step state (previous positions,
-previous representative positions) is threaded explicitly. A sequence is
-strictly on-line: the state at step t depends only on data up to t.
+cost) reads it and ``_Step.score`` scores the result. ``score_sequence``
+builds the steps of a stored layout sequence the same way, so both paths
+score alike. A sequence is strictly on-line: step t depends only on data
+up to t.
 """
 
 from __future__ import annotations
@@ -191,47 +192,78 @@ class _SequenceState:
 
 def _step_groups(snap: Snapshot, config: RegularizationConfig,
                  learned: Optional[tuple[int, ...]]):
-    """The groups of one step: the labels the layout uses, the labels it is
-    scored against (the known groups when the snapshot has them, as in
-    ``score_sequence``), the membership matrix of the groups that have
-    members at this step with the columns it kept, and the group count.
-    ``learned`` holds this step's learned labels when groups are learned.
-    Only grouping methods get members; empty groups would make the
-    augmented system singular."""
-    known = snap.groups.labels if snap.groups is not None else None
+    """The labels a step is laid out with (known ones, or ``learned``, this
+    step's learned labels) and the count of groups whose members the layout
+    gets: 0 unless the method groups."""
     if config.groups == "known":
-        if known is None:
+        if snap.groups is None:
             raise DataError("groups=known but the snapshot carries no groups")
-        labels, k = known, snap.groups.k
+        labels, k = snap.groups.labels, snap.groups.k
     elif config.groups == "learn":
         labels, k = learned, config.k
     else:
         labels, k = None, 0
-    eval_labels = labels if known is None else known
-    if labels is None or config.method not in GROUPING_METHODS:
-        return labels, eval_labels, np.zeros((snap.n, 0)), [], k
-    C = build_membership_matrix(labels, k)
+    return labels, k if config.method in GROUPING_METHODS else 0
+
+
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """What step t is laid out from and scored on: its snapshot, the rows it
+    shares with step t-1, each node's last known position, the layout's
+    labels, the labels it is scored against (the known groups when the
+    snapshot has them), and the members of the groups it kept."""
+
+    t: int
+    snap: Snapshot
+    shared: Persistence
+    X_prev: np.ndarray
+    labels: Optional[Sequence[Optional[int]]]
+    eval_labels: Optional[Sequence[Optional[int]]]
+    C: np.ndarray
+    kept: list[int]
+
+    def score(self, X: np.ndarray, static: float, report=None) -> metrics.StepCosts:
+        """Cost record of layout X: ``static``, the centroid cost and, after
+        the first step, the temporal cost; iterations and trace from a
+        stress solve's ``report``."""
+        centroid = metrics.centroid_cost(X, self.eval_labels) \
+            if self.eval_labels is not None else None
+        temporal = None if self.t == 0 else metrics.temporal_cost(X, self.X_prev, self.shared.e)
+        return metrics.StepCosts(t=self.t, static_cost=static, centroid_cost=centroid,
+                                 temporal_cost=temporal,
+                                 iterations=None if report is None else report.iterations,
+                                 stress_trace=None if report is None else report.stress_trace)
+
+
+def _begin_step(network: DynamicNetwork, t: int, last_X: np.ndarray, labels, k: int) -> _Step:
+    """Step t of ``network``; row i of ``last_X`` is registry node i's last
+    position. Of the first ``k`` groups, those with members at step t are
+    kept: an empty group would make the augmented system singular."""
+    snap = network.snapshots[t]
+    C = build_membership_matrix(labels, k) if k else np.zeros((snap.n, 0))
     kept = [col for col in range(k) if C[:, col].sum() > 0]
-    return labels, eval_labels, C[:, kept], kept, k
+    known = snap.groups.labels if snap.groups is not None else None
+    return _Step(t, snap, network.persistence(t), last_X[np.asarray(snap.active)], labels,
+                 labels if known is None else known, C[:, kept], kept)
 
 
-def _init_positions(snap: Snapshot, X_prev: np.ndarray, labels, state: _SequenceState,
-                    config: RegularizationConfig, t: int) -> np.ndarray:
+def _init_positions(step: _Step, state: _SequenceState,
+                    config: RegularizationConfig) -> np.ndarray:
     """Previous-or-initial positions for every current node.
 
     Persisting and re-entering nodes (those laid out before) use their last
-    known position, the matching row of ``X_prev``; new nodes fall back to
-    their group representative's last position when it has been laid out,
-    then to the centroid of their already-placed neighbors, then to a small
-    seeded offset from the centroid of the previous layout.
+    known position, the matching row of ``step.X_prev``; new nodes fall back
+    to their group representative's last position when it has been laid
+    out, then to the centroid of their already-placed neighbors, then to a
+    small seeded offset from the centroid of the previous layout.
     """
-    s = config.dims
-    X = X_prev.copy()
+    s, snap, labels = config.dims, step.snap, step.labels
+    X = step.X_prev.copy()
     known = state.seen[np.asarray(snap.active)]
     missing = np.flatnonzero(~known)
     if not missing.size:
         return X
-    rng = _rng_for(config.seed, t, 2)
+    rng = _rng_for(config.seed, step.t, 2)
     if known.any():
         center = X[known].mean(axis=0)
         spread = float(np.sqrt(np.mean(np.sum((X[known] - center) ** 2, axis=1))))
@@ -260,69 +292,42 @@ def mds_inputs(W: np.ndarray, similarity_mode: Optional[str]):
     return dm.delta, kk_weights(dm)
 
 
-def _prev_snapshot_adjacency(network: DynamicNetwork, t: int, shared: Persistence) -> np.ndarray:
-    """Previous adjacency matrix re-indexed to the active set of step t
-    (rows of nodes absent at t-1 are zero)."""
-    n = network.snapshots[t].n
-    W_prev = np.zeros((n, n))
-    if t > 0:
-        W_prev[np.ix_(shared.rows, shared.rows)] = \
-            network.snapshots[t - 1].W[np.ix_(shared.prev_rows, shared.prev_rows)]
-    return W_prev
-
-
-def _augmented_prev(snap, state, X_prev, labels, kept, C, config, t):
+def _augmented_prev(step: _Step, state: _SequenceState, config: RegularizationConfig):
     """Stacked [nodes; kept representatives] previous/initial positions.
 
     The first step starts from seeded random positions. A representative
     that has not been laid out yet starts at the centroid of its members.
     """
-    if t == 0:
-        X_nodes = _rng_for(config.seed, t, 0).uniform(-1.0, 1.0, size=(snap.n, config.dims))
+    if step.t == 0:
+        X_nodes = _rng_for(config.seed, 0, 0).uniform(-1.0, 1.0, size=(step.snap.n, config.dims))
     else:
-        X_nodes = _init_positions(snap, X_prev, labels, state, config, t)
-    if not kept:
+        X_nodes = _init_positions(step, state, config)
+    if not step.kept:
         return X_nodes, X_nodes
-    Y_rows = state.last_Y[kept]
-    for j in np.flatnonzero(~state.seen_Y[kept]):
-        Y_rows[j] = X_nodes[np.flatnonzero(C[:, j])].mean(axis=0)
+    Y_rows = state.last_Y[step.kept]
+    for j in np.flatnonzero(~state.seen_Y[step.kept]):
+        Y_rows[j] = X_nodes[np.flatnonzero(step.C[:, j])].mean(axis=0)
     return X_nodes, np.vstack([X_nodes, Y_rows])
 
 
-def score_step(t: int, X: np.ndarray, static: float,
-               eval_labels: Optional[Sequence[Optional[int]]], X_prev: np.ndarray,
-               e: np.ndarray, iterations: Optional[int] = None,
-               stress_trace: Optional[tuple[float, ...]] = None) -> metrics.StepCosts:
-    """Cost record of one laid-out step: its static cost, the centroid cost
-    against ``eval_labels`` and, after the first step, the temporal cost
-    against ``X_prev`` (rows in the node order of X) over the nodes that
-    presence vector e marks present at both steps."""
-    centroid = metrics.centroid_cost(X, eval_labels) if eval_labels is not None else None
-    temporal = None if t == 0 else metrics.temporal_cost(X, X_prev, e)
-    return metrics.StepCosts(t=t, static_cost=static, centroid_cost=centroid,
-                             temporal_cost=temporal, iterations=iterations,
-                             stress_trace=stress_trace)
-
-
-def _solve(network: DynamicNetwork, t: int, config: RegularizationConfig,
-           state: _SequenceState, shared: Persistence, X_prev: np.ndarray, labels,
-           eval_labels, C: np.ndarray, kept: list[int]):
-    """Lay out step t with the configured method; returns (layout, static
+def _solve(network: DynamicNetwork, step: _Step, config: RegularizationConfig,
+           state: _SequenceState):
+    """Lay out ``step`` with the configured method; returns (layout, static
     cost, solve report or None). The static cost is computed from the
     inputs the solve built (distances and weights, or the Laplacian)."""
-    snap = network.snapshots[t]
+    t, snap, e = step.t, step.snap, step.shared.e
     method, s = config.method, config.dims
     if method in MDS_METHODS or method == "dgll":
-        X_nodes, X_aug_prev = _augmented_prev(snap, state, X_prev, labels, kept, C, config, t)
+        X_nodes, X_aug_prev = _augmented_prev(step, state, config)
     if method in MDS_METHODS:
         delta, V = mds_inputs(snap.W, config.similarity_mode)
         if method == "dmds":
-            layout, report = mds.dmds_layout(delta, V, C, config.alpha, config.beta, shared.e,
+            layout, report = mds.dmds_layout(delta, V, step.C, config.alpha, config.beta, e,
                                              X_aug_prev, eps=config.epsilon)
         elif method == "mds-static":
             layout, report = mds.smacof_static(delta, V, X_nodes, eps=config.epsilon)
         else:
-            layout, report = mds.stabilized_mds_online(delta, V, config.beta, shared.e, X_nodes,
+            layout, report = mds.stabilized_mds_online(delta, V, config.beta, e, X_nodes,
                                                        eps=config.epsilon)
         return layout, metrics.static_cost_mds(layout.X, delta, V), report
 
@@ -331,24 +336,28 @@ def _solve(network: DynamicNetwork, t: int, config: RegularizationConfig,
     def aligned(layout: Layout) -> Layout:
         # an eigen layout takes the axes and signs of the previous step's,
         # chosen on the nodes present at both
-        return align_to_reference(layout, X_prev, shared.e > 0) if shared.rows.size else layout
+        return align_to_reference(layout, step.X_prev, e > 0) if e.any() else layout
 
     if method == "dgll":
-        layout = gll.dgll_layout(snap.W, C, config.alpha, config.beta, shared.e, X_aug_prev, s,
+        layout = gll.dgll_layout(snap.W, step.C, config.alpha, config.beta, e, X_aug_prev, s,
                                  normalized=config.normalized,
                                  rng=_rng_for(config.seed, t, 3)).layout
     elif method == "spectral":
         layout = aligned(gll.spectral_layout(L, s, config.normalized))
     elif method == "ccdr":
-        layout = aligned(gll.ccdr_layout(snap.W, C, config.alpha, s, config.normalized))
+        layout = aligned(gll.ccdr_layout(snap.W, step.C, config.alpha, s, config.normalized))
     else:  # bfp: the blend weight whose aligned layout has the lowest composite cost
-        L_prev = gll.laplacian(_prev_snapshot_adjacency(network, t, shared))
+        # the previous adjacency re-indexed to this step's rows (zero for new nodes)
+        W_prev = np.zeros((snap.n, snap.n))
+        if t > 0:
+            rows, prev = step.shared.rows, step.shared.prev_rows
+            W_prev[np.ix_(rows, rows)] = network.snapshots[t - 1].W[np.ix_(prev, prev)]
+        L_prev = gll.laplacian(W_prev)
         candidates: dict[float, Layout] = {}
 
         def composite(lam: float) -> float:
             cand = candidates[lam] = aligned(gll.bfp_layout(L_prev, L, lam, s, config.normalized))
-            costs = score_step(t, cand.X, metrics.static_cost_gll(cand.X, L),
-                               eval_labels, X_prev, shared.e)
+            costs = step.score(cand.X, metrics.static_cost_gll(cand.X, L))
             return (costs.static_cost + config.alpha * (costs.centroid_cost or 0.0)
                     + config.beta * (costs.temporal_cost or 0.0))
 
@@ -385,23 +394,16 @@ def _run_sequence(network: DynamicNetwork, config: RegularizationConfig,
 
     for t, snap in enumerate(network.snapshots):
         with _naming_step(t):
-            shared = network.persistence(t)
-            active = np.asarray(snap.active)
-            X_prev = state.last_X[active]
-            layout_labels, eval_labels, C, kept, k = _step_groups(
-                snap, config, learned[t] if learned is not None else None)
-            layout, static, solved = _solve(network, t, config, state, shared, X_prev,
-                                            layout_labels, eval_labels, C, kept)
-            iterations, trace = (None, None) if solved is None else \
-                (solved.iterations, solved.stress_trace)
-            report.steps.append(score_step(t, layout.X, static, eval_labels, X_prev, shared.e,
-                                           iterations, trace))
+            labels, k = _step_groups(snap, config, learned[t] if learned is not None else None)
+            step = _begin_step(network, t, state.last_X, labels, k)
+            layout, static, solved = _solve(network, step, config, state)
+            report.steps.append(step.score(layout.X, static, solved))
 
-            state.update(active, layout.X, kept, layout.Y)
-            display = layout_labels if layout_labels is not None else eval_labels
+            state.update(np.asarray(snap.active), layout.X, step.kept, layout.Y)
             sequence.steps.append(LayoutStep(
                 t=t, ids=tuple(network.registry.id_of(i) for i in snap.active),
-                X=layout.X, labels=display, Y=state.last_Y[:k].copy() if kept else None,
+                X=layout.X, labels=labels if labels is not None else step.eval_labels,
+                Y=state.last_Y[:k].copy() if step.kept else None,
             ))
     return sequence, report
 
@@ -429,19 +431,15 @@ def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics
                         f"choose from {METHODS}")
     similarity_mode = sequence.metadata.get("similarity_mode")
     report = metrics.CostReport(method=method, params=dict(sequence.metadata))
-    for t, (step, snap) in enumerate(zip(sequence.steps, network.snapshots)):
+    last_X = np.zeros((len(network.registry), sequence.steps[0].X.shape[1]))
+    for t, (stored, snap) in enumerate(zip(sequence.steps, network.snapshots)):
         if method in MDS_METHODS:
-            static = metrics.static_cost_mds(step.X, *mds_inputs(snap.W, similarity_mode))
+            static = metrics.static_cost_mds(stored.X, *mds_inputs(snap.W, similarity_mode))
         else:
-            static = metrics.static_cost_gll(step.X, gll.laplacian(snap.W))
-        known = snap.groups.labels if snap.groups is not None else None
-        shared = network.persistence(t)
-        X_prev = np.zeros_like(step.X)
-        if t > 0:
-            X_prev[shared.rows] = sequence.steps[t - 1].X[shared.prev_rows]
-        report.steps.append(score_step(t, step.X, static,
-                                       step.labels if known is None else known,
-                                       X_prev, shared.e))
+            static = metrics.static_cost_gll(stored.X, gll.laplacian(snap.W))
+        step = _begin_step(network, t, last_X, stored.labels, 0)
+        report.steps.append(step.score(stored.X, static))
+        last_X[np.asarray(snap.active)] = stored.X
     return report
 
 
