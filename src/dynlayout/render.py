@@ -34,6 +34,18 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _write_svg(path: Path, parts: list[str], title: Optional[str] = None) -> Path:
+    """Write one SVG document: the canvas on a white background, then
+    ``parts``."""
+    head = ['<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_CANVAS:.0f} '
+            f'{_CANVAS:.0f}" width="{_CANVAS:.0f}" height="{_CANVAS:.0f}">',
+            *([f'<title>{title}</title>'] if title is not None else []),
+            '<rect width="100%" height="100%" fill="white"/>']
+    path.write_text("\n".join([*head, *parts, "</svg>"]) + "\n", encoding="utf-8")
+    return path
+
+
 def _viewport(sequence: LayoutSequence):
     points = np.vstack([step.X for step in sequence.steps])
     lo = points.min(axis=0)
@@ -67,13 +79,7 @@ def render_frames(network: DynamicNetwork, sequence: LayoutSequence, out_dir,
     prev_positions: dict[str, tuple[float, float]] = {}
     paths = []
     for step, snap in zip(sequence.steps, network.snapshots):
-        parts = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_CANVAS:.0f} '
-            f'{_CANVAS:.0f}" width="{_CANVAS:.0f}" height="{_CANVAS:.0f}">',
-            f'<title>t={step.t}</title>',
-            '<rect width="100%" height="100%" fill="white"/>',
-        ]
+        parts = []
         pts = [project(step.X[row]) for row in range(len(step.ids))]
         for a, b in zip(*np.nonzero(np.triu(snap.W, 1))):
             (xa, ya), (xb, yb) = pts[a], pts[b]
@@ -98,10 +104,7 @@ def render_frames(network: DynamicNetwork, sequence: LayoutSequence, out_dir,
             parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="6.0" fill="{color}" '
                          'stroke="#303030" stroke-width="0.8">'
                          f'<title>{node_id}</title></circle>')
-        parts.append("</svg>")
-        path = out_dir / f"frame_{step.t:04d}.svg"
-        path.write_text("\n".join(parts) + "\n", encoding="utf-8")
-        paths.append(path)
+        paths.append(_write_svg(out_dir / f"frame_{step.t:04d}.svg", parts, f"t={step.t}"))
         prev_positions = {node_id: pts[row] for row, node_id in enumerate(step.ids)}
     return paths
 
@@ -127,12 +130,7 @@ def render_timeplot(network: DynamicNetwork, sequence: LayoutSequence, out_file)
     def py(v: float) -> float:
         return _CANVAS - _MARGIN - (v - lo) * (_CANVAS - 2 * _MARGIN) / span
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_CANVAS:.0f} '
-        f'{_CANVAS:.0f}" width="{_CANVAS:.0f}" height="{_CANVAS:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    parts = []
     positions: dict[str, dict[int, float]] = {}
     labels: dict[str, dict[int, Optional[int]]] = {}
     for step in steps:
@@ -151,8 +149,6 @@ def render_timeplot(network: DynamicNetwork, sequence: LayoutSequence, out_file)
         for t, v in sorted(series.items()):
             parts.append(f'<circle cx="{_fmt(px(t))}" cy="{_fmt(py(v))}" r="2.4" '
                          f'fill="{_color(labels[node_id].get(t))}"/>')
-    parts.append("</svg>")
     out_file = Path(out_file)
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    out_file.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    return out_file
+    return _write_svg(out_file, parts)
