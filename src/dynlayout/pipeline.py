@@ -69,6 +69,8 @@ class RegularizationConfig:
                 raise DataError(f"{name} must be finite and >= 0, got {value}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise DataError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     def metadata(self) -> dict:
         meta = {
@@ -145,6 +147,8 @@ def learn_group_sequence(network: DynamicNetwork, k: int,
     before over the nodes present at both, and renames its labels to match
     those. Runs on single-threaded BLAS, as ``run_sequence`` does; a
     failure is re-raised with its step named."""
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     psi = labels = None
     labels_by_step, alphas = [], []
     with single_threaded_blas():

@@ -30,6 +30,10 @@ class SbmConfig:
     balanced: bool = False
 
     def __post_init__(self):
+        if self.k < 1:
+            raise DataError(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         P = np.asarray(self.P, dtype=float)
         if P.shape != (self.k, self.k):
             raise DataError(f"probability matrix must be {self.k}x{self.k}, got {P.shape}")
@@ -41,6 +45,8 @@ class SbmConfig:
             raise DataError("change fraction must lie in [0, 1]")
         if self.change_step is not None and not 0 < self.change_step < self.T:
             raise DataError(f"change step must lie in (0, {self.T}), got {self.change_step}")
+        if self.k == 1 and self.change_step is not None and _moved_count(self) > 0:
+            raise DataError("a change step that moves nodes needs k >= 2 groups")
         P = P.copy()
         P.flags.writeable = False
         object.__setattr__(self, "P", P)
@@ -70,9 +76,12 @@ def _initial_labels(config: SbmConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(1, config.k + 1, size=config.n)
 
 
+def _moved_count(config: SbmConfig) -> int:
+    return int(round(config.n * config.change_fraction))
+
+
 def _reassign(labels: np.ndarray, config: SbmConfig, rng: np.random.Generator) -> np.ndarray:
-    count = int(round(config.n * config.change_fraction))
-    chosen = rng.choice(config.n, size=count, replace=False)
+    chosen = rng.choice(config.n, size=_moved_count(config), replace=False)
     new_labels = labels.copy()
     for i in chosen:
         # uniform over the k-1 other groups

@@ -90,6 +90,24 @@ class TestExitCodes:
                     "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"data error: dims must be 1, 2 or 3, got {dims}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["layout", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["cluster", "--k", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["sweep", "--alphas", "1", "--betas", "1", "--seeds", "-1"],
+         "seed must be >= 0, got -1"),
+        (["simulate-sbm", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["simulate-sbm", "--k", "0"], "k must be >= 1, got 0"),
+        (["simulate-sbm", "--k", "1", "--change-step", "5"],
+         "a change step that moves nodes needs k >= 2 groups")],
+        ids=["layout-seed", "cluster-seed", "sweep-seeds", "sbm-seed", "sbm-k0",
+             "sbm-k1-change"])
+    def test_negative_seed_or_too_few_blocks_is_data_error(self, argv, message, sbm_fixture,
+                                                           tmp_path, capsys):
+        _, snaps, _ = sbm_fixture
+        inputs = [] if argv[0] == "simulate-sbm" else ["--input", str(snaps)]
+        assert run([*argv, *inputs, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
     def test_numerical_failure_exit_code(self, sbm_fixture, tmp_path, monkeypatch, capsys):
         # one penalty weight and no polish leave the t = 1 DGLL solve unconverged
         monkeypatch.setattr(numerics, "_PENALTY_WEIGHTS", (1.0,))
