@@ -7,9 +7,10 @@ Usage, from the repository root:
     PYTHONPATH=src python3 tests/data/replay.py --replay DIR
 
 ``--capture DIR`` runs ``run_sequence`` under each configuration of
-``CONFIGS`` (alpha = beta = 1, as in the acceptance protocol) on the
-acceptance protocol's block model at each seed, and with ``--large`` on the
-two n = 200 networks of ``make_golden.py``'s digest (which run no DGLL).
+``CONFIGS`` (alpha = beta = 1, as in the acceptance protocol; DGLL at
+``--dims`` 2 and 1) on the acceptance protocol's block model at each seed,
+and with ``--large`` on the two n = 200 networks of ``make_golden.py``'s
+digest, DGLL included.
 While it runs, every ``mds.dmds_layout``, ``mds.stabilized_mds_online`` and
 ``gll.dgll_layout`` call is recorded: each function is replaced at every
 ``dynlayout`` module attribute bound to it, so the solve that
@@ -30,7 +31,8 @@ above ``RISE_RTOL`` relative with its (network, configuration, t). The
 objective is ``mds.modified_stress`` or ``gll.dgll_objective`` of each
 layout on the recorded inputs, both evaluated by the replaying code.
 Replaying with the tree that captured gives no rise, equal iterations and
-equal bits.
+equal bits: the replay holds single-threaded BLAS, as ``run_sequence`` does
+while it captures.
 
 A change that moves the solvers' outputs on purpose is checked by capturing
 with the parent commit's ``src`` and replaying with the change's.
@@ -53,6 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import dynlayout  # noqa: E402
 from dynlayout import gll, mds  # noqa: E402
 from dynlayout.graph import augment  # noqa: E402
+from dynlayout.numerics import single_threaded_blas  # noqa: E402
 from dynlayout.pipeline import RegularizationConfig, run_sequence  # noqa: E402
 
 import make_golden  # noqa: E402
@@ -67,6 +70,8 @@ CONFIGS = {
     "mds-stabilized": dict(method="mds-stabilized", groups="none"),
     "dgll-known": dict(method="dgll", groups="known"),
     "dgll-learned": dict(method="dgll", groups="learn", k=4),
+    "dgll-known-1d": dict(method="dgll", groups="known", dims=1),
+    "dgll-learned-1d": dict(method="dgll", groups="learn", k=4, dims=1),
 }
 RISE_RTOL = 1e-9
 
@@ -170,6 +175,7 @@ def objective(solver: str, args: dict, X: np.ndarray, Y: np.ndarray) -> float:
                                args["beta"], args["e"], args["X_prev"])
 
 
+@single_threaded_blas()
 def replay(in_dir: Path) -> dict:
     """Solve every recorded problem again. Returns, per (solver,
     configuration, network family), the counts and the rises above

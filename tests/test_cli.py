@@ -427,14 +427,15 @@ class TestGoldenFixture:
 
     def test_replay_of_the_capturing_tree_changes_nothing(self, tmp_path, capsys):
         # every recorded solve of protocol seed 0 (20 steps under each of the
-        # four stress and two DGLL configurations) solved again gives the
+        # four stress and four DGLL configurations) solved again gives the
         # recorded bits
         assert replay.main(["--capture", str(tmp_path), "--seeds", "0"]) == 0
-        assert capsys.readouterr().out.startswith("120 solves recorded")
+        assert capsys.readouterr().out.startswith("160 solves recorded")
         stats = replay.replay(tmp_path)
         solvers = {"dmds-known": "dmds_layout", "dmds-learned": "dmds_layout",
                    "mds-static": "dmds_layout", "mds-stabilized": "stabilized_mds_online",
-                   "dgll-known": "dgll_layout", "dgll-learned": "dgll_layout"}
+                   "dgll-known": "dgll_layout", "dgll-learned": "dgll_layout",
+                   "dgll-known-1d": "dgll_layout", "dgll-learned-1d": "dgll_layout"}
         assert sorted(stats) == sorted((solvers[name], name, "protocol")
                                        for name in replay.CONFIGS)
         for (solver, _, _), entry in stats.items():
@@ -445,7 +446,26 @@ class TestGoldenFixture:
                 assert entry["same_trace"] == 20
         assert replay.main(["--replay", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 6 and all("tied 20, rose 0" in line for line in lines)
+        assert len(lines) == 8 and all("tied 20, rose 0" in line for line in lines)
+
+    def test_replay_at_two_blas_threads_keeps_the_n200_bits(self, tmp_path, blas_threads,
+                                                            monkeypatch):
+        # a multi-threaded BLAS moves the bits of the n = 200 solves, which
+        # the capture ran on run_sequence's one thread; the replay must hold
+        # one thread too, whatever the caller's count
+        two = [2] * len(blas_threads.counts())
+        blas_threads.set(two)
+        large1 = [net for net in replay.networks([], True) if net[0] == "large1"]
+        monkeypatch.setattr(replay, "networks", lambda seeds, large: large1)
+        assert replay.capture(tmp_path, [], large=True) == 3 * len(replay.CONFIGS)
+        stats = replay.replay(tmp_path)
+        assert {name for _, name, _ in stats} == set(replay.CONFIGS)
+        for (solver, _, family), entry in stats.items():
+            assert family == "large"
+            assert entry["solves"] == entry["tied"] == entry["same_layout"] == 3
+            if solver in replay.STRESS_SOLVERS:
+                assert entry["same_trace"] == 3
+        assert blas_threads.counts() == two
 
     def test_replay_restores_the_generator_before_the_solve(self):
         # a start with no scatter makes DGLL draw a random one from ``rng``,
