@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dynlayout.errors import DisconnectedGraphError
 from dynlayout.graph import require_connected
+
+
+def load_data_script(name: str):
+    """The script ``tests/data/<name>.py``, imported as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parent / "data" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_connected_adjacency(rng: np.random.Generator, n: int,

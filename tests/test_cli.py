@@ -1,24 +1,17 @@
-import importlib.util
 import json
 import shutil
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import load_data_script
 from dynlayout import gll, numerics
 from dynlayout.cli import cli_main
 from dynlayout.pipeline import METHODS
 
-_spec = importlib.util.spec_from_file_location(
-    "make_golden", Path(__file__).parent / "data" / "make_golden.py")
-make_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_golden)
-_spec = importlib.util.spec_from_file_location(
-    "replay", Path(__file__).parent / "data" / "replay.py")
-replay = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(replay)
+make_golden = load_data_script("make_golden")
+replay = load_data_script("replay")
 
 
 def run(args):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from conftest import random_connected_adjacency
+from conftest import load_data_script, random_connected_adjacency
 from dynlayout import gll, mds, numerics
 from dynlayout.errors import DataError, DisconnectedGraphError, NumericalError
 from dynlayout.graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snapshot,
@@ -20,6 +20,8 @@ from dynlayout.pipeline import (GROUPING_METHODS, METHODS, RegularizationConfig,
                                 learn_group_sequence, parameter_sweep, run_sequence,
                                 score_sequence)
 from dynlayout.sbm import SbmConfig, sbm_sequence
+
+make_golden = load_data_script("make_golden")
 
 TRIANGLE = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
 TWO_TRIANGLES = np.kron(np.eye(2), TRIANGLE)
@@ -275,7 +277,34 @@ class TestRunSequence:
                                 [value if field == "beta" else 1.0], [0])
 
 
+@pytest.fixture(scope="module")
+def churned_protocol():
+    """A protocol network whose nodes 0-2 leave at every odd step and come
+    back at the next: the two scoring paths' previous positions differ in
+    the rows of those nodes."""
+    return make_golden._drop_nodes(make_golden.protocol_network(1),
+                                   lambda t: {0, 1, 2} if t % 2 else set())
+
+
 class TestScoreSequence:
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("groups", ["none", "known", "learn"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_reproduces_the_run_costs_bit_for_bit(self, churned_protocol, method, groups,
+                                                  dims):
+        # known groups are scored against the snapshot's; without them, the
+        # learned labels stored in the layout, or no centroid cost at all
+        network = churned_protocol if groups == "known" else \
+            churned_protocol.with_groups([None] * len(churned_protocol))
+        config = RegularizationConfig(method=method, groups=groups, dims=dims, seed=1,
+                                      k=4 if groups == "learn" else None)
+        sequence, report = run_sequence(network, config)
+        scored = score_sequence(network, sequence)
+        costs = [[(s.static_cost, s.centroid_cost, s.temporal_cost) for s in r.steps]
+                 for r in (report, scored)]
+        assert costs[0] == costs[1]
+        assert (costs[0][1][1] is None) == (groups == "none")
+
     def test_unknown_method_is_data_error(self, small_sbm):
         network = small_sbm
         sequence, _ = run_sequence(network, RegularizationConfig(method="dmds", seed=1))
