@@ -31,7 +31,11 @@ networks, whose harder penalty problems take many more trust-region steps;
 and ``spectral``, ``ccdr``, ``bfp`` and ``dgll`` x groups mode x ``--dims``
 1 and 2 with the unnormalized Laplacian (``normalized=False``: unit node
 weights in the scatter constraint) on the six protocol networks, plain and
-churned. It
+churned; and the three stress methods x ``similarity_mode`` (none,
+linear, inverse) x ``--dims`` 1 and 2 on two weighted networks: the
+golden rank input (``rank_descending`` weights 1-3, no groups) and the
+protocol network of seed 1 with integer weights 1-5 drawn from a fixed
+seed (known groups). It
 writes two SHA-256 per run, together with the run's coordinates and stress
 traces: one over X, Y, labels, the three costs and iterations (or over the
 error text of a run that raised), and one over the stress traces alone.
@@ -60,7 +64,7 @@ import numpy as np
 from dynlayout import io as dio
 from dynlayout.cli import cli_main
 from dynlayout.graph import DynamicNetwork, GroupAssignment, Snapshot
-from dynlayout.pipeline import (GLL_METHODS, METHODS, RegularizationConfig,
+from dynlayout.pipeline import (GLL_METHODS, MDS_METHODS, METHODS, RegularizationConfig,
                                 learn_group_sequence, run_sequence)
 from dynlayout.sbm import SbmConfig, sbm_sequence
 
@@ -220,6 +224,22 @@ def digest_networks():
     return networks
 
 
+def weighted_networks():
+    """(network name, network, groups mode) for every weighted network of
+    the digest; the runs of every other network are unweighted."""
+    rank = dio.ingest_snapshots(DATA / f"{RANK_INPUT}.snapshots.tsv", kind="rank_matrix", m=3,
+                                weighting="rank_descending")
+    net = protocol_network(1)
+    rng = np.random.default_rng(4)
+    snaps = []
+    for snap in net.snapshots:
+        w = np.triu(rng.integers(1, 6, size=snap.W.shape), 1)
+        snaps.append(Snapshot(t=snap.t, W=snap.W * (w + w.T), active=snap.active,
+                              groups=snap.groups))
+    return [("rank", rank, "none"),
+            ("protocol1-weighted", DynamicNetwork(net.registry, snaps), "known")]
+
+
 def cluster_networks():
     """(network name, network, seed) for every clustering record: the digest
     networks, then the acceptance protocol's networks of seeds 0-49."""
@@ -257,6 +277,14 @@ def digest_matrix():
                                                       normalized=False)
                         yield (f"{net_name}/{method}/{groups}/{dims}d/unnormalized",
                                network, config)
+    for net_name, network, groups in weighted_networks():
+        for method in MDS_METHODS:
+            for mode in (None, "linear", "inverse"):
+                for dims in (1, 2):
+                    config = RegularizationConfig(method=method, alpha=1.0, beta=1.0, dims=dims,
+                                                  seed=1, groups=groups, similarity_mode=mode)
+                    yield (f"{net_name}/{method}/{groups}/{dims}d/similarity-{mode or 'none'}",
+                           network, config)
 
 
 def output_record(sequence=None, report=None, error: str | None = None) -> dict:
