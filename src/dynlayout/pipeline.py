@@ -1,14 +1,16 @@
 """Per-time-step layout pipeline.
 
 Step t of ``run_sequence`` is one value, ``_Step``, that ``_begin_step``
-builds from the snapshot, every node's last known position and the step's
+builds from the snapshot, every node's last known position, the step's
 groups (``_step_groups``: known labels, or those that the on-line
-clustering ``learn_group_sequence`` learned for the step). The solve
-(``_solve``: the configured method, its start positions and its static
-cost) reads it and ``_Step.score`` scores the result. ``score_sequence``
-builds the steps of a stored layout sequence the same way, so both paths
-score alike. A sequence is strictly on-line: step t depends only on data
-up to t.
+clustering ``learn_group_sequence`` learned for the step) and the inputs
+of the method's static cost (distances and weights, or the Laplacian).
+``_solve`` dispatches on the method: the solvers read the step and the
+start positions of ``_start``. ``_Step.score`` is the one scorer of all
+three costs, for ``run_sequence``, BFP's composite cost and
+``score_sequence``, which builds the steps of a stored layout sequence the
+same way. A sequence is strictly on-line: step t depends only on data up
+to t.
 """
 
 from __future__ import annotations
@@ -215,7 +217,9 @@ class _Step:
     """What step t is laid out from and scored on: its snapshot, the rows it
     shares with step t-1, each node's last known position, the layout's
     labels, the labels it is scored against (the known groups when the
-    snapshot has them), and the members of the groups it kept."""
+    snapshot has them), the members of the groups it kept, and the inputs
+    of the method's static cost: desired distances ``delta`` and weights
+    ``V`` for a stress method, else the Laplacian ``L``."""
 
     t: int
     snap: Snapshot
@@ -225,11 +229,17 @@ class _Step:
     eval_labels: Optional[Sequence[Optional[int]]]
     C: np.ndarray
     kept: list[int]
+    stress: bool
+    delta: Optional[np.ndarray]
+    V: Optional[np.ndarray]
+    L: Optional[np.ndarray]
 
-    def score(self, X: np.ndarray, static: float, report=None) -> metrics.StepCosts:
-        """Cost record of layout X: ``static``, the centroid cost and, after
-        the first step, the temporal cost; iterations and trace from a
-        stress solve's ``report``."""
+    def score(self, X: np.ndarray, report=None) -> metrics.StepCosts:
+        """Cost record of layout X: the static cost, the centroid cost and,
+        after the first step, the temporal cost; iterations and trace from
+        a stress solve's ``report``."""
+        static = metrics.static_cost_mds(X, self.delta, self.V) if self.stress \
+            else metrics.static_cost_gll(X, self.L)
         centroid = metrics.centroid_cost(X, self.eval_labels) \
             if self.eval_labels is not None else None
         temporal = None if self.t == 0 else metrics.temporal_cost(X, self.X_prev, self.shared.e)
@@ -237,54 +247,6 @@ class _Step:
                                  temporal_cost=temporal,
                                  iterations=None if report is None else report.iterations,
                                  stress_trace=None if report is None else report.stress_trace)
-
-
-def _begin_step(network: DynamicNetwork, t: int, last_X: np.ndarray, labels, k: int) -> _Step:
-    """Step t of ``network``; row i of ``last_X`` is registry node i's last
-    position. Of the first ``k`` groups, those with members at step t are
-    kept: an empty group would make the augmented system singular."""
-    snap = network.snapshots[t]
-    C = build_membership_matrix(labels, k) if k else np.zeros((snap.n, 0))
-    kept = [col for col in range(k) if C[:, col].sum() > 0]
-    known = snap.groups.labels if snap.groups is not None else None
-    return _Step(t, snap, network.persistence(t), last_X[np.asarray(snap.active)], labels,
-                 labels if known is None else known, C[:, kept], kept)
-
-
-def _init_positions(step: _Step, state: _SequenceState,
-                    config: RegularizationConfig) -> np.ndarray:
-    """Previous-or-initial positions for every current node.
-
-    Persisting and re-entering nodes (those laid out before) use their last
-    known position, the matching row of ``step.X_prev``; new nodes fall back
-    to their group representative's last position when it has been laid
-    out, then to the centroid of their already-placed neighbors, then to a
-    small seeded offset from the centroid of the previous layout.
-    """
-    s, snap, labels = config.dims, step.snap, step.labels
-    X = step.X_prev.copy()
-    known = state.seen[np.asarray(snap.active)]
-    missing = np.flatnonzero(~known)
-    if not missing.size:
-        return X
-    rng = _rng_for(config.seed, step.t, 2)
-    if known.any():
-        center = X[known].mean(axis=0)
-        spread = float(np.sqrt(np.mean(np.sum((X[known] - center) ** 2, axis=1))))
-    else:
-        center = np.zeros(s)
-        spread = 1.0
-    for row in missing:
-        lab = labels[row] if labels is not None else None
-        if lab is not None and state.seen_Y[lab - 1]:
-            X[row] = state.last_Y[lab - 1]
-            continue
-        neighbors = known & (snap.W[row] > 0)
-        if neighbors.any():
-            X[row] = X[neighbors].mean(axis=0)
-            continue
-        X[row] = center + 0.01 * max(spread, 1.0) * rng.uniform(-1.0, 1.0, size=s)
-    return X
 
 
 def mds_inputs(W: np.ndarray, similarity_mode: Optional[str]):
@@ -296,78 +258,110 @@ def mds_inputs(W: np.ndarray, similarity_mode: Optional[str]):
     return dm.delta, kk_weights(dm)
 
 
-def _augmented_prev(step: _Step, state: _SequenceState, config: RegularizationConfig):
-    """Stacked [nodes; kept representatives] previous/initial positions.
+def _begin_step(network: DynamicNetwork, t: int, last_X: np.ndarray, labels, k: int,
+                method: str, similarity_mode: Optional[str]) -> _Step:
+    """Step t of ``network`` laid out or scored with ``method``; row i of
+    ``last_X`` is registry node i's last position. Of the first ``k``
+    groups, those with members at step t are kept: an empty group would
+    make the augmented system singular."""
+    snap = network.snapshots[t]
+    C = build_membership_matrix(labels, k) if k else np.zeros((snap.n, 0))
+    kept = [col for col in range(k) if C[:, col].sum() > 0]
+    known = snap.groups.labels if snap.groups is not None else None
+    stress = method in MDS_METHODS
+    delta, V = mds_inputs(snap.W, similarity_mode) if stress else (None, None)
+    return _Step(t, snap, network.persistence(t), last_X[np.asarray(snap.active)], labels,
+                 labels if known is None else known, C[:, kept], kept, stress, delta, V,
+                 None if stress else gll.laplacian(snap.W))
 
-    The first step starts from seeded random positions. A representative
+
+def _start(step: _Step, state: _SequenceState, config: RegularizationConfig) -> np.ndarray:
+    """Start positions of the stacked [nodes; kept representatives].
+
+    The first step starts from seeded random positions. Later, persisting
+    and re-entering nodes (those laid out before) use their last known
+    position, the matching row of ``step.X_prev``; new nodes fall back to
+    their group representative's last position when it has been laid out,
+    then to the centroid of their already-placed neighbors, then to a small
+    seeded offset from the centroid of the previous layout. A representative
     that has not been laid out yet starts at the centroid of its members.
     """
+    s, snap, labels = config.dims, step.snap, step.labels
+    X = step.X_prev.copy()
+    known = state.seen[np.asarray(snap.active)]
     if step.t == 0:
-        X_nodes = _rng_for(config.seed, 0, 0).uniform(-1.0, 1.0, size=(step.snap.n, config.dims))
-    else:
-        X_nodes = _init_positions(step, state, config)
+        X = _rng_for(config.seed, 0, 0).uniform(-1.0, 1.0, size=X.shape)
+    elif not known.all():
+        rng = _rng_for(config.seed, step.t, 2)
+        if known.any():
+            center = X[known].mean(axis=0)
+            spread = float(np.sqrt(np.mean(np.sum((X[known] - center) ** 2, axis=1))))
+        else:
+            center, spread = np.zeros(s), 1.0
+        for row in np.flatnonzero(~known):
+            lab = labels[row] if labels is not None else None
+            if lab is not None and state.seen_Y[lab - 1]:
+                X[row] = state.last_Y[lab - 1]
+                continue
+            neighbors = known & (snap.W[row] > 0)
+            if neighbors.any():
+                X[row] = X[neighbors].mean(axis=0)
+                continue
+            X[row] = center + 0.01 * max(spread, 1.0) * rng.uniform(-1.0, 1.0, size=s)
     if not step.kept:
-        return X_nodes, X_nodes
+        return X
     Y_rows = state.last_Y[step.kept]
     for j in np.flatnonzero(~state.seen_Y[step.kept]):
-        Y_rows[j] = X_nodes[np.flatnonzero(step.C[:, j])].mean(axis=0)
-    return X_nodes, np.vstack([X_nodes, Y_rows])
+        Y_rows[j] = X[np.flatnonzero(step.C[:, j])].mean(axis=0)
+    return np.vstack([X, Y_rows])
 
 
 def _solve(network: DynamicNetwork, step: _Step, config: RegularizationConfig,
            state: _SequenceState):
-    """Lay out ``step`` with the configured method; returns (layout, static
-    cost, solve report or None). The static cost is computed from the
-    inputs the solve built (distances and weights, or the Laplacian)."""
+    """Lay out ``step`` with the configured method; returns (layout, solve
+    report or None)."""
     t, snap, e = step.t, step.snap, step.shared.e
     method, s = config.method, config.dims
-    if method in MDS_METHODS or method == "dgll":
-        X_nodes, X_aug_prev = _augmented_prev(step, state, config)
-    if method in MDS_METHODS:
-        delta, V = mds_inputs(snap.W, config.similarity_mode)
-        if method == "dmds":
-            layout, report = mds.dmds_layout(delta, V, step.C, config.alpha, config.beta, e,
-                                             X_aug_prev, eps=config.epsilon)
-        elif method == "mds-static":
-            layout, report = mds.smacof_static(delta, V, X_nodes, eps=config.epsilon)
-        else:
-            layout, report = mds.stabilized_mds_online(delta, V, config.beta, e, X_nodes,
-                                                       eps=config.epsilon)
-        return layout, metrics.static_cost_mds(layout.X, delta, V), report
-
-    L = gll.laplacian(snap.W)
+    if method == "dmds":
+        return mds.dmds_layout(step.delta, step.V, step.C, config.alpha, config.beta, e,
+                               _start(step, state, config), eps=config.epsilon)
+    if method == "mds-static":
+        return mds.smacof_static(step.delta, step.V, _start(step, state, config),
+                                 eps=config.epsilon)
+    if method == "mds-stabilized":
+        return mds.stabilized_mds_online(step.delta, step.V, config.beta, e,
+                                         _start(step, state, config), eps=config.epsilon)
+    if method == "dgll":
+        return gll.dgll_layout(snap.W, step.C, config.alpha, config.beta, e,
+                               _start(step, state, config), s, normalized=config.normalized,
+                               rng=_rng_for(config.seed, t, 3)).layout, None
 
     def aligned(layout: Layout) -> Layout:
         # an eigen layout takes the axes and signs of the previous step's,
         # chosen on the nodes present at both
         return align_to_reference(layout, step.X_prev, e > 0) if e.any() else layout
 
-    if method == "dgll":
-        layout = gll.dgll_layout(snap.W, step.C, config.alpha, config.beta, e, X_aug_prev, s,
-                                 normalized=config.normalized,
-                                 rng=_rng_for(config.seed, t, 3)).layout
-    elif method == "spectral":
-        layout = aligned(gll.spectral_layout(L, s, config.normalized))
-    elif method == "ccdr":
-        layout = aligned(gll.ccdr_layout(snap.W, step.C, config.alpha, s, config.normalized))
-    else:  # bfp: the blend weight whose aligned layout has the lowest composite cost
-        # the previous adjacency re-indexed to this step's rows (zero for new nodes)
-        W_prev = np.zeros((snap.n, snap.n))
-        if t > 0:
-            rows, prev = step.shared.rows, step.shared.prev_rows
-            W_prev[np.ix_(rows, rows)] = network.snapshots[t - 1].W[np.ix_(prev, prev)]
-        L_prev = gll.laplacian(W_prev)
-        candidates: dict[float, Layout] = {}
+    if method == "spectral":
+        return aligned(gll.spectral_layout(step.L, s, config.normalized)), None
+    if method == "ccdr":
+        return aligned(gll.ccdr_layout(snap.W, step.C, config.alpha, s, config.normalized)), None
+    # bfp: the blend weight whose aligned layout has the lowest composite cost;
+    # the previous adjacency re-indexed to this step's rows (zero for new nodes)
+    W_prev = np.zeros((snap.n, snap.n))
+    if t > 0:
+        rows, prev = step.shared.rows, step.shared.prev_rows
+        W_prev[np.ix_(rows, rows)] = network.snapshots[t - 1].W[np.ix_(prev, prev)]
+    L_prev = gll.laplacian(W_prev)
+    candidates: dict[float, Layout] = {}
 
-        def composite(lam: float) -> float:
-            cand = candidates[lam] = aligned(gll.bfp_layout(L_prev, L, lam, s, config.normalized))
-            costs = step.score(cand.X, metrics.static_cost_gll(cand.X, L))
-            return (costs.static_cost + config.alpha * (costs.centroid_cost or 0.0)
-                    + config.beta * (costs.temporal_cost or 0.0))
+    def composite(lam: float) -> float:
+        cand = candidates[lam] = aligned(gll.bfp_layout(L_prev, step.L, lam, s,
+                                                        config.normalized))
+        costs = step.score(cand.X)
+        return (costs.static_cost + config.alpha * (costs.centroid_cost or 0.0)
+                + config.beta * (costs.temporal_cost or 0.0))
 
-        layout = candidates[gll.bfp_lambda_select(_LAMBDA_GRID if t > 0 else (0.0,),
-                                                  composite)]
-    return layout, metrics.static_cost_gll(layout.X, L), None
+    return candidates[gll.bfp_lambda_select(_LAMBDA_GRID if t > 0 else (0.0,), composite)], None
 
 
 def run_sequence(network: DynamicNetwork,
@@ -399,9 +393,10 @@ def _run_sequence(network: DynamicNetwork, config: RegularizationConfig,
     for t, snap in enumerate(network.snapshots):
         with _naming_step(t):
             labels, k = _step_groups(snap, config, learned[t] if learned is not None else None)
-            step = _begin_step(network, t, state.last_X, labels, k)
-            layout, static, solved = _solve(network, step, config, state)
-            report.steps.append(step.score(layout.X, static, solved))
+            step = _begin_step(network, t, state.last_X, labels, k, config.method,
+                               config.similarity_mode)
+            layout, solved = _solve(network, step, config, state)
+            report.steps.append(step.score(layout.X, solved))
 
             state.update(np.asarray(snap.active), layout.X, step.kept, layout.Y)
             sequence.steps.append(LayoutStep(
@@ -437,12 +432,8 @@ def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics
     report = metrics.CostReport(method=method, params=dict(sequence.metadata))
     last_X = np.zeros((len(network.registry), sequence.steps[0].X.shape[1]))
     for t, (stored, snap) in enumerate(zip(sequence.steps, network.snapshots)):
-        if method in MDS_METHODS:
-            static = metrics.static_cost_mds(stored.X, *mds_inputs(snap.W, similarity_mode))
-        else:
-            static = metrics.static_cost_gll(stored.X, gll.laplacian(snap.W))
-        step = _begin_step(network, t, last_X, stored.labels, 0)
-        report.steps.append(step.score(stored.X, static))
+        step = _begin_step(network, t, last_X, stored.labels, 0, method, similarity_mode)
+        report.steps.append(step.score(stored.X))
         last_X[np.asarray(snap.active)] = stored.X
     return report
 
