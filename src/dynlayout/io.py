@@ -11,6 +11,10 @@ omitted nodes have unknown membership.
 Layout JSON: one document per run with the run metadata and per-step node
 records; floats use Python's shortest round-trip repr, so reloads are
 bit-faithful.
+
+Every reader goes through ``_read_text`` and every writer, the renderer's
+included, through ``_write_text``: a file that cannot be read or written
+is a DataError naming it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from io import StringIO
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -41,6 +47,20 @@ def _read_text(path) -> str:
         raise DataError(f"cannot read input {path}: {exc}") from None
 
 
+def _write_text(path, text: str, newline: Optional[str] = None, parents: bool = False) -> None:
+    """Write ``text`` to ``path`` as UTF-8, first creating the directories
+    above it when ``parents``; a file or directory that cannot be written or
+    made is a DataError naming it."""
+    try:
+        if parents:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write output {exc.filename or path}: "
+                        f"{exc.strerror or exc}") from None
+
+
 def _tsv_rows(path, fields: int):
     """(line number, fields) of every record line of a TSV file: blank lines
     and ``#`` comments are skipped, a line with another field count is a
@@ -56,8 +76,7 @@ def _tsv_rows(path, fields: int):
 
 
 def _write_tsv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+    _write_text(path, "".join("\t".join(map(str, row)) + "\n" for row in rows))
 
 
 def _parse_records(path) -> list[tuple[int, str, str, float, int]]:
@@ -208,9 +227,7 @@ def export_layouts(sequence: LayoutSequence, path) -> None:
             "representatives": None if step.Y is None else
             [[float(v) for v in row] for row in step.Y],
         })
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**sequence.metadata, "steps": steps}, fh, indent=1)
-        fh.write("\n")
+    _write_text(path, json.dumps({**sequence.metadata, "steps": steps}, indent=1) + "\n")
 
 
 def import_layouts(path) -> LayoutSequence:
@@ -271,10 +288,11 @@ def _cell(value) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, text.getvalue(), newline="")
 
 
 def write_cost_csv(report, path) -> None:

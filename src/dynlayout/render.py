@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import DynamicNetwork
+from .io import _write_text
 from .pipeline import LayoutSequence, check_layout_nodes
 
 PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -35,14 +36,14 @@ def _fmt(v: float) -> str:
 
 
 def _write_svg(path: Path, parts: list[str], title: Optional[str] = None) -> Path:
-    """Write one SVG document: the canvas on a white background, then
-    ``parts``."""
+    """Write one SVG document, creating its directory when missing: the
+    canvas on a white background, then ``parts``."""
     head = ['<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_CANVAS:.0f} '
             f'{_CANVAS:.0f}" width="{_CANVAS:.0f}" height="{_CANVAS:.0f}">',
             *([f'<title>{title}</title>'] if title is not None else []),
             '<rect width="100%" height="100%" fill="white"/>']
-    path.write_text("\n".join([*head, *parts, "</svg>"]) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join([*head, *parts, "</svg>"]) + "\n", parents=True)
     return path
 
 
@@ -72,7 +73,6 @@ def render_frames(network: DynamicNetwork, sequence: LayoutSequence, out_dir,
                         "use the time plot for 1-D sequences")
     check_layout_nodes(network, sequence)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     project = _viewport(sequence)
     w_max = max((float(snap.W.max()) for snap in network.snapshots), default=1.0) or 1.0
 
@@ -149,6 +149,4 @@ def render_timeplot(network: DynamicNetwork, sequence: LayoutSequence, out_file)
         for t, v in sorted(series.items()):
             parts.append(f'<circle cx="{_fmt(px(t))}" cy="{_fmt(py(v))}" r="2.4" '
                          f'fill="{_color(labels[node_id].get(t))}"/>')
-    out_file = Path(out_file)
-    out_file.parent.mkdir(parents=True, exist_ok=True)
-    return _write_svg(out_file, parts)
+    return _write_svg(Path(out_file), parts)

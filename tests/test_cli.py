@@ -128,6 +128,26 @@ class TestExitCodes:
         assert code == 2
         assert f"{options[-2].lstrip('-')} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["layout", "cluster", "simulate-sbm", "sweep",
+                                         "metrics", "render"])
+    def test_unwritable_output_is_data_error(self, command, sbm_fixture, tmp_path, capsys):
+        _, snaps, _ = sbm_fixture
+        inputs = ["--input", str(snaps)]
+        layout = ["--layout", str(tmp_path / "run.layout.json")]
+        options = {"layout": inputs, "cluster": [*inputs, "--k", "2"], "simulate-sbm": [],
+                   "sweep": [*inputs, "--alphas", "1", "--betas", "1"],
+                   "metrics": [*inputs, *layout], "render": [*inputs, *layout]}[command]
+        assert run(["layout", *inputs, "--out", str(tmp_path / "run")]) == 0
+        out = tmp_path / "nodir" / "x"
+        if command == "render":  # a regular file where the frame directory goes
+            out = tmp_path / "file"
+            out.write_text("", encoding="utf-8")
+        capsys.readouterr()
+        assert run([command, *options, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write output {out}")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("case", ["missing-input", "metrics-bad-json",
                                       "render-bad-json", "metrics-step-without-nodes"])
     def test_unreadable_input_is_data_error(self, case, sbm_fixture, tmp_path, capsys):
