@@ -424,7 +424,9 @@ def score_sequence(network: DynamicNetwork, sequence: LayoutSequence) -> metrics
     and the known groups (else the stored labels). Iterations are not
     recomputed."""
     check_layout_nodes(network, sequence)
-    method = str(sequence.metadata.get("method", "dmds"))
+    method = sequence.metadata.get("method")
+    if method is None:
+        raise DataError("layout document has no 'method' field")
     if method not in METHODS:
         raise DataError(f"layout document names unknown method {method!r}; "
                         f"choose from {METHODS}")

@@ -312,6 +312,9 @@ class TestScoreSequence:
         sequence.metadata["method"] = "banana"
         with pytest.raises(DataError, match="unknown method 'banana'"):
             score_sequence(network, sequence)
+        del sequence.metadata["method"]
+        with pytest.raises(DataError, match="no 'method' field"):
+            score_sequence(network, sequence)
 
 
 class TestBlasThreads:
