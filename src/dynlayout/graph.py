@@ -75,10 +75,10 @@ def build_membership_matrix(labels: Sequence[Optional[int]], k: int) -> np.ndarr
     unknown memberships yield all-zero rows.
     """
     _check_labels(labels, k)
-    C = np.zeros((len(labels), k))
-    for i, lab in enumerate(labels):
-        if lab is not None:
-            C[i, lab - 1] = 1.0
+    lab = np.array(labels, dtype=float)  # None becomes nan
+    rows = np.flatnonzero(~np.isnan(lab))
+    C = np.zeros((len(lab), k))
+    C[rows, lab[rows].astype(int) - 1] = 1.0
     return C
 
 
