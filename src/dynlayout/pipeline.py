@@ -404,6 +404,7 @@ def _run_sequence(network: DynamicNetwork, config: RegularizationConfig,
                 X=layout.X, labels=labels if labels is not None else step.eval_labels,
                 Y=state.last_Y[:k].copy() if step.kept else None,
             ))
+            del step  # frees its static-cost inputs before the next step builds its own
     return sequence, report
 
 
