@@ -32,6 +32,9 @@ _RELAX_BELOW = 1e-2
 # share of (1/2) sum v delta^2 below which the stress identity cancels too
 # far, so the stress is summed directly
 _IDENTITY_FLOOR = 1e-3
+# share of (1/2) sum v delta^2 below which the stress is rounding noise, so
+# an exact embedding has been reached and a solve stops
+_ZERO_STRESS = np.finfo(float).eps
 # relative size below which a Cholesky pivot is taken for rounding noise
 _ROUNDOFF = np.sqrt(np.finfo(float).eps)
 
@@ -196,7 +199,10 @@ def _majorize(system: _Majorization, X: np.ndarray, update, eps: float, max_iter
     modified stress drops below eps or max_iter updates are made; hitting
     the cap is logged as a warning naming ``what``. Updates are taken whole
     (r = 1) until one decreases the stress by less than _RELAX_BELOW
-    relative, the later ones with r = ``relaxation``.
+    relative, the later ones with r = ``relaxation``. Once the stress falls
+    below _ZERO_STRESS of (1/2) sum v delta^2, its relative decrease is
+    rounding noise: the solve stops there and returns the lower of its last
+    two iterates, whose stress then ends the trace.
 
     ``system`` is placed at each iterate and its ``objective`` evaluated
     before the update, which reads S and the product it leaves. Where that
@@ -207,11 +213,18 @@ def _majorize(system: _Majorization, X: np.ndarray, update, eps: float, max_iter
     do not depend on the order in which the solve returns them."""
     X = np.ascontiguousarray(X)
     trace = [system.at(X).objective()]
+    zero = _ZERO_STRESS * system.half_vdd
     r = 1.0
     while True:
         G = update(X)
         X_last, X = X, np.ascontiguousarray(G if r == 1.0 else X + r * (G - X))
         trace.append(system.at(X).objective())
+        if trace[-1] < zero:  # a direct sum, as is every value this low
+            trace[-2] = system.at(X_last).stress()
+            if trace[-2] < trace[-1]:  # the update is undone
+                X, trace[-1] = X_last, trace[-2]
+            converged = True
+            break
         decrease = _relative_decrease(trace[-2], trace[-1])
         if decrease < _RELAX_BELOW:
             r = relaxation

@@ -35,7 +35,10 @@ churned; and the three stress methods x ``similarity_mode`` (none,
 linear, inverse) x ``--dims`` 1 and 2 on two weighted networks: the
 golden rank input (``rank_descending`` weights 1-3, no groups) and the
 protocol network of seed 1 with integer weights 1-5 drawn from a fixed
-seed (known groups). It
+seed (known groups); and the three stress methods x groups mode (none,
+known) x ``--dims`` 1 and 2 (and 3 where the first snapshot has two
+nodes) on three networks whose first snapshot is disconnected, holds two
+leaves on one hub, or holds two nodes (``first_step_networks()``). It
 writes two SHA-256 per run, together with the run's coordinates and stress
 traces: one over X, Y, labels, the three costs and iterations (or over the
 error text of a run that raised), and one over the stress traces alone.
@@ -240,6 +243,33 @@ def weighted_networks():
             ("protocol1-weighted", DynamicNetwork(net.registry, snaps), "known")]
 
 
+def first_step_networks():
+    """(network name, network, dims) for every network whose first snapshot
+    takes another branch of the stress methods' first start: the protocol
+    network of seed 1 with no edge between nodes 0-14 and 15-29 at t = 0
+    (an unreachable pair), that of seed 2 with nodes 28 and 29 tied only to
+    node 0 at t = 0 (two leaves on one hub, which classical scaling puts on
+    one point), and that of seed 3 with only nodes 0 and 1, joined by an
+    edge, at t = 0 (n <= s at ``--dims`` 2 and 3)."""
+    def first_snapshot(net, keep, W):
+        first = net.snapshots[0]
+        groups = GroupAssignment(tuple(first.groups.labels[row] for row in keep), first.groups.k)
+        snap = Snapshot(t=0, W=W, active=tuple(first.active[row] for row in keep), groups=groups)
+        return DynamicNetwork(net.registry, [snap, *net.snapshots[1:]])
+
+    cut = protocol_network(1)
+    W = cut.snapshots[0].W.copy()
+    W[:15, 15:] = W[15:, :15] = 0.0
+    twins = protocol_network(2)
+    W2 = twins.snapshots[0].W.copy()
+    W2[28:, :] = W2[:, 28:] = 0.0
+    W2[28:, 0] = W2[0, 28:] = 1.0
+    pair = protocol_network(3)
+    return [("first-disconnected", first_snapshot(cut, range(30), W), (1, 2)),
+            ("first-twin-leaves", first_snapshot(twins, range(30), W2), (1, 2)),
+            ("first-two-nodes", first_snapshot(pair, (0, 1), 1.0 - np.eye(2)), (1, 2, 3))]
+
+
 def cluster_networks():
     """(network name, network, seed) for every clustering record: the digest
     networks, then the acceptance protocol's networks of seeds 0-49."""
@@ -285,6 +315,13 @@ def digest_matrix():
                                                   seed=1, groups=groups, similarity_mode=mode)
                     yield (f"{net_name}/{method}/{groups}/{dims}d/similarity-{mode or 'none'}",
                            network, config)
+    for net_name, network, dims_list in first_step_networks():
+        for method in MDS_METHODS:
+            for groups in ("none", "known"):
+                for dims in dims_list:
+                    config = RegularizationConfig(method=method, alpha=1.0, beta=1.0, dims=dims,
+                                                  seed=1, groups=groups)
+                    yield f"{net_name}/{method}/{groups}/{dims}d", network, config
 
 
 def output_record(sequence=None, report=None, error: str | None = None) -> dict:

@@ -238,6 +238,27 @@ class TestStressIdentity:
         assert error[low].max() > 1e-12
         assert np.all(trace[1:] < trace[:-1])
 
+    def test_exact_embedding_stops_at_rounding(self):
+        # a path embeds exactly on a line: one update from 1.1 x (0, ..., 39)
+        # reaches it, after which the relative decrease is rounding noise and
+        # the trace rose by order one without the floor
+        delta, V = self.path_problem()
+        _, report = smacof_static(delta, V, 1.1 * np.arange(40, dtype=float)[:, None])
+        trace = np.array(report.stress_trace)
+        assert report.iterations == 1 and not report.hit_iteration_cap
+        assert trace[-1] < mds._ZERO_STRESS * mds._Majorization(V, delta).half_vdd
+        assert trace[-1] <= trace[0]
+
+    def test_start_at_the_embedding_is_kept(self):
+        # the one update from an exact start only adds rounding noise, so it
+        # is undone and the trace repeats the start's stress
+        delta, V = self.path_problem()
+        X0 = 3.0 + np.arange(40, dtype=float)[:, None]
+        layout, report = smacof_static(delta, V, X0)
+        assert report.iterations == 1 and not report.hit_iteration_cap
+        assert np.array_equal(layout.X, X0)
+        assert report.stress_trace == (mds.stress(X0, delta, V),) * 2
+
     def test_restart_at_a_fixed_point_does_not_rise(self, monkeypatch):
         # one more update barely moves the layout, so the identity's rounding
         # would decide the stop; both values are then summed directly

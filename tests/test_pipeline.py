@@ -16,7 +16,7 @@ from dynlayout.graph import (DynamicNetwork, GroupAssignment, NodeRegistry, Snap
                             build_membership_matrix, has_temporal_anchor)
 from dynlayout.layout import Layout, align_to_reference
 from dynlayout import clustering as clus
-from dynlayout.pipeline import (GROUPING_METHODS, METHODS, RegularizationConfig,
+from dynlayout.pipeline import (GROUPING_METHODS, MDS_METHODS, METHODS, RegularizationConfig,
                                 learn_group_sequence, parameter_sweep, run_sequence,
                                 score_sequence)
 from dynlayout.sbm import SbmConfig, sbm_sequence
@@ -495,6 +495,31 @@ class TestLateGroupStart:
             assert np.allclose(start[8 + j], X0[[j, j + 4]].mean(axis=0), rtol=1e-12)
         assert np.allclose(start[14], start[8:12].mean(axis=0), rtol=1e-12)
         assert np.all(np.any(start[8:12] != 0, axis=1)) and np.any(start[14] != 0)
+
+
+# --- exact embeddings -------------------------------------------------------
+
+def path_network(n: int, T: int = 3) -> DynamicNetwork:
+    """n nodes on a path at each of T steps, which embeds exactly on a line."""
+    W = np.zeros((n, n))
+    W[np.arange(n - 1), np.arange(1, n)] = 1.0
+    registry = NodeRegistry(f"p{i:02d}" for i in range(n))
+    return DynamicNetwork(registry, [Snapshot(t=t, W=W + W.T, active=range(n))
+                                     for t in range(T)])
+
+
+class TestExactEmbedding:
+    @pytest.mark.parametrize("method", MDS_METHODS)
+    def test_traces_do_not_rise_in_rounding(self, method):
+        # a solve that reaches the embedding stops at the stress floor, where
+        # its relative decrease is rounding noise
+        for n in (10, 20, 40):
+            for seed in range(5):
+                _, report = run_sequence(path_network(n),
+                                         RegularizationConfig(method=method, dims=1, seed=seed))
+                for costs in report.steps:
+                    trace = np.array(costs.stress_trace)
+                    assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-12))
 
 
 # --- churn properties -------------------------------------------------------
