@@ -28,7 +28,7 @@ from .distances import (SIMILARITY_MODES, kk_weights, shortest_path_distances,
 from .errors import DataError, DynlayoutError
 from .graph import DynamicNetwork, Persistence, Snapshot, build_membership_matrix
 from .layout import Layout, align_to_reference
-from .numerics import single_threaded_blas
+from .numerics import single_threaded_blas, sym_eig_smallest
 
 MDS_METHODS = ("dmds", "mds-static", "mds-stabilized")
 GLL_METHODS = ("dgll", "spectral", "ccdr", "bfp")
@@ -275,10 +275,37 @@ def _begin_step(network: DynamicNetwork, t: int, last_X: np.ndarray, labels, k: 
                  None if stress else gll.laplacian(snap.W))
 
 
+def _rms(X: np.ndarray) -> float:
+    """Root mean square of the rows' lengths."""
+    return float(np.sqrt(np.mean(np.sum(X ** 2, axis=1))))
+
+
+def _classical_scaling(delta: np.ndarray, s: int) -> np.ndarray:
+    """Classical (Torgerson) scaling of finite desired distances into s
+    dimensions: the s largest eigenpairs of B = -(1/2) J delta^2 J, each
+    vector scaled by the square root of its eigenvalue, or zero where that
+    is negative. Columns past the node count are zero."""
+    n = delta.shape[0]
+    # -B in one buffer: the squared distances, double-centered
+    minus_B = np.multiply(delta, delta)
+    minus_B -= minus_B.mean(axis=0)
+    minus_B -= minus_B.mean(axis=1)[:, None]
+    minus_B *= 0.5
+    values, vectors = sym_eig_smallest(minus_B, min(s, n))
+    X = np.zeros((n, s))
+    X[:, :values.size] = vectors * np.sqrt(np.maximum(-values, 0.0))
+    return X
+
+
 def _start(step: _Step, state: _SequenceState, config: RegularizationConfig) -> np.ndarray:
     """Start positions of the stacked [nodes; kept representatives].
 
-    The first step starts from seeded random positions. Later, persisting
+    The first step of a stress method starts from classical scaling of its
+    desired distances (``_classical_scaling``) plus 1% of that layout's
+    RMS spread times a seeded uniform draw in [-1, 1], which keeps apart the
+    nodes that the scaling puts on one point. With an unreachable pair (an
+    infinite desired distance), and for the other methods, the first step
+    starts from the seeded draw alone. Later, persisting
     and re-entering nodes (those laid out before) use their last known
     position, the matching row of ``step.X_prev``; new nodes fall back to
     their group representative's last position when it has been laid out,
@@ -291,11 +318,14 @@ def _start(step: _Step, state: _SequenceState, config: RegularizationConfig) -> 
     known = state.seen[np.asarray(snap.active)]
     if step.t == 0:
         X = _rng_for(config.seed, 0, 0).uniform(-1.0, 1.0, size=X.shape)
+        if step.stress and np.isfinite(step.delta).all():
+            scaled = _classical_scaling(step.delta, s)
+            X = scaled + 0.01 * _rms(scaled) * X
     elif not known.all():
         rng = _rng_for(config.seed, step.t, 2)
         if known.any():
             center = X[known].mean(axis=0)
-            spread = float(np.sqrt(np.mean(np.sum((X[known] - center) ** 2, axis=1))))
+            spread = _rms(X[known] - center)
         else:
             center, spread = np.zeros(s), 1.0
         for row in np.flatnonzero(~known):
